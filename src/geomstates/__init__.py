@@ -66,12 +66,14 @@ from .realified import (
     star_product,
 )
 from .states import (
+    Certification,
     ConvexDecomposition,
     DensityState,
     FaceDescriptor,
     Rejection,
     TangencyReport,
     bloch_decompose_along,
+    certify_densities,
     certify_density,
     convex_decompose_spectral,
     face_contains,

@@ -16,6 +16,7 @@ coordinates of a Hermitian A are ``y[mu] = Tr(b[mu] @ A) / 2``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,14 +38,26 @@ class BasisError(ValueError):
 
 
 def check_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
-    """Validate Hermiticity of a square complex matrix and return it as
-    a complex ndarray.  Tolerance is absolute after scaling by max|entry|."""
+    """Validate Hermiticity of a square complex matrix, or of every matrix in
+    a stack of shape (..., n, n), and return it as a complex ndarray.
+
+    The tolerance is absolute after scaling each matrix by
+    max(max|entry|, 1).  Raises if any matrix fails or any entry is NaN or
+    infinite.
+    """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(np.abs(a).max(), 1.0)
-    if np.abs(a - a.conj().T).max() > tol * scale:
-        raise HermiticityError("matrix is not Hermitian within tolerance")
+    mag = np.abs(a)
+    if not math.isfinite(mag.max()):
+        raise HermiticityError("matrix has non-finite entries")
+    skew = np.abs(a - a.swapaxes(-2, -1).conj())
+    # Each matrix's threshold tol * max(max|entry|, 1) is at least tol, so
+    # the per-matrix scales are needed only when some entry is skew by more.
+    if skew.max() > tol:
+        scale = np.maximum(mag.max(axis=(-2, -1)), 1.0)
+        if (skew.max(axis=(-2, -1)) > tol * scale).any():
+            raise HermiticityError("matrix is not Hermitian within tolerance")
     return a
 
 
@@ -200,6 +213,8 @@ def spectral_oracle(a: np.ndarray):
     package is tested against.
     """
     a = check_hermitian(a)
+    if a.ndim != 2:
+        raise DimensionError(f"expected a single matrix, got shape {a.shape}")
     w, v = np.linalg.eigh(a)
     order = np.argsort(w)[::-1]
     return w[order], v[:, order]

@@ -10,6 +10,7 @@ classifications), 2 = usage or parse error, 3 = internal numeric failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -26,6 +27,7 @@ from .realified import (
 )
 from .states import (
     Rejection,
+    certify_densities,
     certify_density,
     bloch_decompose_along,
     convex_decompose_spectral,
@@ -37,6 +39,8 @@ from .states import (
 )
 
 DEFAULT_SEED = 12345
+# r^3 rows are held in memory; 101 gives about 1.03 M points.
+MAX_BALLGRID_RESOLUTION = 101
 
 
 class UsageError(Exception):
@@ -214,19 +218,20 @@ def cmd_flow(args) -> int:
 
 
 def cmd_ballgrid(args) -> int:
-    if args.resolution < 2:
+    r = args.resolution
+    if r < 2:
         raise UsageError("resolution must be >= 2")
-    grid = np.linspace(-0.6, 0.6, args.resolution)
+    if r > MAX_BALLGRID_RESOLUTION:
+        raise UsageError(f"resolution must be <= {MAX_BALLGRID_RESOLUTION}")
+    grid = np.linspace(-0.6, 0.6, r)
+    stack = qubit_from_bloch(*np.meshgrid(grid, grid, grid, indexing="ij"))
+    cert = certify_densities(stack.reshape(-1, 2, 2), tol_psd=args.tol)
+    labels = [serialize.csv_float(v) for v in grid]
+    flags = zip(cert.accepted.tolist(), cert.rank.tolist())
     lines = ["y1,y2,y3,is_density,rank"]
-    for y1 in grid:
-        for y2 in grid:
-            for y3 in grid:
-                out = certify_density(qubit_from_bloch(y1, y2, y3),
-                                      tol_psd=args.tol)
-                ok = not isinstance(out, Rejection)
-                rank = out.rank if ok else 0
-                coords = ",".join(serialize.csv_float(v) for v in (y1, y2, y3))
-                lines.append(f"{coords},{int(ok)},{rank}")
+    lines += [f"{c1},{c2},{c3},{int(ok)},{rank}"
+              for (c1, c2, c3), (ok, rank)
+              in zip(itertools.product(labels, repeat=3), flags)]
     _write(args, "\n".join(lines) + "\n")
     return 0
 

@@ -43,6 +43,8 @@ def csv_float(x: float) -> str:
 
 def operator_to_dict(a: np.ndarray) -> dict:
     a = check_hermitian(a)
+    if a.ndim != 2:
+        raise ValueError(f"expected a single matrix, got shape {a.shape}")
     return {
         "dim": int(a.shape[0]),
         "re": _float_list(a.real),

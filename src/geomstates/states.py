@@ -75,61 +75,103 @@ def _cached_constants(n: int):
     return structure_constants(_cached_basis(n))
 
 
-def _qutrit_minor_conditions(a: np.ndarray, tol: float):
+def _spectral_rank(w: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:
+    """Numerical rank of descending spectra w of shape (..., n): the count
+    of eigenvalues above tol * max(w[0], tol)."""
+    return (w > tol * np.maximum(w[..., :1], tol)).sum(axis=-1)
+
+
+_MINOR_CONDITIONS = ("a >= 0", "b >= 0", "c >= 0", "|f|^2 <= bc",
+                     "|g|^2 <= ca", "|h|^2 <= ab", "det >= 0")
+
+
+def _qutrit_minor_conditions(a: np.ndarray, tol: float) -> np.ndarray:
     """The explicit 3x3 positivity inequalities (diagonal, 2x2 principal
-    minors, determinant).  Returns (ok, first violated condition or '')."""
-    d0, d1, d2 = a[0, 0].real, a[1, 1].real, a[2, 2].real
-    h, g, f = a[1, 0], a[0, 2], a[2, 1]
-    checks = [
-        (d0 >= -tol, "a >= 0"),
-        (d1 >= -tol, "b >= 0"),
-        (d2 >= -tol, "c >= 0"),
-        (abs(f) ** 2 <= d1 * d2 + tol, "|f|^2 <= bc"),
-        (abs(g) ** 2 <= d2 * d0 + tol, "|g|^2 <= ca"),
-        (abs(h) ** 2 <= d0 * d1 + tol, "|h|^2 <= ab"),
-    ]
-    det = (
-        d0 * d1 * d2
-        + 2.0 * (f * g * h).real
-        - (d0 * abs(f) ** 2 + d1 * abs(g) ** 2 + d2 * abs(h) ** 2)
-    )
-    checks.append((det >= -tol, "det >= 0"))
-    for ok, name in checks:
-        if not ok:
-            return False, name
-    return True, ""
+    minors, determinant) over a stack of shape (..., 3, 3).  Returns a
+    boolean array (..., 7), one column per entry of _MINOR_CONDITIONS."""
+    d = a.diagonal(axis1=-2, axis2=-1).real  # a, b, c
+    off = a[..., (2, 0, 1), (1, 2, 0)]  # f, g, h
+    off2 = abs(off) ** 2
+    det = (d.prod(axis=-1) + 2.0 * off.prod(axis=-1).real
+           - (d * off2).sum(axis=-1))
+    return np.concatenate([
+        d >= -tol,
+        off2 <= d[..., (1, 2, 0)] * d[..., (2, 0, 1)] + tol,
+        det[..., None] >= -tol,
+    ], axis=-1)
+
+
+@dataclass(frozen=True)
+class Certification:
+    """Per-matrix results of certify_densities over a stack (..., n, n)."""
+
+    violated: np.ndarray  # (...) str: "" if certified, else the failed test
+    rank: np.ndarray  # (...) int, 0 where rejected
+    spectrum: np.ndarray  # (..., n) descending
+    trace: np.ndarray  # (...) real part of the trace
+
+    @property
+    def accepted(self) -> np.ndarray:
+        return self.violated == ""
+
+
+def certify_densities(stack: np.ndarray, tol_psd: float = TOL_PSD,
+                      tol_rank: float = TOL_RANK) -> Certification:
+    """Certify every matrix of a stack (..., n, n) as a density state.
+
+    A matrix is accepted iff Tr = 1 (within 1e-10) and its spectrum is
+    >= -tol_psd; otherwise violated names the first failed test, "trace" or
+    "negative eigenvalue".  Raises HermiticityError if any matrix is not
+    Hermitian.  For n=3 the explicit principal-minor inequalities are
+    evaluated as a cross-check; a disagreement with the spectral criterion
+    raises ArithmeticError, since the two are mathematically equivalent.
+    """
+    a = check_hermitian(stack)
+    tr = np.trace(a, axis1=-2, axis2=-1).real
+    # eigh rather than eigvalsh: for n >= 3 LAPACK's eigenvalue-only path
+    # differs in the last bits, and spectra are reported to 17 digits.
+    w = np.linalg.eigh(a)[0][..., ::-1]
+    trace_ok = np.abs(tr - 1.0) <= 1e-10
+    psd = w[..., -1] >= -tol_psd
+    if a.shape[-1] == 3:
+        minors = _qutrit_minor_conditions(a, 10.0 * tol_psd)
+        # Eigenvalue margin comfortably outside the minor tolerance band
+        # must agree with the minor criterion.
+        clash = (trace_ok & (psd != minors.all(axis=-1))
+                 & (np.abs(w[..., -1]) > 100.0 * tol_psd))
+        if clash.any():
+            i = tuple(np.argwhere(clash)[0])
+            failed = ~minors[i]
+            which = (_MINOR_CONDITIONS[np.argmax(failed)] if failed.any()
+                     else "passed")
+            raise ArithmeticError(
+                "spectral and principal-minor positivity criteria disagree: "
+                f"min eigenvalue {float(w[i][-1])}, minor check {which}"
+            )
+    violated = np.where(trace_ok, np.where(psd, "", "negative eigenvalue"),
+                        "trace")
+    rank = _spectral_rank(w, tol_rank) * (trace_ok & psd)
+    return Certification(violated, rank, w, tr)
 
 
 def certify_density(a: np.ndarray, tol_psd: float = TOL_PSD,
                     tol_rank: float = TOL_RANK):
-    """Certify a Hermitian matrix as a density state.
-
-    Accepts iff Tr = 1 (within 1e-10) and the spectrum is >= -tol_psd.
-    For n=3 the explicit principal-minor inequalities are evaluated as a
-    cross-check; a disagreement with the spectral criterion raises, since
-    the two are mathematically equivalent.
+    """Certify one Hermitian matrix as a density state (see
+    certify_densities).
 
     Returns a DensityState on acceptance, a Rejection otherwise.
     """
-    a = check_hermitian(a)
-    tr = np.trace(a).real
-    if abs(tr - 1.0) > 1e-10:
-        return Rejection("trace", f"Tr = {tr!r}, expected 1")
-    w, _ = spectral_oracle(a)
-    spectral_ok = w[-1] >= -tol_psd
-    if a.shape[0] == 3:
-        minors_ok, which = _qutrit_minor_conditions(a, 10.0 * tol_psd)
-        # Eigenvalue margin comfortably outside the minor tolerance band
-        # must agree with the minor criterion.
-        if spectral_ok != minors_ok and abs(w[-1]) > 100.0 * tol_psd:
-            raise ArithmeticError(
-                "spectral and principal-minor positivity criteria disagree: "
-                f"min eigenvalue {w[-1]}, minor check {which or 'passed'}"
-            )
-    if not spectral_ok:
-        return Rejection("negative eigenvalue", f"min eigenvalue = {w[-1]!r}")
-    rank = int(np.sum(w > tol_rank * max(w[0], tol_rank)))
-    return DensityState(a, rank, w)
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2:
+        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    cert = certify_densities(a[None], tol_psd, tol_rank)
+    violated = str(cert.violated[0])
+    if violated == "trace":
+        return Rejection("trace", f"Tr = {float(cert.trace[0])!r}, expected 1")
+    if violated:
+        return Rejection(violated,
+                         f"min eigenvalue = {float(cert.spectrum[0, -1])!r}")
+    return DensityState(a, int(cert.rank[0]), cert.spectrum[0])
 
 
 def require_density(a: np.ndarray) -> DensityState:
@@ -209,7 +251,7 @@ def face_contains(face: FaceDescriptor, candidate: DensityState,
         return bool(np.abs(off).max() <= tol)
     if mode == "kernel":
         wq, vq = spectral_oracle(candidate.op)
-        kq = int(np.sum(wq > TOL_RANK * max(wq[0], TOL_RANK)))
+        kq = int(_spectral_rank(wq))
         q = vq[:, :kq] @ vq[:, :kq].conj().T
         off = (np.eye(n) - q) @ face.base.op
         return bool(np.abs(off).max() <= tol)
@@ -231,20 +273,21 @@ def convex_decompose_spectral(rho: DensityState,
                               threshold: float = TOL_RANK) -> ConvexDecomposition:
     """Eigen-decomposition of a state into orthogonal pure components."""
     w, v = spectral_oracle(rho.op)
-    keep = w > threshold * max(w[0], threshold)
-    weights = w[keep]
-    comps = tuple(
-        PureDensity(np.outer(v[:, i], v[:, i].conj()))
-        for i in range(len(w)) if keep[i]
-    )
-    return ConvexDecomposition(weights, comps)
+    k = int(_spectral_rank(w, threshold))
+    comps = tuple(PureDensity(np.outer(v[:, i], v[:, i].conj()))
+                  for i in range(k))
+    return ConvexDecomposition(w[:k], comps)
 
 
-def qubit_from_bloch(y1: float, y2: float, y3: float) -> np.ndarray:
-    """The 2x2 Hermitian trace-one matrix with ball coordinates (y1,y2,y3)."""
-    return np.array(
-        [[0.5 + y3, y2 + 1j * y1], [y2 - 1j * y1, 0.5 - y3]], dtype=complex
-    )
+def qubit_from_bloch(y1, y2, y3) -> np.ndarray:
+    """The 2x2 Hermitian trace-one matrix with ball coordinates (y1,y2,y3).
+
+    The coordinates broadcast against each other; array arguments give a
+    stack of shape (..., 2, 2).
+    """
+    y1, y2, y3 = np.broadcast_arrays(y1, y2, y3)
+    return np.stack([np.stack([0.5 + y3, y2 + 1j * y1], axis=-1),
+                     np.stack([y2 - 1j * y1, 0.5 - y3], axis=-1)], axis=-2)
 
 
 def qubit_bloch_vector(rho: DensityState) -> np.ndarray:
@@ -311,11 +354,11 @@ def qutrit_pure_from_bloch(n_vec, tol: float = 1e-8):
         raise DimensionError("need an 8-component vector")
     nrm = np.linalg.norm(n_vec)
     if abs(nrm - 1.0) > tol:
-        return Rejection("norm", f"|n| = {nrm!r}, expected 1")
+        return Rejection("norm", f"|n| = {float(nrm)!r}, expected 1")
     star = qutrit_star(n_vec, n_vec)
     err = np.abs(star - n_vec).max()
     if err > tol:
-        return Rejection("idempotency", f"max |n*n - n| = {err!r}")
+        return Rejection("idempotency", f"max |n*n - n| = {float(err)!r}")
     basis = _cached_basis(3)
     traceless = np.einsum("a,aij->ij", n_vec, basis.stack()[1:])
     rho = (np.eye(3) + np.sqrt(3.0) * traceless) / 3.0

@@ -8,6 +8,7 @@ from geomstates import (
     DimensionError,
     HermiticityError,
     OrthogonalBasis,
+    check_hermitian,
     from_dual,
     gellmann_basis,
     spectral_oracle,
@@ -178,3 +179,27 @@ def test_spectral_oracle_reconstruction(rng):
 def test_spectral_oracle_rejects_non_hermitian():
     with pytest.raises(HermiticityError):
         spectral_oracle(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_check_hermitian_stack_scales_each_matrix():
+    big = np.diag([1e6, 0.0]).astype(complex)
+    small = np.array([[0, 1e-9], [0, 0]], dtype=complex)
+    stack = np.stack([big, big + small])
+    check_hermitian(stack)  # skew 1e-9 is within 1e-10 * 1e6
+    # Scaled by the largest matrix, `small` would pass; by its own, it fails.
+    with pytest.raises(HermiticityError):
+        check_hermitian(np.stack([big, small]))
+    with pytest.raises(DimensionError):
+        check_hermitian(np.zeros((2, 2, 3)))
+    with pytest.raises(DimensionError):  # single-matrix consumers refuse
+        spectral_oracle(stack)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.inf])
+def test_check_hermitian_rejects_non_finite(bad):
+    a = np.eye(2, dtype=complex) / 2
+    a[0, 1] = bad
+    with pytest.raises(HermiticityError, match="non-finite"):
+        check_hermitian(a)
+    with pytest.raises(HermiticityError, match="non-finite"):
+        check_hermitian(np.stack([np.eye(2), a]))

@@ -1,6 +1,9 @@
+import hashlib
 import json
+import warnings
 
 import numpy as np
+import pytest
 
 from geomstates import cli, gellmann_basis, qubit_from_bloch, to_dual
 from geomstates.serialize import operator_to_dict, state_from_dict, state_to_dict
@@ -71,6 +74,9 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "classify", "--json", "{}")[0] == 2  # missing keys
     assert run(capsys, "constants", "--n", "1")[0] == 2
     assert run(capsys, "ballgrid", "--resolution", "1")[0] == 2
+    # refused before anything is allocated, so the oversize grid is cheap
+    too_big = str(cli.MAX_BALLGRID_RESOLUTION + 1)
+    assert run(capsys, "ballgrid", "--resolution", too_big)[0] == 2
     assert run(capsys, "nonsense")[0] == 2
 
 
@@ -86,6 +92,33 @@ def test_non_hermitian_payload_exit_two(capsys):
     payload = json.dumps({"dim": 2, "re": [[0, 1], [0, 0]],
                           "im": [[0, 0], [0, 0]]})
     assert run(capsys, "classify", "--json", payload)[0] == 2
+
+
+@pytest.mark.parametrize("re00, im01", [("NaN", "0"), ("Infinity", "0"),
+                                        ("-Infinity", "0"), ("0.5", "NaN")])
+def test_non_finite_payload_exit_two(capsys, re00, im01):
+    payload = (f'{{"dim": 2, "re": [[{re00}, 0], [0, 0.5]],'
+               f' "im": [[0, {im01}], [0, 0]]}}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["classify", "--json", payload])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: bad operator payload: " \
+        "matrix has non-finite entries\n"
+
+
+def test_classify_rejection_details_are_plain_floats(capsys):
+    _, out = run(capsys, "classify", "--json", op_json(np.diag([0.7, 0.7])))
+    report = json.loads(out)
+    assert report["violated"] == "trace"
+    assert report["detail"] == "Tr = 1.4, expected 1"
+    _, out = run(capsys, "classify", "--json",
+                 op_json(np.diag([0.6, 0.6, -0.2])))
+    report = json.loads(out)
+    assert report["violated"] == "negative eigenvalue"
+    assert report["detail"] == "min eigenvalue = -0.2"
+    assert "np." not in out
 
 
 def test_numeric_failure_exit_three(capsys, monkeypatch):
@@ -259,6 +292,22 @@ def test_ballgrid_points(tmp_path, capsys):
     assert rows[(0.0, 0.0, 0.0)] == (1, 2)
     assert rows[(0.0, 0.0, 0.5)] == (1, 1)  # boundary pure state
     assert rows[(0.4, 0.4, 0.0)][0] == 0  # radius 0.32 > 0.25
+
+
+# Digests of the output of the per-point implementation this CLI started
+# with; the batched grid must reproduce it byte for byte.
+BALLGRID_SHA256 = {
+    13: "92f3c1c4ae5978d61552b198265f9c0d7f0851b768c4de6cce0cad1c847ea296",
+    41: "3641ec41cce8b063016663037be0eac54e0c58c7ce2ecf12d1f11c1b1b4bc59c",
+}
+
+
+@pytest.mark.parametrize("resolution", sorted(BALLGRID_SHA256))
+def test_ballgrid_bytes_pinned(capsys, resolution):
+    code, out = run(capsys, "ballgrid", "--resolution", str(resolution))
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == BALLGRID_SHA256[resolution]
 
 
 def test_ballgrid_determinism(capsys):

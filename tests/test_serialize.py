@@ -50,6 +50,8 @@ def test_operator_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         operator_from_dict({"dim": 3, "re": [[1, 0], [0, 1]],
                             "im": [[0, 0], [0, 0]]})
+    with pytest.raises(ValueError):
+        operator_to_dict(np.stack([np.eye(2)] * 3))
 
 
 def test_dual_round_trip(rng):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomstates import (
     DimensionError,
     Rejection,
     bloch_decompose_along,
+    certify_densities,
     certify_density,
     convex_decompose_spectral,
     face_contains,
@@ -24,7 +27,12 @@ from geomstates import (
     to_dual,
     weyl_reduce,
 )
-from geomstates.states import InvalidCurveError, SingularTransformError
+from geomstates.states import (
+    TOL_PSD,
+    TOL_RANK,
+    InvalidCurveError,
+    SingularTransformError,
+)
 
 from conftest import random_hermitian, random_unit, unitary_exp
 
@@ -80,6 +88,94 @@ def test_qutrit_minor_and_spectral_criteria_agree(rng):
         a = a / np.trace(a).real
         out = certify_density(a)  # raises if the two criteria disagree
         assert isinstance(out, (Rejection,)) or out.rank >= 1
+
+
+def _sample_matrix(rng, n, kind, k):
+    """A Hermitian matrix with a clear verdict: a trace-one state of rank
+    min(k, n), the same state with its trace scaled off 1, or a trace-one
+    matrix with one eigenvalue at most -0.01."""
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    u = np.linalg.qr(z)[0]
+    k = min(k, n - 1) if kind == "negative" else min(k, n)
+    w = np.zeros(n)
+    w[:k] = rng.uniform(0.05, 1.0, size=k)
+    if kind == "negative":
+        w[-1] = -rng.uniform(0.01, 0.3) * w.sum()
+    w /= w.sum()
+    if kind == "trace":
+        w *= rng.choice([rng.uniform(0.3, 0.95), rng.uniform(1.05, 2.0)])
+    a = (u * w) @ u.conj().T
+    return (a + a.conj().T) / 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 3, 4, 6]),
+       specs=st.lists(st.tuples(st.sampled_from(["valid", "trace", "negative"]),
+                                st.integers(1, 6)),
+                      min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_certify_densities_matches_reference(n, specs, seed):
+    rng = np.random.default_rng(seed)
+    stack = np.array([_sample_matrix(rng, n, kind, k) for kind, k in specs])
+    cert = certify_densities(stack)
+    assert cert.spectrum.shape == (len(specs), n)
+    for i, ((kind, k), a) in enumerate(zip(specs, stack)):
+        w = np.linalg.eigvalsh(a)
+        tr = np.trace(a).real
+        if abs(tr - 1.0) > 1e-10:
+            want, rank = "trace", 0
+        elif w[0] < -TOL_PSD:
+            want, rank = "negative eigenvalue", 0
+        else:
+            want = ""
+            rank = int(np.sum(w > TOL_RANK * max(w[-1], TOL_RANK)))
+        assert want == {"valid": "", "trace": "trace",
+                        "negative": "negative eigenvalue"}[kind]
+        assert cert.violated[i] == want and cert.rank[i] == rank
+        assert cert.accepted[i] == (want == "")
+        if kind == "valid":
+            assert rank == min(k, n)
+        assert abs(cert.trace[i] - tr) < 1e-12
+        assert np.abs(cert.spectrum[i] - w[::-1]).max() < 1e-12
+        # a batch of one takes the same path
+        single = certify_density(a)
+        if want:
+            assert isinstance(single, Rejection) and single.violated == want
+        else:
+            assert single.rank == rank
+            assert np.array_equal(single.spectrum, cert.spectrum[i])
+
+
+def test_certify_densities_keeps_leading_shape():
+    stack = qubit_from_bloch(np.zeros((2, 3)), 0.0, np.array([0.0, 0.5, 0.6]))
+    cert = certify_densities(stack)
+    assert cert.rank.tolist() == [[2, 1, 0]] * 2
+    assert cert.violated.tolist() == [["", "", "negative eigenvalue"]] * 2
+    assert cert.spectrum.shape == (2, 3, 2)
+
+
+def test_certified_spectrum_matches_oracle_bitwise(rng):
+    for n in (2, 3, 4, 8):
+        for rank in (1, n):
+            rho = random_density(rng, n, rank)
+            assert np.array_equal(rho.spectrum, spectral_oracle(rho.op)[0])
+
+
+def test_certify_density_rejects_stack():
+    with pytest.raises(DimensionError):
+        certify_density(np.stack([np.eye(2) / 2] * 2))
+
+
+def test_qubit_from_bloch_broadcasts():
+    y1 = np.linspace(-0.5, 0.5, 4)[:, None]
+    y3 = np.linspace(-0.3, 0.3, 3)
+    stack = qubit_from_bloch(y1, 0.1, y3)
+    assert stack.shape == (4, 3, 2, 2)
+    for i, j in np.ndindex(4, 3):
+        a, c = y1[i, 0], y3[j]
+        want = np.array([[0.5 + c, 0.1 + 1j * a], [0.1 - 1j * a, 0.5 - c]])
+        assert np.array_equal(stack[i, j], want)
+    assert qubit_from_bloch(0.0, 0.0, 0.5).shape == (2, 2)
 
 
 def test_ball_characterization_small_grid():
@@ -318,6 +414,7 @@ def test_qutrit_rejects_non_idempotent():
 def test_qutrit_rejects_bad_norm():
     out = qutrit_pure_from_bloch(np.ones(8))
     assert isinstance(out, Rejection) and out.violated == "norm"
+    assert out.detail == "|n| = 2.8284271247461903, expected 1"
 
 
 def test_qutrit_round_trip(rng):
