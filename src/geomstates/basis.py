@@ -16,13 +16,14 @@ coordinates of a Hermitian A are ``y[mu] = Tr(b[mu] @ A) / 2``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 TOL_HERM = 1e-10
-TOL_NUM = 1e-10
+TOL_RANK = 1e-9
 
 
 class DimensionError(ValueError):
@@ -66,26 +67,28 @@ class OrthogonalBasis:
     """A trace-orthogonal Hermitian basis with the identity in slot 0."""
 
     dim: int
-    elements: tuple  # n^2 matrices, each (n, n) complex
+    elements: np.ndarray  # (n^2, n, n) complex, read-only
 
     def __post_init__(self):
         n = self.dim
-        if len(self.elements) != n * n:
-            raise BasisError(f"need {n * n} elements, got {len(self.elements)}")
+        # A read-only view: the caller's array keeps its own flags.
+        elements = np.asarray(self.elements, dtype=complex).view()
+        if elements.shape != (n * n, n, n):
+            raise BasisError(
+                f"need {n * n} elements of shape ({n}, {n}), got {elements.shape}"
+            )
+        elements.flags.writeable = False
+        object.__setattr__(self, "elements", elements)
 
     @property
     def size(self) -> int:
         return self.dim * self.dim
 
-    def stack(self) -> np.ndarray:
-        """All elements as a single (n^2, n, n) array."""
-        return np.stack(self.elements)
-
     def verify(self, tol: float = 1e-12) -> None:
         """Raise BasisError unless Tr(b_mu b_nu) = 2 delta_mu_nu and element 0
         is sqrt(2/n) I."""
         n = self.dim
-        stack = self.stack()
+        stack = self.elements
         gram = np.einsum("aij,bji->ab", stack, stack).real / 2.0
         if np.abs(gram - np.eye(n * n)).max() > tol:
             raise BasisError("basis is not trace-orthonormal")
@@ -116,11 +119,12 @@ _LAMBDA3 = (
 )
 
 
+@functools.lru_cache(maxsize=None)
 def gellmann_basis(n: int) -> OrthogonalBasis:
     """Orthogonal Hermitian basis of the n x n matrices, identity first.
 
     n=2 and n=3 return the fixed matrices above; larger n uses the
-    generalized Gell-Mann construction.
+    generalized Gell-Mann construction.  Built once per n.
     """
     if n < 2:
         raise DimensionError(f"dimension must be >= 2, got {n}")
@@ -129,24 +133,20 @@ def gellmann_basis(n: int) -> OrthogonalBasis:
     if n == 3:
         return OrthogonalBasis(3, _LAMBDA3)
 
-    elems = [np.sqrt(2.0 / n) * np.eye(n, dtype=complex)]
-    for j in range(n):
-        for k in range(j + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[j, k] = m[k, j] = 1.0
-            elems.append(m)
-    for j in range(n):
-        for k in range(j + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[j, k] = -1j
-            m[k, j] = 1j
-            elems.append(m)
+    elems = np.zeros((n * n, n, n), dtype=complex)
+    elems[0] = np.sqrt(2.0 / n) * np.eye(n)
+    j, k = np.triu_indices(n, 1)  # the pairs j < k in row order
+    sym = np.arange(1, 1 + j.size)
+    anti = sym + j.size
+    elems[sym, j, k] = elems[sym, k, j] = 1.0
+    elems[anti, j, k] = -1j
+    elems[anti, k, j] = 1j
     for l in range(1, n):
         diag = np.zeros(n)
         diag[:l] = 1.0
         diag[l] = -l
-        elems.append(np.sqrt(2.0 / (l * (l + 1))) * np.diag(diag).astype(complex))
-    return OrthogonalBasis(n, tuple(elems))
+        elems[2 * j.size + l] = np.sqrt(2.0 / (l * (l + 1))) * np.diag(diag)
+    return OrthogonalBasis(n, elems)
 
 
 @dataclass(frozen=True)
@@ -173,14 +173,28 @@ class StructureConstants:
         return self.d[1:, 1:, 1:]
 
 
+def triple_traces(xi: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """P[..., a, b] = Tr(xi b_a b_b) for xi of shape (..., n, n) and a basis
+    stack of shape (m, n, n): one batched matmul, then one GEMM."""
+    m, n = stack.shape[0], stack.shape[-1]
+    left = (xi[..., None, :, :] @ stack).reshape(*xi.shape[:-2], m, n * n)
+    # Tr(X b) = sum_ij X_ij b_ji, so contract against the transposed stack.
+    return left @ stack.transpose(0, 2, 1).reshape(m, n * n).T
+
+
+def numerical_rank(values: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:
+    """Numerical rank of descending values (singular values, or spectra of
+    PSD matrices) of shape (..., k): the count above tol * values[..., 0]."""
+    return (values > tol * values[..., :1]).sum(axis=-1)
+
+
 def structure_constants(basis: OrthogonalBasis) -> StructureConstants:
     """Compute C and d for an orthogonal basis from triple traces."""
     basis.verify()
     n = basis.dim
-    stack = basis.stack()
-    # T[a, b, c] = Tr(b_a b_b b_c)
-    prod = np.einsum("aij,bjk->abik", stack, stack)
-    triple = np.einsum("abik,cki->abc", prod, stack)
+    stack = basis.elements
+    # T[a, b, c] = Tr(b_a b_b b_c) = Tr(b_c b_a b_b) by cyclicity.
+    triple = triple_traces(stack, stack).transpose(1, 2, 0)
     c = ((triple - triple.transpose(1, 0, 2)) / 4.0).imag
     d = ((triple + triple.transpose(1, 0, 2)) / 4.0).real
     m = n * n
@@ -193,7 +207,7 @@ def to_dual(a: np.ndarray, basis: OrthogonalBasis) -> np.ndarray:
     a = check_hermitian(a)
     if a.shape[0] != basis.dim:
         raise DimensionError("operator and basis dimensions differ")
-    return np.einsum("aij,ji->a", basis.stack(), a).real / 2.0
+    return np.einsum("aij,ji->a", basis.elements, a).real / 2.0
 
 
 def from_dual(y: np.ndarray, basis: OrthogonalBasis) -> np.ndarray:
@@ -203,7 +217,7 @@ def from_dual(y: np.ndarray, basis: OrthogonalBasis) -> np.ndarray:
         raise DimensionError(
             f"expected {basis.size} coordinates, got shape {y.shape}"
         )
-    return np.einsum("a,aij->ij", y, basis.stack())
+    return np.einsum("a,aij->ij", y, basis.elements)
 
 
 def spectral_oracle(a: np.ndarray):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -41,6 +42,9 @@ from .states import (
 DEFAULT_SEED = 12345
 # r^3 rows are held in memory; 101 gives about 1.03 M points.
 MAX_BALLGRID_RESOLUTION = 101
+# C and d are two dense (n^2)^3 arrays; 12 gives about 48 MB for the pair
+# (the n=20 pair alone would be 1 GB).
+MAX_CONSTANTS_N = 12
 
 
 class UsageError(Exception):
@@ -58,9 +62,12 @@ def _read_payload(args) -> dict:
         with open(args.input) as fh:
             text = fh.read()
     try:
-        return json.loads(text)
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"invalid JSON payload: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise UsageError("payload must be a JSON object")
+    return payload
 
 
 def _write(args, text: str) -> None:
@@ -77,7 +84,7 @@ def cmd_classify(args) -> int:
     payload = _read_payload(args)
     try:
         op = serialize.operator_from_dict(payload)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad operator payload: {exc}") from exc
     result = certify_density(op, tol_psd=args.tol)
     if isinstance(result, Rejection):
@@ -104,7 +111,7 @@ def cmd_decompose(args) -> int:
     payload = _read_payload(args)
     try:
         op = serialize.operator_from_dict(payload)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad operator payload: {exc}") from exc
     rho = certify_density(op, tol_psd=args.tol)
     if isinstance(rho, Rejection):
@@ -116,7 +123,10 @@ def cmd_decompose(args) -> int:
             raise UsageError("bloch mode requires a 2-level state")
         if args.direction is None:
             raise UsageError("bloch mode requires --direction")
-        dec = bloch_decompose_along(rho, args.direction)
+        try:
+            dec = bloch_decompose_along(rho, args.direction)
+        except ValueError as exc:
+            raise UsageError(f"bad --direction: {exc}") from exc
     else:
         dec = convex_decompose_spectral(rho)
     residual = float(np.abs(dec.reconstruct() - rho.op).max())
@@ -134,7 +144,7 @@ def cmd_tensors(args) -> int:
     payload = _read_payload(args)
     try:
         n, y = serialize.dual_from_dict(payload)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad dual-vector payload: {exc}") from exc
     basis = gellmann_basis(n)
     if args.which == "distributions":
@@ -151,6 +161,8 @@ def cmd_tensors(args) -> int:
 def cmd_constants(args) -> int:
     if args.n < 2:
         raise UsageError("dimension must be >= 2")
+    if args.n > MAX_CONSTANTS_N:
+        raise UsageError(f"dimension must be <= {MAX_CONSTANTS_N}")
     sc = structure_constants(gellmann_basis(args.n))
     expected = None
     if args.n == 3:
@@ -169,6 +181,10 @@ def cmd_constants(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise UsageError("--step must be finite and > 0")
+    if not (math.isfinite(args.t_final) and args.t_final >= 0):
+        raise UsageError("--t-final must be finite and >= 0")
     payload = _read_payload(args)
     try:
         op = serialize.operator_from_dict(payload["A"])
@@ -178,7 +194,7 @@ def cmd_flow(args) -> int:
             rng = np.random.default_rng(args.seed)
             psi0 = RealifiedState(rng.normal(size=op.shape[0]),
                                   rng.normal(size=op.shape[0]))
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad flow payload: {exc}") from exc
 
     if args.mode == "hamiltonian":

@@ -13,15 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
+    TOL_RANK,
     DimensionError,
     OrthogonalBasis,
     check_hermitian,
     from_dual,
-    to_dual,
+    numerical_rank,
+    triple_traces,
 )
 from .realified import RealifiedState, bracket_g, bracket_omega
-
-TOL_RANK = 1e-9
 
 # Global scale between the contravariant Hermitian tensor on the realified
 # Hilbert space and the pushed-forward (R + i Lambda) on the dual, fixed once
@@ -39,7 +39,8 @@ class TensorAtPoint:
     kind: str  # "lambda" or "R"
 
     def rank(self, tol: float = TOL_RANK) -> int:
-        return _rank(self.matrix, tol)
+        return int(numerical_rank(np.linalg.svd(self.matrix, compute_uv=False),
+                                  tol))
 
 
 @dataclass(frozen=True)
@@ -67,25 +68,12 @@ class DistributionReport:
         return [from_dual(cols[:, k], basis) for k in range(cols.shape[1])]
 
 
-def _rank(m: np.ndarray, tol: float = TOL_RANK) -> int:
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    top = s[0] if s.size and s[0] > 0 else 1.0
-    return int(np.sum(s > tol * top))
-
-
 def _colspace(m: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:
     """Orthonormal basis (columns) of the column space of m."""
     if m.size == 0:
         return np.zeros((m.shape[0], 0))
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    top = s[0] if s.size and s[0] > 0 else 1.0
-    return u[:, s > tol * top]
-
-
-def subspace_sum(u: np.ndarray, v: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:
-    return _colspace(np.hstack([u, v]), tol)
+    return u[:, :numerical_rank(s, tol)]
 
 
 def subspace_intersection(u: np.ndarray, v: np.ndarray,
@@ -102,28 +90,21 @@ def subspace_intersection(u: np.ndarray, v: np.ndarray,
     return u @ w[:, keep]
 
 
-def _triple_traces(xi: np.ndarray, basis: OrthogonalBasis) -> np.ndarray:
-    stack = basis.stack()
-    return np.einsum("ij,ajk,bki->ab", xi, stack, stack)
-
-
 def lambda_at(y: np.ndarray, basis: OrthogonalBasis) -> TensorAtPoint:
     """Poisson tensor at the point with coordinates y:
     matrix[mu, nu] = Tr(xi [b_mu, b_nu]) / (2i)."""
     y = np.asarray(y, dtype=float)
-    xi = from_dual(y, basis)
-    p = _triple_traces(xi, basis)
+    p = triple_traces(from_dual(y, basis), basis.elements)
     # Tr(xi b_nu b_mu) = conj(Tr(xi b_mu b_nu)) for Hermitian factors,
     # so the commutator part is just the imaginary part.
-    return TensorAtPoint(y, p.imag.copy(), "lambda")
+    return TensorAtPoint(y, p.imag, "lambda")
 
 
 def riemann_jordan_at(y: np.ndarray, basis: OrthogonalBasis) -> TensorAtPoint:
     """Riemann-Jordan tensor at y: matrix[mu, nu] = Tr(xi [b_mu, b_nu]_+)/2."""
     y = np.asarray(y, dtype=float)
-    xi = from_dual(y, basis)
-    p = _triple_traces(xi, basis)
-    return TensorAtPoint(y, p.real.copy(), "R")
+    p = triple_traces(from_dual(y, basis), basis.elements)
+    return TensorAtPoint(y, p.real, "R")
 
 
 def jtilde_endo(xi: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -148,29 +129,20 @@ def distributions_at(y: np.ndarray, basis: OrthogonalBasis,
                      tol: float = TOL_RANK) -> DistributionReport:
     """The four distributions at the point y.
 
-    D_lambda and D_r are spanned by the jtilde/r images of a full Hermitian
-    basis; D_0 is their intersection (cross-checked in dimension against the
-    span of (1/i)[A, xi^2]); D_1 is their sum.
+    D_lambda and D_r are the images of the Lambda and R matrices (column nu
+    holds the coordinates of jtilde/r applied to b_nu); D_0 is their
+    intersection (cross-checked in dimension against the span of
+    (1/i)[A, xi^2], the Lambda matrix at xi^2); D_1 is their sum.
     """
     y = np.asarray(y, dtype=float)
     xi = from_dual(y, basis)
-    cols_l = []
-    cols_r = []
-    cols_0 = []
-    xi2 = xi @ xi
-    for b in basis.elements:
-        cols_l.append(to_dual(jtilde_endo(xi, b), basis))
-        cols_r.append(to_dual(r_endo(xi, b), basis))
-        cols_0.append(to_dual(jtilde_endo(xi2, b), basis))
-    ml = np.array(cols_l).T
-    mr = np.array(cols_r).T
-    m0 = np.array(cols_0).T
+    p = triple_traces(np.stack([xi, xi @ xi]), basis.elements)
 
-    bl = _colspace(ml, tol)
-    br = _colspace(mr, tol)
+    bl = _colspace(p[0].imag, tol)
+    br = _colspace(p[0].real, tol)
     b0 = subspace_intersection(bl, br)
-    b1 = subspace_sum(bl, br, tol)
-    dim0_direct = _rank(m0, tol)
+    b1 = _colspace(np.hstack([bl, br]), tol)
+    dim0_direct = _colspace(p[1].imag, tol).shape[1]
     if b0.shape[1] != dim0_direct:
         raise ArithmeticError(
             "intersection dimension disagrees with the [A, xi^2] span "

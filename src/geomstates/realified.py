@@ -21,8 +21,6 @@ import numpy as np
 
 from .basis import DimensionError, check_hermitian
 
-TOL_NUM = 1e-10
-
 
 class InvalidStartError(ValueError):
     """Zero starting vector handed to an iterative solver."""

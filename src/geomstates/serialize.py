@@ -52,8 +52,15 @@ def operator_to_dict(a: np.ndarray) -> dict:
     }
 
 
-def operator_from_dict(d: dict) -> np.ndarray:
+def _dim(d: dict) -> int:
     n = int(d["dim"])
+    if n < 2:
+        raise ValueError(f"dim must be >= 2, got {n}")
+    return n
+
+
+def operator_from_dict(d: dict) -> np.ndarray:
+    n = _dim(d)
     a = np.array(d["re"], dtype=float) + 1j * np.array(d["im"], dtype=float)
     if a.shape != (n, n):
         raise ValueError(f"operator payload shape {a.shape} != ({n}, {n})")
@@ -70,10 +77,12 @@ def dual_to_dict(dim: int, y: np.ndarray) -> dict:
 
 
 def dual_from_dict(d: dict):
-    n = int(d["dim"])
+    n = _dim(d)
     y = np.array(d["y"], dtype=float)
     if y.shape != (n * n,):
         raise ValueError(f"dual payload length {y.shape[0]} != {n * n}")
+    if not np.isfinite(y).all():
+        raise ValueError("dual payload has non-finite entries")
     return n, y
 
 
@@ -141,24 +150,20 @@ def constants_csv_rows(sc: StructureConstants, expected=None,
     append a verification column ("match" / "mismatch" / "reported" for
     entries whose table values are recorded but not asserted).
     """
-    m = sc.dim * sc.dim
+    # argwhere lists the indices in C order, the order of the rows.
+    idx = np.argwhere(np.abs(sc.c) + np.abs(sc.d) > cutoff)
     rows = []
-    for mu in range(m):
-        for nu in range(m):
-            for rho in range(m):
-                cv = sc.c[mu, nu, rho]
-                dv = sc.d[mu, nu, rho]
-                if abs(cv) + abs(dv) <= cutoff:
-                    continue
-                row = [str(mu), str(nu), str(rho), csv_float(cv), csv_float(dv)]
-                if expected is not None:
-                    ce, de, asserted = expected(mu, nu, rho)
-                    agree = abs(cv - ce) <= 1e-12 and abs(dv - de) <= 1e-12
-                    if not asserted:
-                        row.append("reported")
-                    else:
-                        row.append("match" if agree else "mismatch")
-                rows.append(",".join(row))
+    for (mu, nu, rho), cv, dv in zip(idx.tolist(), sc.c[tuple(idx.T)].tolist(),
+                                     sc.d[tuple(idx.T)].tolist()):
+        row = [str(mu), str(nu), str(rho), csv_float(cv), csv_float(dv)]
+        if expected is not None:
+            ce, de, asserted = expected(mu, nu, rho)
+            agree = abs(cv - ce) <= 1e-12 and abs(dv - de) <= 1e-12
+            if not asserted:
+                row.append("reported")
+            else:
+                row.append("match" if agree else "mismatch")
+        rows.append(",".join(row))
     return rows
 
 

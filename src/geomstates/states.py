@@ -6,24 +6,20 @@ for curves inside a stratum."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .basis import (
+    TOL_RANK,
     DimensionError,
     check_hermitian,
-    from_dual,
     gellmann_basis,
+    numerical_rank,
     spectral_oracle,
     structure_constants,
     to_dual,
 )
-from .dual_tensors import (
-    TOL_RANK,
-    distributions_at,
-    subspace_intersection,
-)
+from .dual_tensors import distributions_at, subspace_intersection
 from .projective import PureDensity
 
 TOL_PSD = 1e-10
@@ -63,22 +59,6 @@ class DensityState:
 
     def __bool__(self):
         return True
-
-
-@lru_cache(maxsize=None)
-def _cached_basis(n: int):
-    return gellmann_basis(n)
-
-
-@lru_cache(maxsize=None)
-def _cached_constants(n: int):
-    return structure_constants(_cached_basis(n))
-
-
-def _spectral_rank(w: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:
-    """Numerical rank of descending spectra w of shape (..., n): the count
-    of eigenvalues above tol * max(w[0], tol)."""
-    return (w > tol * np.maximum(w[..., :1], tol)).sum(axis=-1)
 
 
 _MINOR_CONDITIONS = ("a >= 0", "b >= 0", "c >= 0", "|f|^2 <= bc",
@@ -150,7 +130,7 @@ def certify_densities(stack: np.ndarray, tol_psd: float = TOL_PSD,
             )
     violated = np.where(trace_ok, np.where(psd, "", "negative eigenvalue"),
                         "trace")
-    rank = _spectral_rank(w, tol_rank) * (trace_ok & psd)
+    rank = numerical_rank(w, tol_rank) * (trace_ok & psd)
     return Certification(violated, rank, w, tr)
 
 
@@ -226,7 +206,7 @@ class FaceDescriptor:
         return self.image_basis @ self.image_basis.conj().T
 
 
-def face_of(rho: DensityState, tol_rank: float = TOL_RANK) -> FaceDescriptor:
+def face_of(rho: DensityState) -> FaceDescriptor:
     w, v = spectral_oracle(rho.op)
     k = rho.rank
     return FaceDescriptor(rho, v[:, :k], k * k - 1)
@@ -251,7 +231,7 @@ def face_contains(face: FaceDescriptor, candidate: DensityState,
         return bool(np.abs(off).max() <= tol)
     if mode == "kernel":
         wq, vq = spectral_oracle(candidate.op)
-        kq = int(_spectral_rank(wq))
+        kq = int(numerical_rank(wq))
         q = vq[:, :kq] @ vq[:, :kq].conj().T
         off = (np.eye(n) - q) @ face.base.op
         return bool(np.abs(off).max() <= tol)
@@ -273,7 +253,7 @@ def convex_decompose_spectral(rho: DensityState,
                               threshold: float = TOL_RANK) -> ConvexDecomposition:
     """Eigen-decomposition of a state into orthogonal pure components."""
     w, v = spectral_oracle(rho.op)
-    k = int(_spectral_rank(w, threshold))
+    k = int(numerical_rank(w, threshold))
     comps = tuple(PureDensity(np.outer(v[:, i], v[:, i].conj()))
                   for i in range(k))
     return ConvexDecomposition(w[:k], comps)
@@ -294,7 +274,7 @@ def qubit_bloch_vector(rho: DensityState) -> np.ndarray:
     """Ball coordinates (y1, y2, y3) of a qubit state."""
     if rho.dim != 2:
         raise DimensionError("only defined for 2-level states")
-    return to_dual(rho.op, _cached_basis(2))[1:]
+    return to_dual(rho.op, gellmann_basis(2))[1:]
 
 
 def bloch_decompose_along(rho: DensityState, direction,
@@ -309,8 +289,8 @@ def bloch_decompose_along(rho: DensityState, direction,
     if rho.dim != 2:
         raise DimensionError("Bloch decomposition requires a 2-level state")
     d = np.asarray(direction, dtype=float)
-    if d.shape != (3,):
-        raise DimensionError("direction must be a 3-vector")
+    if d.shape != (3,) or not np.isfinite(d).all():
+        raise DimensionError("direction must be a finite 3-vector")
     nd = np.linalg.norm(d)
     if nd < tol:
         raise ValueError("direction must be nonzero")
@@ -339,7 +319,7 @@ def qutrit_star(a, b) -> np.ndarray:
     """The symmetric product on 8-vectors: (a * b)_l = sqrt(3) d_ljk a_j b_k."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    d8 = _cached_constants(3).d_traceless
+    d8 = structure_constants(gellmann_basis(3)).d_traceless
     return np.sqrt(3.0) * np.einsum("ljk,j,k->l", d8, a, b)
 
 
@@ -359,8 +339,7 @@ def qutrit_pure_from_bloch(n_vec, tol: float = 1e-8):
     err = np.abs(star - n_vec).max()
     if err > tol:
         return Rejection("idempotency", f"max |n*n - n| = {float(err)!r}")
-    basis = _cached_basis(3)
-    traceless = np.einsum("a,aij->ij", n_vec, basis.stack()[1:])
+    traceless = np.einsum("a,aij->ij", n_vec, gellmann_basis(3).elements[1:])
     rho = (np.eye(3) + np.sqrt(3.0) * traceless) / 3.0
     return PureDensity(rho)
 
@@ -376,25 +355,18 @@ def weyl_reduce(rho: DensityState) -> np.ndarray:
 def orbit_dimension(rho: DensityState) -> int:
     """Dimension of the unitary (coadjoint) orbit through the state: the
     rank of the Poisson distribution at that point."""
-    basis = _cached_basis(rho.dim)
+    basis = gellmann_basis(rho.dim)
     y = to_dual(rho.op, basis)
     return distributions_at(y, basis).dim_lambda
-
-
-def _traceless_subspace(m: int) -> np.ndarray:
-    return np.eye(m)[:, 1:]
 
 
 def stratum_tangent_basis(rho: DensityState) -> np.ndarray:
     """Orthonormal y-coordinate basis of the tangent space of the rank
     stratum at rho: the GL-orbit distribution restricted to trace-zero
     directions."""
-    basis = _cached_basis(rho.dim)
-    y = to_dual(rho.op, basis)
-    report = distributions_at(y, basis)
-    return subspace_intersection(
-        report.basis_1, _traceless_subspace(basis.size)
-    )
+    basis = gellmann_basis(rho.dim)
+    report = distributions_at(to_dual(rho.op, basis), basis)
+    return subspace_intersection(report.basis_1, np.eye(basis.size)[:, 1:])
 
 
 @dataclass(frozen=True)
@@ -428,7 +400,7 @@ def tangency_check(samples, k: int, tol_tan: float = TOL_TAN) -> TangencyReport:
                 f"sample at t={t} has rank {st.rank}, expected {k}"
             )
         states.append(st)
-    basis = _cached_basis(states[0].dim)
+    basis = gellmann_basis(states[0].dim)
     h = hs[0]
     out_t, out_r = [], []
     for i in range(1, len(states) - 1):

@@ -8,6 +8,7 @@ from geomstates import (
     DimensionError,
     HermiticityError,
     OrthogonalBasis,
+    certify_densities,
     check_hermitian,
     from_dual,
     gellmann_basis,
@@ -15,6 +16,7 @@ from geomstates import (
     structure_constants,
     to_dual,
 )
+from geomstates.basis import TOL_RANK, numerical_rank
 from geomstates.qutrit_tables import full_c_table, full_d_table, paper_zero_index_d
 
 from conftest import random_hermitian
@@ -40,9 +42,21 @@ def test_three_level_basis_spot_values():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_trace_orthonormality(n):
     b = gellmann_basis(n)
-    stack = b.stack()
+    stack = b.elements
     gram = np.einsum("aij,bji->ab", stack, stack)
     assert np.abs(gram - 2 * np.eye(n * n)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cached_basis_is_read_only(n):
+    b = gellmann_basis(n)
+    assert gellmann_basis(n) is b
+    assert not b.elements.flags.writeable
+    with pytest.raises(ValueError):
+        b.elements[0, 0, 0] = 2.0
+    mine = b.elements.copy()
+    OrthogonalBasis(n, mine)
+    assert mine.flags.writeable  # the caller's array is not frozen
 
 
 def test_invalid_dimension():
@@ -98,7 +112,7 @@ def test_two_level_c_is_levi_civita():
 def test_product_reconstruction_from_constants(n):
     b = gellmann_basis(n)
     sc = structure_constants(b)
-    stack = b.stack()
+    stack = b.elements
     m = n * n
     for mu in range(m):
         for nu in range(m):
@@ -108,6 +122,68 @@ def test_product_reconstruction_from_constants(n):
                 + np.einsum("r,rij->ij", sc.d[mu, nu], stack)
             )
             assert np.abs(stack[mu] @ stack[nu] - rec).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_structure_constants_match_textbook_einsum(n):
+    b = gellmann_basis(n).elements
+    m = n * n
+    # T[a, b, c] = Tr(b_a b_b b_c), contracted the textbook way
+    prod = np.einsum("aij,bjk->abik", b, b)
+    triple = np.einsum("abik,cki->abc", prod, b)
+    c = ((triple - triple.transpose(1, 0, 2)) / 4.0).imag
+    d = ((triple + triple.transpose(1, 0, 2)) / 4.0).real
+    d[np.arange(m), np.arange(m), 0] -= np.sqrt(2.0 / n)
+    sc = structure_constants(gellmann_basis(n))
+    assert np.abs(sc.c - c).max() <= 1e-15
+    assert np.abs(sc.d - d).max() <= 1e-15
+
+
+def _spectral_rule(w, tol=TOL_RANK):
+    # the rule certification used before numerical_rank
+    return (w > tol * np.maximum(w[..., :1], tol)).sum(axis=-1)
+
+
+def _svd_rule(s, tol=TOL_RANK):
+    # the rule the tensor ranks used before numerical_rank
+    top = s[0] if s.size and s[0] > 0 else 1.0
+    return int(np.sum(s > tol * top))
+
+
+def _unitary(rng, n):
+    return np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_numerical_rank_matches_former_rules(rng, n):
+    # values at 0, 0.5 and 2 times the cut tol * top, below a top in (0, 1]
+    mats, want_rank = [], []
+    for k in range(1, n + 1):
+        for c in (0.0, 0.5, 2.0):
+            big = rng.uniform(0.2, 1.0, size=k)
+            w = np.concatenate([big, np.full(n - k, c * TOL_RANK * big.max())])
+            u = _unitary(rng, n)
+            mats.append((u * (w / w.sum())) @ u.conj().T)
+            want_rank.append(n if c == 2.0 else k)
+    cert = certify_densities(np.array(mats))
+    assert cert.accepted.all()
+    spectra = cert.spectrum.reshape(n, 3, n)  # a leading batch shape
+    assert np.array_equal(numerical_rank(spectra), _spectral_rule(spectra))
+    assert cert.rank.tolist() == want_rank
+
+    s_in = np.zeros((3 * n + 1, n * n))  # the last row: the zero matrix
+    for i in range(3 * n):
+        top = 10.0 ** rng.uniform(-3, 3)
+        s_in[i, : 1 + i % n] = top * rng.uniform(0.2, 1.0, size=1 + i % n)
+        s_in[i, 0] = top
+        s_in[i, n:] = (0.0, 0.5, 2.0)[i % 3] * TOL_RANK * top
+    mats = np.array([_unitary(rng, n * n) @ np.diag(row) @ _unitary(rng, n * n)
+                     for row in s_in])
+    s = np.linalg.svd(mats, compute_uv=False)
+    want = [_svd_rule(row) for row in s]
+    assert numerical_rank(s).tolist() == want
+    assert [int(numerical_rank(row)) for row in s] == want
+    assert want[-1] == 0 and max(want) == n * n
 
 
 def test_structure_constants_rejects_non_orthogonal_basis():

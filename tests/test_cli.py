@@ -68,6 +68,14 @@ def test_classify_output_file(tmp_path, capsys):
     assert json.loads(dest.read_text())["rank"] == 2
 
 
+def assert_usage_error(capsys, *argv):
+    """Exit 2 with nothing on stdout and a single "error:" line on stderr."""
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_usage_errors_exit_two(capsys):
     assert run(capsys, "classify")[0] == 2  # no payload source
     assert run(capsys, "classify", "--json", "{", )[0] == 2  # bad JSON
@@ -78,6 +86,39 @@ def test_usage_errors_exit_two(capsys):
     too_big = str(cli.MAX_BALLGRID_RESOLUTION + 1)
     assert run(capsys, "ballgrid", "--resolution", too_big)[0] == 2
     assert run(capsys, "nonsense")[0] == 2
+    # payloads that are not objects, or have dim < 2
+    assert_usage_error(capsys, "classify", "--json", "[1,2]")
+    assert_usage_error(capsys, "classify", "--json", "3")
+    assert_usage_error(capsys, "classify", "--json",
+                       '{"dim": 1, "re": [[1]], "im": [[0]]}')
+    assert_usage_error(capsys, "classify", "--json",
+                       '{"dim": null, "re": [[1]], "im": [[0]]}')
+    assert_usage_error(capsys, "tensors", "--which", "lambda", "--json",
+                       '{"dim": 1, "y": [1]}')
+    assert_usage_error(capsys, "tensors", "--which", "distributions",
+                       "--json", '{"dim": 2, "y": [NaN, 0, 0, 0]}')
+    assert_usage_error(capsys, "flow", "--mode", "hamiltonian",
+                       "--json", '{"A": [1,2]}')
+    # the Bloch line needs a nonzero finite 3-vector
+    for direction in ("0,0", "0,0,0", "nan,0,0", "inf,0,1"):
+        assert_usage_error(capsys, "decompose", "--json",
+                           op_json(np.eye(2) / 2), "--mode", "bloch",
+                           "--direction", direction)
+    # refused before C and d are allocated; never run an oversize case
+    assert_usage_error(capsys, "constants", "--n",
+                       str(cli.MAX_CONSTANTS_N + 1))
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--step", "0"), ("--step", "nan"), ("--step", "-0.001"), ("--step", "inf"),
+    ("--t-final", "inf"), ("--t-final", "-1"), ("--t-final", "nan"),
+])
+@pytest.mark.parametrize("mode", ["hamiltonian", "gradient-eigensolve"])
+def test_flow_time_grid_refused(capsys, mode, flag, value):
+    payload = json.dumps(
+        {"A": operator_to_dict(np.diag([1.0, -1.0]).astype(complex))})
+    assert_usage_error(capsys, "flow", "--mode", mode, flag, value,
+                       "--json", payload)
 
 
 def test_both_payload_sources_exit_two(tmp_path, capsys):
@@ -204,6 +245,14 @@ def test_constants_qutrit_rows(capsys):
     assert "8,8,8,0,-0.57735026919,match" in lines
     assert not any(line.endswith(",mismatch") for line in lines)
     assert any(line.endswith(",reported") for line in lines)
+
+
+def test_flow_zero_t_final_runs(capsys):
+    payload = json.dumps(
+        {"A": operator_to_dict(np.diag([1.0, -1.0]).astype(complex))})
+    code, out = run(capsys, "flow", "--mode", "hamiltonian",
+                    "--t-final", "0", "--json", payload)
+    assert code == 0 and json.loads(out)["t_final"] == 0.0
 
 
 def test_constants_qubit_rows(capsys):

@@ -1,9 +1,11 @@
 import numpy as np
+import pytest
 
 from geomstates import (
     PAIRING_SCALE,
     calibrate_pairing_scale,
     distributions_at,
+    from_dual,
     gellmann_basis,
     jtilde_endo,
     lambda_at,
@@ -171,6 +173,44 @@ def test_distribution_basis_operators_are_hermitian(rng):
     rep = distributions_at(rng.normal(size=4), B2)
     for op in rep.basis_operators(B2, "1"):
         assert np.abs(op - op.conj().T).max() < 1e-12
+
+
+def _reference_span(m):
+    """Orthonormal columns spanning the image of m (relative SVD cut 1e-9)."""
+    u, s, _ = np.linalg.svd(m)
+    return u[:, s > 1e-9 * s[0]] if s[0] > 0 else u[:, :0]
+
+
+def _reference_distributions(y, basis):
+    # Column nu holds the coordinates of jtilde/r applied to basis element nu.
+    xi = from_dual(y, basis)
+    ml, mr, m0 = (np.array([to_dual(f(x, b), basis) for b in basis.elements]).T
+                  for f, x in ((jtilde_endo, xi), (r_endo, xi),
+                               (jtilde_endo, xi @ xi)))
+    # (1/i)[A, xi^2] = jtilde(r(A)) spans D_0 = D_lambda & D_R.
+    return [_reference_span(m)
+            for m in (ml, mr, m0, np.hstack([ml, mr]))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_distributions_match_endomorphism_columns(rng, n):
+    basis = gellmann_basis(n)
+    points = [rng.normal(size=n * n) for _ in range(3)]
+    for _ in range(6):
+        # Repeated, zero and opposite eigenvalues put xi where Lambda, R
+        # and Lambda(xi^2) lose rank.  The eigenvalues 1 and 0 keep Lambda
+        # and Lambda(xi^2) away from zero, where only round-off is left.
+        w = np.concatenate([[1.0, 0.0, -1.0][:n],
+                            rng.choice([-1.0, -0.5, 0.0, 0.25, 1.0],
+                                       size=max(n - 3, 0))])
+        u = np.linalg.qr(random_hermitian(rng, n) + 1j * random_hermitian(rng, n))[0]
+        points.append(to_dual((u * w) @ u.conj().T, basis))
+    for y in points:
+        rep = distributions_at(y, basis)
+        got = (rep.basis_lambda, rep.basis_r, rep.basis_0, rep.basis_1)
+        for mine, ref in zip(got, _reference_distributions(y, basis)):
+            assert mine.shape == ref.shape
+            assert np.abs(mine @ mine.T - ref @ ref.T).max() < 1e-12
 
 
 def test_d1_matches_gl_orbit_tangent_rank(rng):

@@ -67,6 +67,19 @@ def test_dual_length_checks():
         dual_from_dict({"dim": 2, "y": [0.0, 0.0, 0.0]})
 
 
+@pytest.mark.parametrize("dim", [1, 0, -1])
+def test_payloads_reject_dim_below_two(dim):
+    with pytest.raises(ValueError, match="dim must be >= 2"):
+        operator_from_dict({"dim": dim, "re": [[1.0]], "im": [[0.0]]})
+    with pytest.raises(ValueError, match="dim must be >= 2"):
+        dual_from_dict({"dim": dim, "y": [1.0]})
+
+
+def test_dual_rejects_non_finite():
+    with pytest.raises(ValueError, match="non-finite"):
+        dual_from_dict({"dim": 2, "y": [0.5, float("inf"), 0.0, 0.0]})
+
+
 def test_state_round_trip(rng):
     psi = random_state(rng, 4)
     back = state_from_dict(json.loads(dumps(state_to_dict(psi))))
@@ -141,6 +154,17 @@ def test_constants_rows_qubit_levi_civita():
         mu, nu, rho, c, d = row.split(",")
         if "0" not in (mu, nu, rho) and float(c) != 0:
             assert abs(abs(float(c)) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_constants_rows_follow_index_order(n):
+    sc = structure_constants(gellmann_basis(n))
+    m = n * n
+    want = [f"{mu},{nu},{rho},{csv_float(sc.c[mu, nu, rho])},"
+            f"{csv_float(sc.d[mu, nu, rho])}"
+            for mu in range(m) for nu in range(m) for rho in range(m)
+            if abs(sc.c[mu, nu, rho]) + abs(sc.d[mu, nu, rho]) > 1e-12]
+    assert constants_csv_rows(sc) == want
 
 
 def test_trace_csv_format():
