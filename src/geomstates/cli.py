@@ -45,6 +45,9 @@ MAX_BALLGRID_RESOLUTION = 101
 # C and d are two dense (n^2)^3 arrays; 12 gives about 48 MB for the pair
 # (the n=20 pair alone would be 1 GB).
 MAX_CONSTANTS_N = 12
+# A hamiltonian flow holds a few (T+1, n) complex sample arrays; at 1 M
+# samples and n = 12 each is about 190 MB.
+MAX_FLOW_SAMPLES = 1_000_000
 
 
 class UsageError(Exception):
@@ -185,6 +188,13 @@ def cmd_flow(args) -> int:
         raise UsageError("--step must be finite and > 0")
     if not (math.isfinite(args.t_final) and args.t_final >= 0):
         raise UsageError("--t-final must be finite and >= 0")
+    # round(t_final / step) + 1 samples, refused before anything is allocated
+    if (args.mode == "hamiltonian"
+            and args.t_final / args.step >= MAX_FLOW_SAMPLES - 0.5):
+        raise UsageError(f"--t-final / --step must give at most "
+                         f"{MAX_FLOW_SAMPLES} samples")
+    if args.max_iter < 0:
+        raise UsageError("--max-iter must be >= 0")
     payload = _read_payload(args)
     try:
         op = serialize.operator_from_dict(payload["A"])
@@ -194,6 +204,11 @@ def cmd_flow(args) -> int:
             rng = np.random.default_rng(args.seed)
             psi0 = RealifiedState(rng.normal(size=op.shape[0]),
                                   rng.normal(size=op.shape[0]))
+        if psi0.dim != op.shape[0]:
+            raise ValueError(
+                f"psi0 has dim {psi0.dim}, A has dim {op.shape[0]}")
+        if psi0.norm() == 0.0:
+            raise ValueError("psi0 must be nonzero")
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"bad flow payload: {exc}") from exc
 
@@ -202,7 +217,7 @@ def cmd_flow(args) -> int:
             op, psi0, args.t_final, args.step)
         if args.trace:
             lines = ["t,e_A,norm"]
-            for t, e, nrm in samples:
+            for t, e, nrm in samples.tolist():
                 lines.append(",".join(serialize.csv_float(x)
                                       for x in (t, e, nrm)))
             with open(args.trace, "w") as fh:
@@ -316,7 +331,12 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     args.step_given = "--step" in (argv if argv is not None else sys.argv[1:])
     try:
-        return args.func(args)
+        if not (math.isfinite(args.tol) and args.tol >= 0):
+            raise UsageError("--tol must be finite and >= 0")
+        # An overflow or an invalid operation is a numeric failure, never a
+        # warning followed by inf or NaN in the output.
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return args.func(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -68,12 +68,13 @@ class DistributionReport:
         return [from_dual(cols[:, k], basis) for k in range(cols.shape[1])]
 
 
-def _colspace(m: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:
-    """Orthonormal basis (columns) of the column space of m."""
+def _colspace(m: np.ndarray, tol: float = TOL_RANK):
+    """Orthonormal basis (columns) of the column space of m, and the largest
+    singular value of m."""
     if m.size == 0:
-        return np.zeros((m.shape[0], 0))
+        return np.zeros((m.shape[0], 0)), 0.0
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, :numerical_rank(s, tol)]
+    return u[:, :numerical_rank(s, tol)], s[0]
 
 
 def subspace_intersection(u: np.ndarray, v: np.ndarray,
@@ -133,16 +134,22 @@ def distributions_at(y: np.ndarray, basis: OrthogonalBasis,
     holds the coordinates of jtilde/r applied to b_nu); D_0 is their
     intersection (cross-checked in dimension against the span of
     (1/i)[A, xi^2], the Lambda matrix at xi^2); D_1 is their sum.
+
+    The Lambda matrix at xi^2 is ranked against the product of the largest
+    singular values of the Lambda and R matrices at xi, which scales like
+    it: where xi^2 is a multiple of the identity it is pure round-off and
+    has rank 0.
     """
     y = np.asarray(y, dtype=float)
     xi = from_dual(y, basis)
     p = triple_traces(np.stack([xi, xi @ xi]), basis.elements)
 
-    bl = _colspace(p[0].imag, tol)
-    br = _colspace(p[0].real, tol)
+    bl, s_l = _colspace(p[0].imag, tol)
+    br, s_r = _colspace(p[0].real, tol)
     b0 = subspace_intersection(bl, br)
-    b1 = _colspace(np.hstack([bl, br]), tol)
-    dim0_direct = _colspace(p[1].imag, tol).shape[1]
+    b1, _ = _colspace(np.hstack([bl, br]), tol)
+    dim0_direct = int(numerical_rank(
+        np.linalg.svd(p[1].imag, compute_uv=False), tol, s_l * s_r))
     if b0.shape[1] != dim0_direct:
         raise ArithmeticError(
             "intersection dimension disagrees with the [A, xi^2] span "

@@ -1,6 +1,6 @@
 """The realified Hilbert space: Kahler tensors, quadratic expectation
-functions, their brackets, associated vector fields, and the projected
-gradient eigensolver.
+functions, their brackets, associated vector fields, the exact Hamiltonian
+flow, and the projected gradient eigensolver.
 
 A complex vector psi with components q_k + i p_k is carried around as the
 pair of real arrays (q, p).  The complex structure acts as multiplication
@@ -167,50 +167,36 @@ def hamiltonian_vf(a: np.ndarray, psi: RealifiedState) -> TangentVector:
 
 def flow_hamiltonian(a: np.ndarray, psi0: RealifiedState, t_final: float,
                      step: float = 1e-3):
-    """Integrate the Hamiltonian flow z' = i A z with fixed-step RK4.
+    """The Hamiltonian flow z(t) = exp(itA) z0 of f_A, sampled on a grid.
 
-    Returns (times, states) with states a list of RealifiedState sampled at
-    every step, endpoints included.
+    The propagator is exact: with A = V diag(w) V^dagger, one eigh gives
+    z(t) = V diag(exp(itw)) V^dagger z0, so step only sets the sampling
+    grid of n_steps = max(1, round(t_final / step)) equal intervals.
+
+    Returns (times, z): times of shape (T+1,) and the complex samples z of
+    shape (T+1, n), endpoints included.
     """
     a = check_hermitian(a)
     n_steps = max(1, int(round(t_final / step)))
-    h = t_final / n_steps
-    z = psi0.to_complex().astype(complex)
-
-    def rhs(v):
-        return 1j * (a @ v)
-
-    times = [0.0]
-    states = [RealifiedState.from_complex(z)]
-    for k in range(n_steps):
-        k1 = rhs(z)
-        k2 = rhs(z + 0.5 * h * k1)
-        k3 = rhs(z + 0.5 * h * k2)
-        k4 = rhs(z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        times.append((k + 1) * h)
-        states.append(RealifiedState.from_complex(z))
-    return np.array(times), states
+    times = np.arange(n_steps + 1) * (t_final / n_steps)
+    w, v = np.linalg.eigh(a)
+    phases = np.exp(1j * np.outer(times, w))
+    return times, (phases * (v.conj().T @ psi0.to_complex())) @ v.T
 
 
 def expectation_trace_samples(a: np.ndarray, psi0: RealifiedState,
                               t_final: float, step: float = 1e-3):
-    """Hamiltonian flow with per-step (t, e_A, norm) samples and the
+    """Hamiltonian flow with per-sample (t, e_A, norm) rows and the
     conservation drifts of both quantities.
 
-    Returns (samples, norm_drift, e_drift).
+    Returns (samples, norm_drift, e_drift) with samples of shape (T+1, 3).
     """
-    times, states = flow_hamiltonian(a, psi0, t_final, step)
-    samples = []
-    for t, st in zip(times, states):
-        z = st.to_complex()
-        n2 = float((z.conj() @ z).real)
-        e = float((z.conj() @ (a @ z)).real) / n2
-        samples.append((float(t), e, float(np.sqrt(n2))))
-    norms = np.array([s[2] for s in samples])
-    es = np.array([s[1] for s in samples])
-    return samples, float(np.abs(norms - norms[0]).max()), float(
-        np.abs(es - es[0]).max())
+    times, z = flow_hamiltonian(a, psi0, t_final, step)
+    n2 = np.einsum("ti,ti->t", z.conj(), z).real
+    e = np.einsum("ti,ti->t", z.conj(), z @ np.asarray(a).T).real / n2
+    norms = np.sqrt(n2)
+    return (np.column_stack([times, e, norms]),
+            float(np.abs(norms - norms[0]).max()), float(np.abs(e - e[0]).max()))
 
 
 def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
@@ -223,8 +209,11 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
     e_A(psi) = <psi, A psi> / <psi, psi>.
 
     Critical points of f_A are exactly the eigenvectors of A; the quotient at
-    a critical point is the eigenvalue.  Fixed step, renormalizing every
-    iteration; stops when ||A psi - e psi|| < tol.
+    a critical point is the eigenvalue.  The first step is the fixed
+    step (default 0.1 / ||A||); after it, the Barzilai-Borwein step
+    <s, s> / |Re<s, r_k - r_(k-1)>| with s = z_k - z_(k-1) and the residual
+    r = A z - e z, keeping the previous step when the denominator is 0.
+    Renormalizes every iteration; stops when ||A psi - e psi|| < tol.
 
     mode: "ascent" climbs toward the largest eigenvalue, "descent" toward the
     smallest.  If trace is a list, (iteration, e_A, residual) triples are
@@ -262,6 +251,12 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
             break
         if it == max_iter:
             break
+        if it > 0:
+            s = z - z_prev
+            denom = abs(float(np.vdot(s, resid_vec - r_prev).real))
+            if denom > 0.0:
+                step = float(np.vdot(s, s).real) / denom
+        z_prev, r_prev = z, resid_vec
         z = z + sign * step * resid_vec
         z = z / np.linalg.norm(z)
     return e, RealifiedState.from_complex(z), converged

@@ -266,8 +266,12 @@ def qubit_from_bloch(y1, y2, y3) -> np.ndarray:
     stack of shape (..., 2, 2).
     """
     y1, y2, y3 = np.broadcast_arrays(y1, y2, y3)
-    return np.stack([np.stack([0.5 + y3, y2 + 1j * y1], axis=-1),
-                     np.stack([y2 - 1j * y1, 0.5 - y3], axis=-1)], axis=-2)
+    out = np.empty(y1.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = 0.5 + y3
+    out[..., 0, 1] = y2 + 1j * y1
+    out[..., 1, 0] = y2 - 1j * y1
+    out[..., 1, 1] = 0.5 - y3
+    return out
 
 
 def qubit_bloch_vector(rho: DensityState) -> np.ndarray:

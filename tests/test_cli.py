@@ -1,9 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomstates import cli, gellmann_basis, qubit_from_bloch, to_dual
 from geomstates.serialize import operator_to_dict, state_from_dict, state_to_dict
@@ -121,6 +125,125 @@ def test_flow_time_grid_refused(capsys, mode, flag, value):
                        "--json", payload)
 
 
+SIGMA3 = operator_to_dict(np.diag([1.0, -1.0]).astype(complex))
+
+
+@pytest.mark.parametrize("psi0", [
+    {"dim": 3, "q": [1, 0, 0], "p": [0, 0, 0]},  # dim differs from A's
+    {"dim": 2, "q": [0, 0], "p": [0, 0]},
+    {"dim": 2, "q": [float("nan"), 1], "p": [0, 0]},
+    {"dim": 2, "q": [1, 0], "p": [float("inf"), 0]},
+])
+@pytest.mark.parametrize("mode", ["hamiltonian", "gradient-eigensolve"])
+def test_flow_bad_psi0_refused(capsys, mode, psi0):
+    payload = json.dumps({"A": SIGMA3, "psi0": psi0})
+    assert_usage_error(capsys, "flow", "--mode", mode, "--json", payload)
+
+
+@pytest.mark.parametrize("argv", [
+    # the norm of psi0 overflows
+    ("--json", json.dumps({"A": SIGMA3, "psi0": {
+        "dim": 2, "q": [1e300, 1e300], "p": [0, 0]}})),
+    # t * eigenvalue overflows in the phase of exp(itA)
+    ("--t-final", "1e308", "--step", "1e307",
+     "--json", json.dumps({"A": operator_to_dict(np.diag([1.0, -3.0]))})),
+])
+def test_flow_overflow_is_numeric_failure(capsys, argv):
+    code = cli.main(["flow", "--mode", "hamiltonian", *argv])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("numeric failure: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_flow_sample_grid_capped(capsys):
+    # round(t_final / step) + 1 samples; refused before anything is allocated
+    payload = json.dumps({"A": SIGMA3})
+    for t_final in (str(cli.MAX_FLOW_SAMPLES), "1e300"):
+        assert_usage_error(capsys, "flow", "--mode", "hamiltonian",
+                           "--t-final", t_final, "--step", "1",
+                           "--json", payload)
+    # the grid does not limit the eigensolver
+    code, _ = run(capsys, "flow", "--mode", "gradient-eigensolve",
+                  "--t-final", "1e300", "--step", "1e-3", "--json", payload)
+    assert code == 0
+
+
+def test_flow_negative_max_iter_refused(capsys):
+    assert_usage_error(capsys, "flow", "--mode", "gradient-eigensolve",
+                       "--max-iter=-1", "--json", json.dumps({"A": SIGMA3}))
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+def test_global_tol_refused(capsys, tol):
+    assert_usage_error(capsys, f"--tol={tol}", "classify",
+                       "--json", op_json(np.eye(2) / 2))
+
+
+def test_global_tol_zero_runs(capsys):
+    code, out = run(capsys, "--tol", "0", "classify",
+                    "--json", op_json(np.eye(2) / 2))
+    assert code == 0 and json.loads(out)["density"] is True
+
+
+def _odd_floats(*special):
+    return st.one_of(st.floats(), st.sampled_from(special))
+
+
+@st.composite
+def _flow_psi0(draw):
+    """A psi0 payload whose q and p mostly have the length its dim says,
+    and are all zero one time in four."""
+    dim = draw(st.integers(1, 4))
+    entry = _odd_floats(0.0, 1.0, -0.5, float("nan"), 1e-200, 1e154, 1e200)
+    if draw(st.integers(0, 3)) == 0:
+        entry = st.just(0.0)
+    q, p = (draw(st.lists(entry, min_size=k, max_size=k))
+            for k in draw(st.sampled_from([(dim, dim), (dim, dim),
+                                           (dim, dim + 1), (dim + 1, dim)])))
+    return {"dim": dim, "q": q, "p": p}
+
+
+def _reject_non_finite(token):
+    raise AssertionError(f"non-finite number {token} in the output")
+
+
+@settings(max_examples=400, deadline=None)
+@given(mode=st.sampled_from(["hamiltonian", "gradient-eigensolve"]),
+       opt_mode=st.sampled_from(["ascent", "descent"]),
+       a=st.sampled_from([np.diag([1.0, -1.0]), np.diag([2.0, 0.5, -1.0]),
+                          np.array([[0.0, 1j], [-1j, 0.0]])]),
+       psi0=st.one_of(st.none(), _flow_psi0()),
+       step=st.one_of(st.none(), _odd_floats(1e-3, 0.7, 1e-300, 1e308)),
+       t_final=st.one_of(st.none(), _odd_floats(0.0, 1.0, 1e5, 1e308)),
+       max_iter=st.integers(-3, 300),
+       tol=st.one_of(st.none(), _odd_floats(0.0, 1e-10, -1.0)))
+def test_flow_fuzz_exit_contract(mode, opt_mode, a, psi0, step, t_final,
+                                 max_iter, tol):
+    payload = {"A": operator_to_dict(a.astype(complex))}
+    if psi0 is not None:
+        payload["psi0"] = psi0
+    argv = [] if tol is None else [f"--tol={tol!r}"]
+    argv += ["flow", "--mode", mode, "--opt-mode", opt_mode,
+             f"--max-iter={max_iter}", "--json", json.dumps(payload)]
+    if step is not None:
+        argv.append(f"--step={step!r}")
+    if t_final is not None:
+        argv.append(f"--t-final={t_final!r}")
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    assert code in (0, 2, 3)
+    assert err.getvalue().count("\n") <= 1
+    if tol is not None and not 0.0 <= tol < float("inf"):
+        assert code == 2
+    if code == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue(), parse_constant=_reject_non_finite)
+
+
 def test_both_payload_sources_exit_two(tmp_path, capsys):
     path = tmp_path / "op.json"
     path.write_text(op_json(np.eye(2) / 2))
@@ -234,6 +357,14 @@ def test_tensors_distributions_inequalities(capsys, rng):
     assert code == 0
     assert dims["D0"] <= min(dims["lambda"], dims["R"])
     assert dims["D1"] <= min(9, dims["lambda"] + dims["R"])
+
+
+def test_tensors_distributions_traceless_qubit(capsys):
+    # xi^2 is a multiple of the identity here, so D_0 is 0-dimensional
+    code, out = run(capsys, "tensors", "--which", "distributions", "--json",
+                    '{"dim": 2, "y": [0, 0.1, 0.2, 0.3]}')
+    assert code == 0
+    assert json.loads(out)["dims"] == {"lambda": 2, "R": 2, "D0": 0, "D1": 4}
 
 
 def test_constants_qutrit_rows(capsys):

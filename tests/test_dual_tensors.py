@@ -161,6 +161,22 @@ def test_distributions_pure_qubit():
     assert rep.dim_0 == rep.dim_lambda == 2
 
 
+def test_distributions_where_xi_squared_is_scalar(rng):
+    # At traceless qubit points xi^2 = |y|^2 I, and at multiples of the
+    # identity xi^2 is one too: the Lambda matrix at xi^2 is round-off only,
+    # and D_0 has dimension 0 at any scale of y.
+    for _ in range(20):
+        y = np.concatenate([[0.0], rng.normal(size=3)])
+        assert distributions_at(y * 10.0 ** rng.integers(-6, 7), B2).dims \
+            == (2, 2, 0, 4)
+    for n in (3, 4):
+        basis = gellmann_basis(n)
+        for c in (1e-6, 0.3, 1.0, -2.5, 1e6):
+            y = np.zeros(n * n)
+            y[0] = c
+            assert distributions_at(y, basis).dims == (0, n * n, 0, n * n)
+
+
 def test_distribution_dimension_inequalities(rng):
     for _ in range(10):
         rep = distributions_at(rng.normal(size=9), B3)

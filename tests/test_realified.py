@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomstates import (
     DimensionError,
@@ -20,7 +22,7 @@ from geomstates import (
 )
 from geomstates.realified import InvalidStartError, expectation_trace_samples
 
-from conftest import random_hermitian, random_state
+from conftest import random_hermitian, random_state, unitary_exp
 
 SIGMA = gellmann_basis(2).elements
 
@@ -180,9 +182,82 @@ def test_flow_is_isometry(rng):
         p1, p2 = random_state(rng, n), random_state(rng, n)
         _, s1 = flow_hamiltonian(a, p1, 2.0, step=1e-3)
         _, s2 = flow_hamiltonian(a, p2, 2.0, step=1e-3)
-        d0 = np.linalg.norm(s1[0].to_complex() - s2[0].to_complex())
-        dT = np.linalg.norm(s1[-1].to_complex() - s2[-1].to_complex())
+        d0 = np.linalg.norm(s1[0] - s2[0])
+        dT = np.linalg.norm(s1[-1] - s2[-1])
         assert abs(dT - d0) < 1e-8
+
+
+def rk4_reference(a, psi0, t_final, step):
+    """The fixed-step RK4 integration of z' = i A z that the exact
+    propagator replaced, kept as an independent reference."""
+    n_steps = max(1, int(round(t_final / step)))
+    h = t_final / n_steps
+    z = psi0.to_complex().astype(complex)
+
+    def rhs(v):
+        return 1j * (a @ v)
+
+    states = [z]
+    for _ in range(n_steps):
+        k1 = rhs(z)
+        k2 = rhs(z + 0.5 * h * k1)
+        k3 = rhs(z + 0.5 * h * k2)
+        k4 = rhs(z + h * k3)
+        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        states.append(z)
+    return np.array(states)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([2, 3, 4, 8]), seed=st.integers(0, 2**32 - 1),
+       s=st.floats(0.0, 2.0), t=st.floats(0.0, 2.0))
+def test_exact_flow_matches_rk4_and_group_law(n, seed, s, t):
+    rng = np.random.default_rng(seed)
+    a = random_hermitian(rng, n)
+    psi0 = random_state(rng, n)
+    times, z = flow_hamiltonian(a, psi0, 1.0, step=1e-3)
+    assert times.shape == (1001,) and z.shape == (1001, n)
+    assert np.abs(z - rk4_reference(a, psi0, 1.0, 1e-3)).max() < 1e-8
+    # Z(s + t) = U(s) Z(t), with U(s) = exp(isA) from the spectral oracle
+    zt = flow_hamiltonian(a, psi0, t, step=max(t, 1e-3))[1][-1]
+    zst = flow_hamiltonian(a, psi0, s + t, step=max(s + t, 1e-3))[1][-1]
+    assert np.abs(zst - unitary_exp(a, s) @ zt).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 12])
+def test_flow_drift_is_round_off(rng, n):
+    a = random_hermitian(rng, n)
+    samples, norm_drift, e_drift = expectation_trace_samples(
+        a, random_state(rng, n), 10.0, step=1e-3)
+    assert samples.shape == (10001, 3)
+    bound = 1e-12 * max(1.0, np.linalg.norm(a, 2))
+    assert norm_drift <= bound and e_drift <= bound
+
+
+def _spectrum(rng, n, kind):
+    if kind == "gapped":   # extremes 0.3 away from their neighbours
+        return np.concatenate([[-1.0, 1.0], rng.uniform(-0.7, 0.7, n - 2)])
+    if kind == "degenerate":   # integer eigenvalues, repeated at n > 5
+        return rng.integers(-2, 3, size=n).astype(float)
+    return np.linalg.eigvalsh(random_hermitian(rng, n))
+
+
+@pytest.mark.parametrize("kind", ["gapped", "random", "degenerate"])
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 12])
+def test_eigensolve_barzilai_borwein_converges_fast(rng, n, kind):
+    for _ in range(4):
+        q = np.linalg.qr(random_hermitian(rng, n)
+                         + 1j * random_hermitian(rng, n))[0]
+        w = _spectrum(rng, n, kind)
+        a = (q * w) @ q.conj().T
+        extremes = np.linalg.eigvalsh(a)[[-1, 0]]
+        norm_a = np.linalg.norm(a, 2)
+        for mode, target in zip(("ascent", "descent"), extremes):
+            trace = []
+            e, _, conv = critical_point_eigensolve(
+                a, random_state(rng, n), mode=mode, trace=trace)
+            assert conv and abs(e - target) <= 1e-8 * norm_a
+            assert trace[-1][0] <= 500
 
 
 def test_eigensolve_identity_converges_immediately(rng):
