@@ -13,7 +13,6 @@ from geomstates import (
     qutrit_star,
     require_density,
     structure_constants,
-    stratum,
     to_dual,
 )
 
@@ -33,7 +32,7 @@ samples = {
 }
 for name, op in samples.items():
     rho = require_density(op.astype(complex))
-    print(f"  {name} rank {stratum(rho)}, GL-orbit dimension "
+    print(f"  {name} rank {rho.rank}, GL-orbit dimension "
           f"{orbit_dimension(rho)}")
 
 print()

@@ -86,7 +86,6 @@ from .states import (
     qutrit_pure_from_bloch,
     qutrit_star,
     require_density,
-    stratum,
     tangency_check,
     weyl_reduce,
 )

@@ -182,13 +182,10 @@ def triple_traces(xi: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return left @ stack.transpose(0, 2, 1).reshape(m, n * n).T
 
 
-def numerical_rank(values: np.ndarray, tol: float = TOL_RANK,
-                   scale=None) -> np.ndarray:
+def numerical_rank(values: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:
     """Numerical rank of descending values (singular values, or spectra of
-    PSD matrices) of shape (..., k): the count above tol * scale, where the
-    scale defaults to the largest value, values[..., 0]."""
-    scale = values[..., :1] if scale is None else scale
-    return (values > tol * scale).sum(axis=-1)
+    PSD matrices) of shape (..., k): the count above tol * values[..., 0]."""
+    return (values > tol * values[..., :1]).sum(axis=-1)
 
 
 def structure_constants(basis: OrthogonalBasis) -> StructureConstants:

@@ -10,6 +10,7 @@ classifications), 2 = usage or parse error, 3 = internal numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -35,7 +36,6 @@ from .states import (
     face_of,
     orbit_dimension,
     qubit_from_bloch,
-    require_density,
     weyl_reduce,
 )
 
@@ -267,6 +267,7 @@ def cmd_ballgrid(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="geomstates",

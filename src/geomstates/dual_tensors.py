@@ -68,29 +68,6 @@ class DistributionReport:
         return [from_dual(cols[:, k], basis) for k in range(cols.shape[1])]
 
 
-def _colspace(m: np.ndarray, tol: float = TOL_RANK):
-    """Orthonormal basis (columns) of the column space of m, and the largest
-    singular value of m."""
-    if m.size == 0:
-        return np.zeros((m.shape[0], 0)), 0.0
-    u, s, _ = np.linalg.svd(m, full_matrices=False)
-    return u[:, :numerical_rank(s, tol)], s[0]
-
-
-def subspace_intersection(u: np.ndarray, v: np.ndarray,
-                          tol: float = 1e-8) -> np.ndarray:
-    """Orthonormal basis of span(u) & span(v) for orthonormal-column u, v.
-
-    Uses the principal angles: singular vectors of u^T v with singular value
-    within tol of 1 span the intersection.
-    """
-    if u.shape[1] == 0 or v.shape[1] == 0:
-        return np.zeros((u.shape[0], 0))
-    w, s, _ = np.linalg.svd(u.T @ v)
-    keep = s > 1.0 - tol
-    return u @ w[:, keep]
-
-
 def lambda_at(y: np.ndarray, basis: OrthogonalBasis) -> TensorAtPoint:
     """Poisson tensor at the point with coordinates y:
     matrix[mu, nu] = Tr(xi [b_mu, b_nu]) / (2i)."""
@@ -128,44 +105,41 @@ def r_endo(xi: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def distributions_at(y: np.ndarray, basis: OrthogonalBasis,
                      tol: float = TOL_RANK) -> DistributionReport:
-    """The four distributions at the point y.
+    """The four distributions at the point y, read off the eigenvalues of xi.
 
-    D_lambda and D_r are the images of the Lambda and R matrices (column nu
-    holds the coordinates of jtilde/r applied to b_nu); D_0 is their
-    intersection (cross-checked in dimension against the span of
-    (1/i)[A, xi^2], the Lambda matrix at xi^2); D_1 is their sum.
-
-    The Lambda matrix at xi^2 is ranked against the product of the largest
-    singular values of the Lambda and R matrices at xi, which scales like
-    it: where xi^2 is a multiple of the identity it is pure round-off and
-    has rank 0.
+    With xi = V diag(w) V^dagger, the directions V(E_ij + E_ji)V^dagger and
+    V(iE_ij - iE_ji)V^dagger (i < j) and sqrt(2) V E_kk V^dagger are
+    orthonormal in y.  jtilde turns the plane of a pair (i, j) by a quarter
+    and scales it by w_j - w_i; r_endo scales it by w_i + w_j, and a
+    diagonal direction by 2 w_k.  So D_lambda is spanned by the pairs with
+    w_i != w_j, D_r by the pairs with w_i + w_j != 0 and the diagonal
+    directions with w_k != 0, and D_0 and D_1 by the intersection and the
+    union of those sets; each "!= 0" is decided against tol * max|w|.
+    D_0 is cross-checked in dimension against the span of (1/i)[A, xi^2],
+    the pairs with w_i^2 != w_j^2 (against tol * max|w|^2).
     """
     y = np.asarray(y, dtype=float)
-    xi = from_dual(y, basis)
-    p = triple_traces(np.stack([xi, xi @ xi]), basis.elements)
-
-    bl, s_l = _colspace(p[0].imag, tol)
-    br, s_r = _colspace(p[0].real, tol)
-    b0 = subspace_intersection(bl, br)
-    b1, _ = _colspace(np.hstack([bl, br]), tol)
-    dim0_direct = int(numerical_rank(
-        np.linalg.svd(p[1].imag, compute_uv=False), tol, s_l * s_r))
-    if b0.shape[1] != dim0_direct:
+    w, v = np.linalg.eigh(from_dual(y, basis))
+    m = v.conj().T @ basis.elements @ v  # M[mu] = V^dagger b_mu V
+    i, j = np.triu_indices(basis.dim, 1)
+    # Column c holds the y-coordinates (1/2)Tr(b_mu X_c) of direction X_c.
+    dirs = np.concatenate([m[:, i, j].real, m[:, i, j].imag,
+                           m.diagonal(axis1=1, axis2=2).real / np.sqrt(2.0)],
+                          axis=1)
+    top = np.abs(w).max()
+    diff = np.abs(w[i] - w[j]) > tol * top
+    summ = np.abs(w[i] + w[j]) > tol * top
+    in_l = np.concatenate([diff, diff, np.zeros(basis.dim, dtype=bool)])
+    in_r = np.concatenate([summ, summ, np.abs(w) > tol * top])
+    dim0 = int((in_l & in_r).sum())
+    dim0_direct = 2 * int((np.abs(w[i] ** 2 - w[j] ** 2) > tol * top ** 2).sum())
+    if dim0 != dim0_direct:
         raise ArithmeticError(
             "intersection dimension disagrees with the [A, xi^2] span "
-            f"({b0.shape[1]} vs {dim0_direct})"
+            f"({dim0} vs {dim0_direct})"
         )
-    return DistributionReport(
-        point=y,
-        dim_lambda=bl.shape[1],
-        dim_r=br.shape[1],
-        dim_0=b0.shape[1],
-        dim_1=b1.shape[1],
-        basis_lambda=bl,
-        basis_r=br,
-        basis_0=b0,
-        basis_1=b1,
-    )
+    bases = [dirs[:, s] for s in (in_l, in_r, in_l & in_r, in_l | in_r)]
+    return DistributionReport(y, *(b.shape[1] for b in bases), *bases)
 
 
 def pushforward_check(psi: RealifiedState, a: np.ndarray, b: np.ndarray):

@@ -212,7 +212,8 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
     a critical point is the eigenvalue.  The first step is the fixed
     step (default 0.1 / ||A||); after it, the Barzilai-Borwein step
     <s, s> / |Re<s, r_k - r_(k-1)>| with s = z_k - z_(k-1) and the residual
-    r = A z - e z, keeping the previous step when the denominator is 0.
+    r = A z - e z, keeping the previous step when the denominator is 0,
+    and taking the default step when s = 0.
     Renormalizes every iteration; stops when ||A psi - e psi|| < tol.
 
     mode: "ascent" climbs toward the largest eigenvalue, "descent" toward the
@@ -227,8 +228,9 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
     if mode not in ("ascent", "descent"):
         raise ValueError(f"unknown mode {mode!r}")
     norm_a = np.linalg.norm(a, 2)
+    default_step = 0.1 / max(norm_a, 1e-300)
     if step is None:
-        step = 0.1 / max(norm_a, 1e-300)
+        step = default_step
     if step <= 0:
         raise ValueError("step must be positive")
     if tol is None:
@@ -254,7 +256,9 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
         if it > 0:
             s = z - z_prev
             denom = abs(float(np.vdot(s, resid_vec - r_prev).real))
-            if denom > 0.0:
+            if not s.any():  # the last step was too small to move z
+                step = default_step
+            elif denom > 0.0:
                 step = float(np.vdot(s, s).real) / denom
         z_prev, r_prev = z, resid_vec
         z = z + sign * step * resid_vec

@@ -7,6 +7,8 @@ CSV values with 12 (readable).  All parsers accept their own output.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 
 import numpy as np
 
@@ -53,7 +55,13 @@ def operator_to_dict(a: np.ndarray) -> dict:
 
 
 def _dim(d: dict) -> int:
-    n = int(d["dim"])
+    """d["dim"], a number with an integer value >= 2 (3 or 3.0; never a
+    bool, a string or a non-finite value)."""
+    n = d["dim"]
+    if (isinstance(n, bool) or not isinstance(n, numbers.Real)
+            or not math.isfinite(n) or n != int(n)):
+        raise ValueError(f"dim must be an integer, got {n!r}")
+    n = int(n)
     if n < 2:
         raise ValueError(f"dim must be >= 2, got {n}")
     return n
@@ -97,7 +105,7 @@ def state_to_dict(psi: RealifiedState) -> dict:
 
 
 def state_from_dict(d: dict) -> RealifiedState:
-    n = int(d["dim"])
+    n = _dim(d)
     q = np.array(d["q"], dtype=float)
     p = np.array(d["p"], dtype=float)
     if q.shape != (n,) or p.shape != (n,):

@@ -19,7 +19,7 @@ from .basis import (
     structure_constants,
     to_dual,
 )
-from .dual_tensors import distributions_at, subspace_intersection
+from .dual_tensors import distributions_at
 from .projective import PureDensity
 
 TOL_PSD = 1e-10
@@ -159,11 +159,6 @@ def require_density(a: np.ndarray) -> DensityState:
     if isinstance(out, Rejection):
         raise ValueError(f"not a density state: {out.violated} ({out.detail})")
     return out
-
-
-def stratum(rho: DensityState) -> int:
-    """Rank stratum the state belongs to (1 = extremal/pure)."""
-    return rho.rank
 
 
 def gl_act_cone(t: np.ndarray, xi: np.ndarray,
@@ -357,11 +352,12 @@ def weyl_reduce(rho: DensityState) -> np.ndarray:
 
 
 def orbit_dimension(rho: DensityState) -> int:
-    """Dimension of the unitary (coadjoint) orbit through the state: the
-    rank of the Poisson distribution at that point."""
-    basis = gellmann_basis(rho.dim)
-    y = to_dual(rho.op, basis)
-    return distributions_at(y, basis).dim_lambda
+    """Dimension of the unitary (coadjoint) orbit through the state, the
+    rank of the Poisson distribution there: n^2 - sum_k m_k^2 for
+    eigenvalue multiplicities m_k, counted as the ordered pairs of
+    eigenvalues that differ by more than TOL_RANK * max|lambda|."""
+    w = rho.spectrum
+    return int((np.abs(w[:, None] - w) > TOL_RANK * np.abs(w).max()).sum())
 
 
 def stratum_tangent_basis(rho: DensityState) -> np.ndarray:
@@ -369,8 +365,11 @@ def stratum_tangent_basis(rho: DensityState) -> np.ndarray:
     stratum at rho: the GL-orbit distribution restricted to trace-zero
     directions."""
     basis = gellmann_basis(rho.dim)
-    report = distributions_at(to_dual(rho.op, basis), basis)
-    return subspace_intersection(report.basis_1, np.eye(basis.size)[:, 1:])
+    b1 = distributions_at(to_dual(rho.op, basis), basis).basis_1
+    # c -> b1 @ c has y_0 = b1[0] @ c: keep the c orthogonal to that row,
+    # whose norm is at most 1 since b1 has orthonormal columns.
+    _, s, vh = np.linalg.svd(b1[:1])
+    return b1 @ vh[int(s[0] > TOL_RANK):].T
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,13 @@ def test_classify_qutrit_maximally_mixed(capsys):
     assert report["rank"] == 3 and report["orbit_dim"] == 0
 
 
+@pytest.mark.parametrize("n", [5, 8, 12])
+def test_classify_maximally_mixed_orbit_dim_zero(capsys, n):
+    report = json.loads(run(capsys, "classify", "--json",
+                            op_json(np.eye(n) / n))[1])
+    assert report["rank"] == n and report["orbit_dim"] == 0
+
+
 def test_classify_reports_dual_coordinates(capsys):
     rho = qubit_from_bloch(0.1, -0.2, 0.15)
     _, out = run(capsys, "classify", "--json", op_json(rho))
@@ -99,6 +106,16 @@ def test_usage_errors_exit_two(capsys):
                        '{"dim": null, "re": [[1]], "im": [[0]]}')
     assert_usage_error(capsys, "tensors", "--which", "lambda", "--json",
                        '{"dim": 1, "y": [1]}')
+    # dim must be a finite number with an integer value
+    for dim in ("1e400", "2.5", "true", '"3"'):
+        assert_usage_error(capsys, "classify", "--json",
+                           f'{{"dim": {dim}, "re": [[1]], "im": [[0]]}}')
+        assert_usage_error(capsys, "tensors", "--which", "distributions",
+                           "--json", f'{{"dim": {dim}, "y": [1, 0, 0, 0]}}')
+        psi0 = {"dim": "DIM", "q": [1, 0], "p": [0, 0]}
+        assert_usage_error(capsys, "flow", "--mode", "hamiltonian", "--json",
+                           json.dumps({"A": SIGMA3, "psi0": psi0})
+                           .replace('"DIM"', dim))
     assert_usage_error(capsys, "tensors", "--which", "distributions",
                        "--json", '{"dim": 2, "y": [NaN, 0, 0, 0]}')
     assert_usage_error(capsys, "flow", "--mode", "hamiltonian",
@@ -437,6 +454,18 @@ def test_flow_eigensolve_identity_trace(tmp_path, capsys):
     assert lines[0] == "iter,e_A,residual" and lines[1].startswith("0,")
 
 
+def test_flow_eigensolve_recovers_from_a_step_that_does_not_move(capsys):
+    # At --step 1e-300 the first step leaves z unchanged in floating point;
+    # the solver then takes the default step instead of spinning.
+    payload = json.dumps({"A": SIGMA3})
+    code, out = run(capsys, "flow", "--mode", "gradient-eigensolve",
+                    "--step", "1e-300", "--max-iter", "200", "--json", payload)
+    assert code == 0
+    report = json.loads(out)
+    assert report["converged"] is True
+    assert abs(report["eigenvalue"] - 1.0) < 1e-12
+
+
 def test_flow_non_convergence_is_exit_zero(capsys, rng):
     payload = json.dumps(
         {"A": operator_to_dict(np.diag([1.0, -1.0]).astype(complex))})
@@ -445,6 +474,41 @@ def test_flow_non_convergence_is_exit_zero(capsys, rng):
                     "--max-iter", "1", "--json", payload)
     assert code == 0
     assert json.loads(out)["converged"] is False
+
+
+def test_parser_is_built_once_and_reuse_keeps_defaults(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    steps = []
+    solve = cli.critical_point_eigensolve
+
+    def recording(*args, **kwargs):
+        steps.append(kwargs["step"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "critical_point_eigensolve", recording)
+    rho = op_json(qubit_from_bloch(0.1, 0.0, 0.2))
+    flow = ("flow", "--mode", "gradient-eigensolve", "--json",
+            json.dumps({"A": SIGMA3}))
+    calls = [
+        ("decompose", "--mode", "bloch", "--direction", "0,0,1", "--json", rho),
+        ("decompose", "--json", rho),
+        ("--seed", "3", *flow, "--step", "0.01", "--opt-mode", "descent"),
+        flow,
+        ("--tol", "0.5", "classify", "--json", op_json(np.diag([1.2, -0.2]))),
+        ("classify", "--json", op_json(np.diag([1.2, -0.2]))),
+    ]
+    reused = [run(capsys, *argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
+    assert json.loads(reused[1][1])["mode"] == "spectral"
+    assert json.loads(reused[3][1])["opt_mode"] == "ascent"
+    assert json.loads(reused[4][1])["density"] is True
+    assert json.loads(reused[5][1])["density"] is False
+    # --step reaches the solver only when it is given
+    assert steps == [0.01, None] * 2
 
 
 def test_flow_seed_determinism(capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomstates import (
     PAIRING_SCALE,
@@ -15,6 +17,8 @@ from geomstates import (
     structure_constants,
     to_dual,
 )
+from geomstates.basis import triple_traces
+from geomstates.states import certify_density, orbit_dimension
 
 from conftest import random_hermitian, random_state
 
@@ -227,6 +231,70 @@ def test_distributions_match_endomorphism_columns(rng, n):
         for mine, ref in zip(got, _reference_distributions(y, basis)):
             assert mine.shape == ref.shape
             assert np.abs(mine @ mine.T - ref @ ref.T).max() < 1e-12
+
+
+def _principal_intersection(u, v):
+    """span(u) & span(v) for orthonormal columns: the singular vectors of
+    u^T v whose principal angle is within 1e-8 of 0."""
+    if u.shape[1] == 0 or v.shape[1] == 0:
+        return u[:, :0]
+    w, s, _ = np.linalg.svd(u.T @ v)
+    return u @ w[:, s > 1.0 - 1e-8]
+
+
+def _svd_distributions(y, basis):
+    """The SVD construction: column spaces of the Lambda and R matrices,
+    each ranked against its own largest singular value, their principal-
+    angle intersection, and the column space of the two bases side by
+    side."""
+    p = triple_traces(from_dual(y, basis), basis.elements)
+    bl, br = _reference_span(p.imag), _reference_span(p.real)
+    return bl, br, _principal_intersection(bl, br), \
+        _reference_span(np.hstack([bl, br]))
+
+
+# Eigenvalues with repeats, zeros and opposite pairs, whose distinct values
+# are far apart on the scale of the largest.
+PALETTE = (-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 12), data=st.data(),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_distributions_closed_forms(n, data, scale, seed):
+    w = scale * np.array(data.draw(st.one_of(
+        st.lists(st.sampled_from(PALETTE), min_size=n, max_size=n),
+        st.sampled_from(PALETTE).map(lambda c: [c] * n))))
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(random_hermitian(rng, n) + 1j * random_hermitian(rng, n))[0]
+    basis = gellmann_basis(n)
+    y = to_dual((u * w) @ u.conj().T, basis)
+    rep = distributions_at(y, basis)
+
+    mult = np.unique(w, return_counts=True)[1]
+    n0 = int((w == 0).sum())
+    # dim D_lambda = n^2 - sum m_k^2 (unitary orbit), dim D_1 = n^2 - n_0^2
+    # (GL orbit); D_R misses the ordered pairs with w_i + w_j = 0.
+    assert rep.dim_lambda == n * n - int((mult ** 2).sum())
+    assert rep.dim_1 == n * n - n0 ** 2
+    assert rep.dim_r == n * n - int((w[:, None] + w == 0).sum())
+    assert rep.dim_0 == int(((w[:, None] != w) & (w[:, None] + w != 0)).sum())
+    got = (rep.basis_lambda, rep.basis_r, rep.basis_0, rep.basis_1)
+    for b in got:
+        assert np.abs(b.T @ b - np.eye(b.shape[1])).max(initial=0.0) < 1e-12
+    if mult.size > 1:  # at scalar points the SVD ranks round-off
+        for mine, ref in zip(got, _svd_distributions(y, basis)):
+            assert mine.shape == ref.shape
+            assert np.abs(mine @ mine.T - ref @ ref.T).max() < 1e-12
+
+    if np.abs(w).sum() > 0:
+        p = np.abs(w) / np.abs(w).sum()
+        rho = certify_density((u * p) @ u.conj().T)
+        mult = np.unique(p, return_counts=True)[1]
+        assert orbit_dimension(rho) == n * n - int((mult ** 2).sum())
+        assert orbit_dimension(rho) == \
+            distributions_at(to_dual(rho.op, basis), basis).dim_lambda
 
 
 def test_d1_matches_gl_orbit_tangent_rank(rng):

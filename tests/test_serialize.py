@@ -75,6 +75,15 @@ def test_payloads_reject_dim_below_two(dim):
         dual_from_dict({"dim": dim, "y": [1.0]})
 
 
+@pytest.mark.parametrize("dim", [float("inf"), float("nan"), 2.5, True, "3"])
+def test_payloads_reject_dim_that_is_not_an_integer(dim):
+    for parse, rest in ((operator_from_dict, {"re": [[1.0]], "im": [[0.0]]}),
+                        (dual_from_dict, {"y": [1.0, 0.0, 0.0, 0.0]}),
+                        (state_from_dict, {"q": [1.0, 0.0], "p": [0.0, 0.0]})):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            parse({"dim": dim, **rest})
+
+
 def test_dual_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         dual_from_dict({"dim": 2, "y": [0.5, float("inf"), 0.0, 0.0]})

@@ -22,7 +22,6 @@ from geomstates import (
     qutrit_star,
     require_density,
     spectral_oracle,
-    stratum,
     tangency_check,
     to_dual,
     weyl_reduce,
@@ -32,6 +31,8 @@ from geomstates.states import (
     TOL_RANK,
     InvalidCurveError,
     SingularTransformError,
+    distributions_at,
+    stratum_tangent_basis,
 )
 
 from conftest import random_hermitian, random_unit, unitary_exp
@@ -199,9 +200,10 @@ def test_pure_states_saturate_ball(rng):
 
 
 def test_stratum_examples(rng):
-    assert stratum(require_density(np.diag([1.0, 0, 0]).astype(complex))) == 1
-    assert stratum(require_density(np.eye(3) / 3)) == 3
-    assert stratum(require_density(np.diag([0.5, 0.5, 0]).astype(complex))) == 2
+    # The rank stratum of a state is its rank (1 = extremal/pure).
+    assert require_density(np.diag([1.0, 0, 0]).astype(complex)).rank == 1
+    assert require_density(np.eye(3) / 3).rank == 3
+    assert require_density(np.diag([0.5, 0.5, 0]).astype(complex)).rank == 2
 
 
 def test_stratification_totality(rng):
@@ -459,6 +461,23 @@ def test_orbit_dimensions_qutrit(rng):
 
 
 # -- tangency -------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_stratum_tangent_basis_is_traceless_part_of_d1(rng, n):
+    basis = gellmann_basis(n)
+    for k in range(1, n + 1):
+        rho = random_density(rng, n, rank=k)
+        tan = stratum_tangent_basis(rho)
+        b1 = distributions_at(to_dual(rho.op, basis), basis).basis_1
+        # reference: D_1 meets y_0 = 0 where the principal angle is 0
+        w, s, _ = np.linalg.svd(b1.T @ np.eye(n * n)[:, 1:])
+        ref = b1 @ w[:, :s.size][:, s > 1.0 - 1e-8]
+        # the rank-k stratum of trace-one states has dimension 2nk - k^2 - 1
+        assert tan.shape == ref.shape == (n * n, 2 * n * k - k * k - 1)
+        assert np.abs(tan.T @ tan - np.eye(tan.shape[1])).max() < 1e-12
+        assert np.abs(tan[0]).max() < 1e-14
+        assert np.abs(tan @ tan.T - ref @ ref.T).max() < 1e-12
+
 
 def unitary_orbit_curve(h, rho0, ts):
     return [(t, unitary_exp(h, -t) @ rho0 @ unitary_exp(h, -t).conj().T)
