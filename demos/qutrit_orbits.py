@@ -1,7 +1,7 @@
 """Qutrit state space: structure constants, strata, and orbit dimensions.
 
 Prints a few of the su(3) structure constants, then classifies sample
-density states by rank stratum and GL-orbit dimension, and verifies the
+density states by rank stratum and unitary-orbit dimension, and verifies the
 pure-state star-product characterization n * n = n.
 """
 
@@ -32,7 +32,7 @@ samples = {
 }
 for name, op in samples.items():
     rho = require_density(op.astype(complex))
-    print(f"  {name} rank {rho.rank}, GL-orbit dimension "
+    print(f"  {name} rank {rho.rank}, unitary-orbit dimension "
           f"{orbit_dimension(rho)}")
 
 print()

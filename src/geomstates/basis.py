@@ -120,6 +120,14 @@ _LAMBDA3 = (
 
 
 @functools.lru_cache(maxsize=None)
+def pair_indices(n: int):
+    """np.triu_indices(n, 1), built once per n; shared, so read-only."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+@functools.lru_cache(maxsize=None)
 def gellmann_basis(n: int) -> OrthogonalBasis:
     """Orthogonal Hermitian basis of the n x n matrices, identity first.
 
@@ -135,7 +143,7 @@ def gellmann_basis(n: int) -> OrthogonalBasis:
 
     elems = np.zeros((n * n, n, n), dtype=complex)
     elems[0] = np.sqrt(2.0 / n) * np.eye(n)
-    j, k = np.triu_indices(n, 1)  # the pairs j < k in row order
+    j, k = pair_indices(n)
     sym = np.arange(1, 1 + j.size)
     anti = sym + j.size
     elems[sym, j, k] = elems[sym, k, j] = 1.0
@@ -182,10 +190,24 @@ def triple_traces(xi: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return left @ stack.transpose(0, 2, 1).reshape(m, n * n).T
 
 
-def numerical_rank(values: np.ndarray, tol: float = TOL_RANK) -> np.ndarray:
-    """Numerical rank of descending values (singular values, or spectra of
-    PSD matrices) of shape (..., k): the count above tol * values[..., 0]."""
-    return (values > tol * values[..., :1]).sum(axis=-1)
+def numerical_rank(values: np.ndarray) -> np.ndarray:
+    """Numerical rank of descending PSD spectra of shape (..., k): the count
+    above TOL_RANK * values[..., 0]."""
+    return (values > TOL_RANK * values[..., :1]).sum(axis=-1)
+
+
+def eigenpair_masks(w: np.ndarray):
+    """D_lambda and D_R masks (..., n^2) over the eigenbasis directions of
+    xi = V diag(w) V^dagger (pair_indices(n) twice, for Re and Im, then the
+    diagonal): pair (i, j) is in D_lambda if |w_i - w_j| > TOL_RANK * max|w|,
+    in D_R if |w_i + w_j| is, and diagonal k in D_R if |w_k| is."""
+    i, j = pair_indices(w.shape[-1])
+    cut = TOL_RANK * np.abs(w).max(axis=-1, keepdims=True)
+    diff = np.abs(w[..., i] - w[..., j]) > cut
+    summ = np.abs(w[..., i] + w[..., j]) > cut
+    in_l = np.concatenate([diff, diff, np.zeros_like(w, dtype=bool)], axis=-1)
+    in_r = np.concatenate([summ, summ, np.abs(w) > cut], axis=-1)
+    return in_l, in_r
 
 
 def structure_constants(basis: OrthogonalBasis) -> StructureConstants:

@@ -14,6 +14,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -337,7 +338,12 @@ def main(argv=None) -> int:
         # An overflow or an invalid operation is a numeric failure, never a
         # warning followed by inf or NaN in the output.
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()  # meet a closed pipe here, not at exit
+        return code
+    except BrokenPipeError:  # the reader stopped early; drop the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -17,8 +17,9 @@ from .basis import (
     DimensionError,
     OrthogonalBasis,
     check_hermitian,
+    eigenpair_masks,
     from_dual,
-    numerical_rank,
+    pair_indices,
     triple_traces,
 )
 from .realified import RealifiedState, bracket_g, bracket_omega
@@ -37,10 +38,10 @@ class TensorAtPoint:
     point: np.ndarray  # y coordinates
     matrix: np.ndarray  # (n^2, n^2) real
     kind: str  # "lambda" or "R"
+    image_dim: int  # dim D_lambda or dim D_R at the point
 
-    def rank(self, tol: float = TOL_RANK) -> int:
-        return int(numerical_rank(np.linalg.svd(self.matrix, compute_uv=False),
-                                  tol))
+    def rank(self) -> int:
+        return self.image_dim
 
 
 @dataclass(frozen=True)
@@ -68,21 +69,25 @@ class DistributionReport:
         return [from_dual(cols[:, k], basis) for k in range(cols.shape[1])]
 
 
-def lambda_at(y: np.ndarray, basis: OrthogonalBasis) -> TensorAtPoint:
-    """Poisson tensor at the point with coordinates y:
-    matrix[mu, nu] = Tr(xi [b_mu, b_nu]) / (2i)."""
+def _tensor_at(y: np.ndarray, basis: OrthogonalBasis, kind: str):
+    """Lambda or R at y, with dim D_lambda or dim D_R as its rank."""
     y = np.asarray(y, dtype=float)
-    p = triple_traces(from_dual(y, basis), basis.elements)
-    # Tr(xi b_nu b_mu) = conj(Tr(xi b_mu b_nu)) for Hermitian factors,
-    # so the commutator part is just the imaginary part.
-    return TensorAtPoint(y, p.imag, "lambda")
+    xi = from_dual(y, basis)
+    # Tr(xi b_nu b_mu) = conj(Tr(xi b_mu b_nu)): Lambda is Im, R is Re.
+    p = triple_traces(xi, basis.elements)
+    r = kind == "R"
+    mask = eigenpair_masks(np.linalg.eigh(xi)[0])[r]
+    return TensorAtPoint(y, p.real if r else p.imag, kind, int(mask.sum()))
+
+
+def lambda_at(y: np.ndarray, basis: OrthogonalBasis) -> TensorAtPoint:
+    """Poisson tensor at y: matrix[mu, nu] = Tr(xi [b_mu, b_nu]) / (2i)."""
+    return _tensor_at(y, basis, "lambda")
 
 
 def riemann_jordan_at(y: np.ndarray, basis: OrthogonalBasis) -> TensorAtPoint:
     """Riemann-Jordan tensor at y: matrix[mu, nu] = Tr(xi [b_mu, b_nu]_+)/2."""
-    y = np.asarray(y, dtype=float)
-    p = triple_traces(from_dual(y, basis), basis.elements)
-    return TensorAtPoint(y, p.real, "R")
+    return _tensor_at(y, basis, "R")
 
 
 def jtilde_endo(xi: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -103,36 +108,33 @@ def r_endo(xi: np.ndarray, a: np.ndarray) -> np.ndarray:
     return a @ xi + xi @ a
 
 
-def distributions_at(y: np.ndarray, basis: OrthogonalBasis,
-                     tol: float = TOL_RANK) -> DistributionReport:
+def distributions_at(y: np.ndarray,
+                     basis: OrthogonalBasis) -> DistributionReport:
     """The four distributions at the point y, read off the eigenvalues of xi.
 
     With xi = V diag(w) V^dagger, the directions V(E_ij + E_ji)V^dagger and
     V(iE_ij - iE_ji)V^dagger (i < j) and sqrt(2) V E_kk V^dagger are
     orthonormal in y.  jtilde turns the plane of a pair (i, j) by a quarter
     and scales it by w_j - w_i; r_endo scales it by w_i + w_j, and a
-    diagonal direction by 2 w_k.  So D_lambda is spanned by the pairs with
-    w_i != w_j, D_r by the pairs with w_i + w_j != 0 and the diagonal
-    directions with w_k != 0, and D_0 and D_1 by the intersection and the
-    union of those sets; each "!= 0" is decided against tol * max|w|.
-    D_0 is cross-checked in dimension against the span of (1/i)[A, xi^2],
-    the pairs with w_i^2 != w_j^2 (against tol * max|w|^2).
+    diagonal direction by 2 w_k.  So D_lambda and D_r are spanned by the
+    directions eigenpair_masks selects, D_0 and D_1 by their intersection
+    and union.  D_0 is cross-checked in dimension against the span of
+    (1/i)[A, xi^2]: the pairs with |w_i^2 - w_j^2|, the product of
+    |w_i - w_j| and |w_i + w_j|, above TOL_RANK * max|w| times the larger
+    factor, |w_i| + |w_j|.
     """
     y = np.asarray(y, dtype=float)
     w, v = np.linalg.eigh(from_dual(y, basis))
     m = v.conj().T @ basis.elements @ v  # M[mu] = V^dagger b_mu V
-    i, j = np.triu_indices(basis.dim, 1)
+    i, j = pair_indices(basis.dim)
     # Column c holds the y-coordinates (1/2)Tr(b_mu X_c) of direction X_c.
     dirs = np.concatenate([m[:, i, j].real, m[:, i, j].imag,
                            m.diagonal(axis1=1, axis2=2).real / np.sqrt(2.0)],
                           axis=1)
-    top = np.abs(w).max()
-    diff = np.abs(w[i] - w[j]) > tol * top
-    summ = np.abs(w[i] + w[j]) > tol * top
-    in_l = np.concatenate([diff, diff, np.zeros(basis.dim, dtype=bool)])
-    in_r = np.concatenate([summ, summ, np.abs(w) > tol * top])
+    in_l, in_r = eigenpair_masks(w)
     dim0 = int((in_l & in_r).sum())
-    dim0_direct = 2 * int((np.abs(w[i] ** 2 - w[j] ** 2) > tol * top ** 2).sum())
+    cut = TOL_RANK * np.abs(w).max() * (np.abs(w[i]) + np.abs(w[j]))
+    dim0_direct = 2 * int((np.abs(w[i] ** 2 - w[j] ** 2) > cut).sum())
     if dim0 != dim0_direct:
         raise ArithmeticError(
             "intersection dimension disagrees with the [A, xi^2] span "

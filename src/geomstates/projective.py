@@ -22,6 +22,15 @@ class NotExtremalError(ValueError):
     """Operation defined only on rank-one (pure) states."""
 
 
+def _nonzero(psi: RealifiedState, message: str):
+    """psi as a complex vector z and <z, z>; ZeroVectorError at z = 0."""
+    z = psi.to_complex()
+    n2 = float((z.conj() @ z).real)
+    if n2 == 0.0:
+        raise ZeroVectorError(message)
+    return z, n2
+
+
 @dataclass(frozen=True)
 class Ray:
     """Equivalence class of a nonzero vector under nonzero complex scaling.
@@ -34,11 +43,8 @@ class Ray:
 
     @classmethod
     def from_state(cls, psi: RealifiedState, tol: float = 1e-14) -> "Ray":
-        z = psi.to_complex()
-        nrm = np.linalg.norm(z)
-        if nrm == 0.0:
-            raise ZeroVectorError("cannot form the ray of the zero vector")
-        z = z / nrm
+        z, n2 = _nonzero(psi, "cannot form the ray of the zero vector")
+        z = z / np.sqrt(n2)
         for zk in z:
             if abs(zk) > tol:
                 z = z * (zk.conjugate() / abs(zk))
@@ -70,22 +76,16 @@ def momentum_map(psi: RealifiedState) -> PureDensity:
 
     Invariant under rescaling psi by any nonzero complex number.
     """
-    z = psi.to_complex()
-    n2 = float((z.conj() @ z).real)
-    if n2 == 0.0:
-        raise ZeroVectorError("momentum map undefined at the zero vector")
+    z, n2 = _nonzero(psi, "momentum map undefined at the zero vector")
     return PureDensity(np.outer(z, z.conj()) / n2)
 
 
 def expectation(a: np.ndarray, psi: RealifiedState) -> float:
     """e_A(psi) = <psi, A psi> / <psi, psi>; scale invariant."""
     a = check_hermitian(a)
-    z = psi.to_complex()
-    if a.shape[0] != z.shape[0]:
+    if a.shape[0] != psi.dim:
         raise DimensionError("operator and state dimensions differ")
-    n2 = float((z.conj() @ z).real)
-    if n2 == 0.0:
-        raise ZeroVectorError("expectation undefined at the zero vector")
+    z, n2 = _nonzero(psi, "expectation undefined at the zero vector")
     return float((z.conj() @ (a @ z)).real) / n2
 
 
@@ -95,10 +95,7 @@ def connection_form(psi: RealifiedState, v: TangentVector) -> complex:
     Vertical directions are recovered exactly: theta on the dilation
     direction is 1 and on its J-rotation is i.
     """
-    z = psi.to_complex()
-    n2 = float((z.conj() @ z).real)
-    if n2 == 0.0:
-        raise ZeroVectorError("connection form undefined at the zero vector")
+    z, n2 = _nonzero(psi, "connection form undefined at the zero vector")
     return complex(z.conj() @ v.to_complex()) / n2
 
 
@@ -112,10 +109,7 @@ def projected_hermitian(psi: RealifiedState, v: TangentVector,
     Annihilates the dilation direction and its J-rotation; invariant under
     rescaling psi.
     """
-    z = psi.to_complex()
-    n2 = float((z.conj() @ z).real)
-    if n2 == 0.0:
-        raise ZeroVectorError("tensor undefined at the zero vector")
+    z, n2 = _nonzero(psi, "tensor undefined at the zero vector")
     vc = v.to_complex()
     wc = w.to_complex()
     return complex(vc.conj() @ wc) / n2 - complex(

@@ -46,27 +46,13 @@ _D_BASE = {
 }
 
 
-def _sign(perm) -> int:
-    perm = list(perm)
-    s = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                s = -s
-    return s
-
-
 def full_c_table() -> np.ndarray:
     """Totally antisymmetric C over flat indices 0..8."""
     c = np.zeros((9, 9, 9))
-    for (i, j, k), v in _C_BASE.items():
-        seen = set()
-        for p in permutations(range(3)):
-            idx = ((i, j, k)[p[0]], (i, j, k)[p[1]], (i, j, k)[p[2]])
-            if idx in seen:
-                continue
-            seen.add(idx)
-            c[idx] = _sign(p) * v
+    for idx, v in _C_BASE.items():
+        # the orderings of three distinct indices, with their parities
+        for p, sign in zip(permutations(idx), (1, -1, -1, 1, 1, -1)):
+            c[p] = sign * v
     return c
 
 

@@ -98,10 +98,7 @@ class KaehlerTriple:
 
     @property
     def omega_matrix(self) -> np.ndarray:
-        n = self.dim
-        z = np.zeros((n, n))
-        i = np.eye(n)
-        return np.block([[z, i], [-i, z]])
+        return -self.j_matrix
 
 
 def hermitian_split(psi1: RealifiedState, psi2: RealifiedState):

@@ -13,9 +13,9 @@ from .basis import (
     TOL_RANK,
     DimensionError,
     check_hermitian,
+    eigenpair_masks,
     gellmann_basis,
     numerical_rank,
-    spectral_oracle,
     structure_constants,
     to_dual,
 )
@@ -52,6 +52,7 @@ class DensityState:
     op: np.ndarray
     rank: int
     spectrum: np.ndarray  # descending
+    eigvecs: np.ndarray  # (n, n), column k belongs to spectrum[k]
 
     @property
     def dim(self) -> int:
@@ -88,6 +89,7 @@ class Certification:
     violated: np.ndarray  # (...) str: "" if certified, else the failed test
     rank: np.ndarray  # (...) int, 0 where rejected
     spectrum: np.ndarray  # (..., n) descending
+    eigvecs: np.ndarray  # (..., n, n), column k belongs to spectrum[..., k]
     trace: np.ndarray  # (...) real part of the trace
 
     @property
@@ -95,8 +97,8 @@ class Certification:
         return self.violated == ""
 
 
-def certify_densities(stack: np.ndarray, tol_psd: float = TOL_PSD,
-                      tol_rank: float = TOL_RANK) -> Certification:
+def certify_densities(stack: np.ndarray,
+                      tol_psd: float = TOL_PSD) -> Certification:
     """Certify every matrix of a stack (..., n, n) as a density state.
 
     A matrix is accepted iff Tr = 1 (within 1e-10) and its spectrum is
@@ -108,9 +110,8 @@ def certify_densities(stack: np.ndarray, tol_psd: float = TOL_PSD,
     """
     a = check_hermitian(stack)
     tr = np.trace(a, axis1=-2, axis2=-1).real
-    # eigh rather than eigvalsh: for n >= 3 LAPACK's eigenvalue-only path
-    # differs in the last bits, and spectra are reported to 17 digits.
-    w = np.linalg.eigh(a)[0][..., ::-1]
+    w, v = np.linalg.eigh(a)
+    w, v = w[..., ::-1], v[..., ::-1]
     trace_ok = np.abs(tr - 1.0) <= 1e-10
     psd = w[..., -1] >= -tol_psd
     if a.shape[-1] == 3:
@@ -130,12 +131,11 @@ def certify_densities(stack: np.ndarray, tol_psd: float = TOL_PSD,
             )
     violated = np.where(trace_ok, np.where(psd, "", "negative eigenvalue"),
                         "trace")
-    rank = numerical_rank(w, tol_rank) * (trace_ok & psd)
-    return Certification(violated, rank, w, tr)
+    rank = numerical_rank(w) * (trace_ok & psd)
+    return Certification(violated, rank, w, v, tr)
 
 
-def certify_density(a: np.ndarray, tol_psd: float = TOL_PSD,
-                    tol_rank: float = TOL_RANK):
+def certify_density(a: np.ndarray, tol_psd: float = TOL_PSD):
     """Certify one Hermitian matrix as a density state (see
     certify_densities).
 
@@ -144,14 +144,15 @@ def certify_density(a: np.ndarray, tol_psd: float = TOL_PSD,
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    cert = certify_densities(a[None], tol_psd, tol_rank)
+    cert = certify_densities(a[None], tol_psd)
     violated = str(cert.violated[0])
     if violated == "trace":
         return Rejection("trace", f"Tr = {float(cert.trace[0])!r}, expected 1")
     if violated:
         return Rejection(violated,
                          f"min eigenvalue = {float(cert.spectrum[0, -1])!r}")
-    return DensityState(a, int(cert.rank[0]), cert.spectrum[0])
+    return DensityState(a, int(cert.rank[0]), cert.spectrum[0],
+                        cert.eigvecs[0])
 
 
 def require_density(a: np.ndarray) -> DensityState:
@@ -202,9 +203,8 @@ class FaceDescriptor:
 
 
 def face_of(rho: DensityState) -> FaceDescriptor:
-    w, v = spectral_oracle(rho.op)
     k = rho.rank
-    return FaceDescriptor(rho, v[:, :k], k * k - 1)
+    return FaceDescriptor(rho, rho.eigvecs[:, :k], k * k - 1)
 
 
 def face_contains(face: FaceDescriptor, candidate: DensityState,
@@ -225,10 +225,7 @@ def face_contains(face: FaceDescriptor, candidate: DensityState,
         off = (np.eye(n) - p) @ candidate.op
         return bool(np.abs(off).max() <= tol)
     if mode == "kernel":
-        wq, vq = spectral_oracle(candidate.op)
-        kq = int(numerical_rank(wq))
-        q = vq[:, :kq] @ vq[:, :kq].conj().T
-        off = (np.eye(n) - q) @ face.base.op
+        off = (np.eye(n) - face_of(candidate).projector()) @ face.base.op
         return bool(np.abs(off).max() <= tol)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -244,14 +241,11 @@ class ConvexDecomposition:
         return sum(w * c.op for w, c in zip(self.weights, self.components))
 
 
-def convex_decompose_spectral(rho: DensityState,
-                              threshold: float = TOL_RANK) -> ConvexDecomposition:
+def convex_decompose_spectral(rho: DensityState) -> ConvexDecomposition:
     """Eigen-decomposition of a state into orthogonal pure components."""
-    w, v = spectral_oracle(rho.op)
-    k = int(numerical_rank(w, threshold))
-    comps = tuple(PureDensity(np.outer(v[:, i], v[:, i].conj()))
-                  for i in range(k))
-    return ConvexDecomposition(w[:k], comps)
+    comps = tuple(PureDensity(np.outer(v, v.conj()))
+                  for v in rho.eigvecs.T[:rho.rank])
+    return ConvexDecomposition(rho.spectrum[:rho.rank], comps)
 
 
 def qubit_from_bloch(y1, y2, y3) -> np.ndarray:
@@ -354,10 +348,9 @@ def weyl_reduce(rho: DensityState) -> np.ndarray:
 def orbit_dimension(rho: DensityState) -> int:
     """Dimension of the unitary (coadjoint) orbit through the state, the
     rank of the Poisson distribution there: n^2 - sum_k m_k^2 for
-    eigenvalue multiplicities m_k, counted as the ordered pairs of
-    eigenvalues that differ by more than TOL_RANK * max|lambda|."""
-    w = rho.spectrum
-    return int((np.abs(w[:, None] - w) > TOL_RANK * np.abs(w).max()).sum())
+    eigenvalue multiplicities m_k, counted as the directions that
+    basis.eigenpair_masks puts in D_lambda."""
+    return int(eigenpair_masks(rho.spectrum)[0].sum())
 
 
 def stratum_tangent_basis(rho: DensityState) -> np.ndarray:
@@ -367,9 +360,8 @@ def stratum_tangent_basis(rho: DensityState) -> np.ndarray:
     basis = gellmann_basis(rho.dim)
     b1 = distributions_at(to_dual(rho.op, basis), basis).basis_1
     # c -> b1 @ c has y_0 = b1[0] @ c: keep the c orthogonal to that row,
-    # whose norm is at most 1 since b1 has orthonormal columns.
-    _, s, vh = np.linalg.svd(b1[:1])
-    return b1 @ vh[int(s[0] > TOL_RANK):].T
+    # never 0 as D_1 holds the top eigenvector's direction, y_0 = 1/sqrt(n).
+    return b1 @ np.linalg.svd(b1[:1])[2][1:].T
 
 
 @dataclass(frozen=True)

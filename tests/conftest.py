@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,14 @@ def unitary_exp(h, t=1.0):
     """exp(i t H) for Hermitian H via the spectral oracle."""
     w, v = spectral_oracle(h)
     return v @ np.diag(np.exp(1j * t * w)) @ v.conj().T
+
+
+def subprocess_env():
+    """The environment with src first on PYTHONPATH, for child interpreters
+    that import geomstates from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 @pytest.fixture

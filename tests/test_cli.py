@@ -2,6 +2,8 @@ import contextlib
 import hashlib
 import io
 import json
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -12,6 +14,8 @@ from hypothesis import strategies as st
 from geomstates import cli, gellmann_basis, qubit_from_bloch, to_dual
 from geomstates.serialize import operator_to_dict, state_from_dict, state_to_dict
 from geomstates.realified import RealifiedState
+
+from conftest import subprocess_env
 
 
 def run(capsys, *argv):
@@ -366,6 +370,20 @@ def test_tensors_r_rank_four_at_center(capsys):
     assert code == 0 and json.loads(out)["rank"] == 4
 
 
+@pytest.mark.parametrize("n", [2, 5, 8, 12])
+def test_tensors_ranks_at_maximally_mixed_point(capsys, rng, n):
+    # xi = I/n, also written in a random basis: Lambda is round-off only,
+    # and R is 2/n times the identity form
+    u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    for xi in (np.eye(n) / n, u @ (np.eye(n) / n) @ u.conj().T):
+        payload = json.dumps({"dim": n,
+                              "y": to_dual(xi, gellmann_basis(n)).tolist()})
+        for which, want in (("lambda", 0), ("R", n * n)):
+            code, out = run(capsys, "tensors", "--which", which,
+                            "--json", payload)
+            assert code == 0 and json.loads(out)["rank"] == want
+
+
 def test_tensors_distributions_inequalities(capsys, rng):
     payload = json.dumps({"dim": 3, "y": list(rng.normal(size=9))})
     code, out = run(capsys, "tensors", "--which", "distributions",
@@ -374,6 +392,31 @@ def test_tensors_distributions_inequalities(capsys, rng):
     assert code == 0
     assert dims["D0"] <= min(dims["lambda"], dims["R"])
     assert dims["D1"] <= min(9, dims["lambda"] + dims["R"])
+
+
+def test_tensors_distributions_two_small_distinct_eigenvalues(capsys):
+    # 1e-6 and 0 differ, and add up, by more than 1e-9 * max|w|
+    y = to_dual(np.diag([1.0, 1e-6, 0.0]), gellmann_basis(3))
+    code, out = run(capsys, "tensors", "--which", "distributions", "--json",
+                    json.dumps({"dim": 3, "y": y.tolist()}))
+    assert code == 0
+    assert json.loads(out)["dims"] == {"lambda": 6, "R": 8, "D0": 6, "D1": 8}
+
+
+def test_stdout_closed_early_is_exit_zero_and_silent():
+    # As in `geomstates tensors ... | head -3`: the reader takes a few bytes
+    # and closes the pipe while the command is still writing (the n = 12
+    # report is far larger than a pipe buffer).
+    payload = json.dumps({"dim": 12, "y": [0.1, 0.3] + [0.0] * 142})
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "geomstates.cli", "tensors", "--which",
+         "distributions", "--json", payload],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=subprocess_env())
+    assert proc.stdout.read(64)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_tensors_distributions_traceless_qubit(capsys):

@@ -181,6 +181,22 @@ def test_distributions_where_xi_squared_is_scalar(rng):
             assert distributions_at(y, basis).dims == (0, n * n, 0, n * n)
 
 
+@pytest.mark.parametrize("w", [[1.0, 1e-6, 0.0], [1.0, 3e-6, 1e-6],
+                               [1.0, 1e-6, -2e-6, 0.0]])
+def test_distributions_with_small_distinct_eigenvalues(rng, w):
+    # Two distinct eigenvalues far below max|w| pass both the |w_i - w_j|
+    # and the |w_i + w_j| cut, so their pair is in D_0, and the cross-check
+    # through xi^2 must count it too.  The eigenvalues are distinct, no two
+    # are opposite and at most one is zero.
+    w = np.array(w)
+    n, n0 = w.size, int((w == 0).sum())
+    u = np.linalg.qr(random_hermitian(rng, n) + 1j * random_hermitian(rng, n))[0]
+    basis = gellmann_basis(n)
+    for xi in (np.diag(w), (u * w) @ u.conj().T):
+        rep = distributions_at(to_dual(xi, basis), basis)
+        assert rep.dims == (n * n - n, n * n - n0, n * n - n, n * n - n0)
+
+
 def test_distribution_dimension_inequalities(rng):
     for _ in range(10):
         rep = distributions_at(rng.normal(size=9), B3)
@@ -197,7 +213,7 @@ def test_distribution_basis_operators_are_hermitian(rng):
 
 def _reference_span(m):
     """Orthonormal columns spanning the image of m (relative SVD cut 1e-9)."""
-    u, s, _ = np.linalg.svd(m)
+    u, s, _ = np.linalg.svd(m, full_matrices=False)
     return u[:, s > 1e-9 * s[0]] if s[0] > 0 else u[:, :0]
 
 
@@ -280,6 +296,8 @@ def test_distributions_closed_forms(n, data, scale, seed):
     assert rep.dim_1 == n * n - n0 ** 2
     assert rep.dim_r == n * n - int((w[:, None] + w == 0).sum())
     assert rep.dim_0 == int(((w[:, None] != w) & (w[:, None] + w != 0)).sum())
+    assert lambda_at(y, basis).rank() == rep.dim_lambda
+    assert riemann_jordan_at(y, basis).rank() == rep.dim_r
     got = (rep.basis_lambda, rep.basis_r, rep.basis_0, rep.basis_1)
     for b in got:
         assert np.abs(b.T @ b - np.eye(b.shape[1])).max(initial=0.0) < 1e-12

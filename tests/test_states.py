@@ -156,10 +156,16 @@ def test_certify_densities_keeps_leading_shape():
 
 
 def test_certified_spectrum_matches_oracle_bitwise(rng):
-    for n in (2, 3, 4, 8):
-        for rank in (1, n):
-            rho = random_density(rng, n, rank)
-            assert np.array_equal(rho.spectrum, spectral_oracle(rho.op)[0])
+    states = [random_density(rng, n, rank)
+              for n in (2, 3, 4, 8) for rank in (1, n)]
+    # degenerate spectra, where the eigenvector order within an eigenspace
+    # is the only thing that fixes the columns
+    states += [require_density(np.diag([0.4, 0.4, 0.2]).astype(complex)),
+               require_density(np.eye(2) / 2), require_density(np.eye(3) / 3)]
+    for rho in states:
+        w, v = spectral_oracle(rho.op)
+        assert np.array_equal(rho.spectrum, w)
+        assert np.array_equal(rho.eigvecs, v)
 
 
 def test_certify_density_rejects_stack():
