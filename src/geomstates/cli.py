@@ -4,7 +4,8 @@ Subcommands: classify, decompose, tensors, constants, flow, ballgrid.
 Input is an operator / state / coordinate payload given either as a file
 path (``--input``, "-" for stdin) or inline (``--json``).  Results go to
 --output (default stdout).  Exit codes: 0 = ran (including negative
-classifications), 2 = usage or parse error, 3 = internal numeric failure.
+classifications), 2 = usage, parse or file error, 3 = internal numeric
+failure.
 """
 
 from __future__ import annotations
@@ -55,41 +56,50 @@ class UsageError(Exception):
     pass
 
 
-def _read_payload(args) -> dict:
+def _read_payload(args, parse, noun: str):
+    """parse(payload) for the JSON object from --input or --json.  A fault
+    in the source, the JSON or the payload is a UsageError."""
     if (args.input is None) == (args.json is None):
         raise UsageError("provide exactly one of --input or --json")
-    if args.json is not None:
-        text = args.json
-    elif args.input == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.input) as fh:
-            text = fh.read()
+    try:
+        if args.json is not None:
+            text = args.json
+        elif args.input == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.input) as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read --input: {exc}") from exc
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"invalid JSON payload: {exc}") from exc
     if not isinstance(payload, dict):
         raise UsageError("payload must be a JSON object")
-    return payload
+    try:
+        return parse(payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad {noun} payload: {exc}") from exc
 
 
-def _write(args, text: str) -> None:
-    if args.output is None:
+def _write(path, text: str) -> None:
+    """text to the file at path; to stdout, ending in a newline, when path
+    is None."""
+    if path is None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-    else:
-        with open(args.output, "w") as fh:
+        return
+    try:
+        with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write: {exc}") from exc
 
 
 def cmd_classify(args) -> int:
-    payload = _read_payload(args)
-    try:
-        op = serialize.operator_from_dict(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad operator payload: {exc}") from exc
+    op = _read_payload(args, serialize.operator_from_dict, "operator")
     result = certify_density(op, tol_psd=args.tol)
     if isinstance(result, Rejection):
         violated = result.violated
@@ -101,25 +111,21 @@ def cmd_classify(args) -> int:
         report = {
             "density": True,
             "rank": result.rank,
-            "spectrum": serialize._float_list(result.spectrum),
-            "y": serialize._float_list(to_dual(result.op, basis)),
-            "weyl": serialize._float_list(weyl_reduce(result)),
+            "spectrum": result.spectrum.tolist(),
+            "y": to_dual(result.op, basis).tolist(),
+            "weyl": weyl_reduce(result).tolist(),
             "orbit_dim": orbit_dimension(result),
             "face_dim": face_of(result).dimension,
         }
-    _write(args, serialize.dumps(report))
+    _write(args.output, serialize.dumps(report))
     return 0
 
 
 def cmd_decompose(args) -> int:
-    payload = _read_payload(args)
-    try:
-        op = serialize.operator_from_dict(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad operator payload: {exc}") from exc
+    op = _read_payload(args, serialize.operator_from_dict, "operator")
     rho = certify_density(op, tol_psd=args.tol)
     if isinstance(rho, Rejection):
-        _write(args, serialize.dumps(
+        _write(args.output, serialize.dumps(
             {"density": False, "violated": rho.violated}))
         return 0
     if args.mode == "bloch":
@@ -136,20 +142,16 @@ def cmd_decompose(args) -> int:
     residual = float(np.abs(dec.reconstruct() - rho.op).max())
     report = {
         "mode": args.mode,
-        "weights": serialize._float_list(dec.weights),
+        "weights": dec.weights.tolist(),
         "components": [serialize.operator_to_dict(c.op) for c in dec.components],
-        "residual": serialize._f17(residual),
+        "residual": residual,
     }
-    _write(args, serialize.dumps(report))
+    _write(args.output, serialize.dumps(report))
     return 0
 
 
 def cmd_tensors(args) -> int:
-    payload = _read_payload(args)
-    try:
-        n, y = serialize.dual_from_dict(payload)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad dual-vector payload: {exc}") from exc
+    n, y = _read_payload(args, serialize.dual_from_dict, "dual-vector")
     basis = gellmann_basis(n)
     if args.which == "distributions":
         report = serialize.distributions_to_dict(distributions_at(y, basis))
@@ -158,7 +160,7 @@ def cmd_tensors(args) -> int:
         t = fn(y, basis)
         report = serialize.tensor_to_dict(t)
         report["rank"] = t.rank()
-    _write(args, serialize.dumps(report))
+    _write(args.output, serialize.dumps(report))
     return 0
 
 
@@ -180,7 +182,7 @@ def cmd_constants(args) -> int:
 
     rows = serialize.constants_csv_rows(sc, expected=expected)
     header = "mu,nu,rho,C,d" + (",check" if expected is not None else "")
-    _write(args, header + "\n" + "\n".join(rows) + "\n")
+    _write(args.output, header + "\n" + "\n".join(rows) + "\n")
     return 0
 
 
@@ -196,8 +198,8 @@ def cmd_flow(args) -> int:
                          f"{MAX_FLOW_SAMPLES} samples")
     if args.max_iter < 0:
         raise UsageError("--max-iter must be >= 0")
-    payload = _read_payload(args)
-    try:
+
+    def parse(payload):
         op = serialize.operator_from_dict(payload["A"])
         if "psi0" in payload:
             psi0 = serialize.state_from_dict(payload["psi0"])
@@ -210,8 +212,9 @@ def cmd_flow(args) -> int:
                 f"psi0 has dim {psi0.dim}, A has dim {op.shape[0]}")
         if psi0.norm() == 0.0:
             raise ValueError("psi0 must be nonzero")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"bad flow payload: {exc}") from exc
+        return op, psi0
+
+    op, psi0 = _read_payload(args, parse, "flow")
 
     if args.mode == "hamiltonian":
         samples, drift_norm, drift_ea = expectation_trace_samples(
@@ -221,13 +224,12 @@ def cmd_flow(args) -> int:
             for t, e, nrm in samples.tolist():
                 lines.append(",".join(serialize.csv_float(x)
                                       for x in (t, e, nrm)))
-            with open(args.trace, "w") as fh:
-                fh.write("\n".join(lines) + "\n")
+            _write(args.trace, "\n".join(lines) + "\n")
         report = {
             "mode": "hamiltonian",
-            "t_final": serialize._f17(args.t_final),
-            "norm_drift": serialize._f17(drift_norm),
-            "e_A_drift": serialize._f17(drift_ea),
+            "t_final": args.t_final,
+            "norm_drift": drift_norm,
+            "e_A_drift": drift_ea,
         }
     else:
         trace = [] if args.trace else None
@@ -236,16 +238,15 @@ def cmd_flow(args) -> int:
             op, psi0, step=step, max_iter=args.max_iter,
             mode=args.opt_mode, trace=trace)
         if args.trace:
-            with open(args.trace, "w") as fh:
-                fh.write(serialize.trace_csv(trace))
+            _write(args.trace, serialize.trace_csv(trace))
         report = {
             "mode": "gradient-eigensolve",
             "opt_mode": args.opt_mode,
             "converged": bool(converged),
-            "eigenvalue": serialize._f17(e),
+            "eigenvalue": e,
             "state": serialize.state_to_dict(psi),
         }
-    _write(args, serialize.dumps(report))
+    _write(args.output, serialize.dumps(report))
     return 0
 
 
@@ -264,7 +265,7 @@ def cmd_ballgrid(args) -> int:
     lines += [f"{c1},{c2},{c3},{int(ok)},{rank}"
               for (c1, c2, c3), (ok, rank)
               in zip(itertools.product(labels, repeat=3), flags)]
-    _write(args, "\n".join(lines) + "\n")
+    _write(args.output, "\n".join(lines) + "\n")
     return 0
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import DimensionError, check_hermitian
-from .realified import RealifiedState, TangentVector
+from .realified import RealifiedState, TangentVector, _operator_on
 
 TOL_PURE = 1e-10
 
@@ -82,9 +82,7 @@ def momentum_map(psi: RealifiedState) -> PureDensity:
 
 def expectation(a: np.ndarray, psi: RealifiedState) -> float:
     """e_A(psi) = <psi, A psi> / <psi, psi>; scale invariant."""
-    a = check_hermitian(a)
-    if a.shape[0] != psi.dim:
-        raise DimensionError("operator and state dimensions differ")
+    a = _operator_on(a, psi)
     z, n2 = _nonzero(psi, "expectation undefined at the zero vector")
     return float((z.conj() @ (a @ z)).real) / n2
 

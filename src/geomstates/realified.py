@@ -110,11 +110,17 @@ def hermitian_split(psi1: RealifiedState, psi2: RealifiedState):
     return g_val, w_val
 
 
-def quadratic_function(a: np.ndarray, psi: RealifiedState) -> float:
-    """f_A(psi) = <psi, A psi> / 2 (real for Hermitian A)."""
+def _operator_on(a: np.ndarray, psi: RealifiedState) -> np.ndarray:
+    """a as a checked Hermitian matrix that acts on psi's space."""
     a = check_hermitian(a)
     if a.shape[0] != psi.dim:
         raise DimensionError("operator and state dimensions differ")
+    return a
+
+
+def quadratic_function(a: np.ndarray, psi: RealifiedState) -> float:
+    """f_A(psi) = <psi, A psi> / 2 (real for Hermitian A)."""
+    a = _operator_on(a, psi)
     z = psi.to_complex()
     return float((z.conj() @ (a @ z)).real) / 2.0
 
@@ -148,17 +154,13 @@ def star_product(a: np.ndarray, b: np.ndarray, psi: RealifiedState) -> complex:
 
 def gradient_vf(a: np.ndarray, psi: RealifiedState) -> TangentVector:
     """Gradient vector field of f_A at psi: the realification of A psi."""
-    a = check_hermitian(a)
-    if a.shape[0] != psi.dim:
-        raise DimensionError("operator and state dimensions differ")
+    a = _operator_on(a, psi)
     return TangentVector(psi, _realify(a @ psi.to_complex()))
 
 
 def hamiltonian_vf(a: np.ndarray, psi: RealifiedState) -> TangentVector:
     """Hamiltonian vector field of f_A at psi: realification of i A psi."""
-    a = check_hermitian(a)
-    if a.shape[0] != psi.dim:
-        raise DimensionError("operator and state dimensions differ")
+    a = _operator_on(a, psi)
     return TangentVector(psi, _realify(1j * (a @ psi.to_complex())))
 
 

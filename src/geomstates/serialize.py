@@ -1,7 +1,8 @@
 """JSON and CSV wire formats.
 
-JSON floats are written with 17 significant digits (exact round trip);
-CSV values with 12 (readable).  All parsers accept their own output.
+JSON floats are Python's shortest round-trip repr (at most 17 significant
+digits, so every double reads back bit-exact); CSV values have 12
+significant digits (readable).  All parsers accept their own output.
 """
 
 from __future__ import annotations
@@ -15,22 +16,8 @@ import numpy as np
 from .basis import StructureConstants, check_hermitian
 from .dual_tensors import DistributionReport, TensorAtPoint
 from .realified import RealifiedState
-from .states import DensityState, TangencyReport
 
-JSON_DIGITS = 17
 CSV_DIGITS = 12
-
-
-def _f17(x: float) -> float:
-    # Round-trips exactly: 17 significant decimal digits determine a double.
-    return float(format(float(x), ".17g"))
-
-
-def _float_list(a) -> list:
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim == 1:
-        return [_f17(x) for x in arr]
-    return [_float_list(row) for row in arr]
 
 
 def dumps(obj) -> str:
@@ -49,8 +36,8 @@ def operator_to_dict(a: np.ndarray) -> dict:
         raise ValueError(f"expected a single matrix, got shape {a.shape}")
     return {
         "dim": int(a.shape[0]),
-        "re": _float_list(a.real),
-        "im": _float_list(a.imag),
+        "re": a.real.tolist(),
+        "im": a.imag.tolist(),
     }
 
 
@@ -77,16 +64,9 @@ def operator_from_dict(d: dict) -> np.ndarray:
 
 # -- Dual vectors -------------------------------------------------------
 
-def dual_to_dict(dim: int, y: np.ndarray) -> dict:
-    y = np.asarray(y, dtype=float)
-    if y.shape != (dim * dim,):
-        raise ValueError(f"expected {dim * dim} coordinates")
-    return {"dim": int(dim), "y": _float_list(y)}
-
-
 def dual_from_dict(d: dict):
     n = _dim(d)
-    y = np.array(d["y"], dtype=float)
+    y = np.array(d["y"], dtype=float, ndmin=1)  # a scalar is one coordinate
     if y.shape != (n * n,):
         raise ValueError(f"dual payload length {y.shape[0]} != {n * n}")
     if not np.isfinite(y).all():
@@ -99,8 +79,8 @@ def dual_from_dict(d: dict):
 def state_to_dict(psi: RealifiedState) -> dict:
     return {
         "dim": psi.dim,
-        "q": _float_list(psi.q),
-        "p": _float_list(psi.p),
+        "q": psi.q.tolist(),
+        "p": psi.p.tolist(),
     }
 
 
@@ -119,35 +99,26 @@ def state_from_dict(d: dict) -> RealifiedState:
 
 def tensor_to_dict(t: TensorAtPoint) -> dict:
     return {
-        "y": _float_list(t.point),
+        "y": t.point.tolist(),
         "kind": t.kind,
-        "matrix": _float_list(t.matrix),
+        "matrix": t.matrix.tolist(),
     }
 
 
 def distributions_to_dict(r: DistributionReport) -> dict:
     return {
-        "y": _float_list(r.point),
+        "y": r.point.tolist(),
         "dims": {
             "lambda": r.dim_lambda,
             "R": r.dim_r,
             "D0": r.dim_0,
             "D1": r.dim_1,
         },
-        "basis_lambda": _float_list(r.basis_lambda.T),
-        "basis_R": _float_list(r.basis_r.T),
-        "basis_D0": _float_list(r.basis_0.T),
-        "basis_D1": _float_list(r.basis_1.T),
+        "basis_lambda": r.basis_lambda.T.tolist(),
+        "basis_R": r.basis_r.T.tolist(),
+        "basis_D0": r.basis_0.T.tolist(),
+        "basis_D1": r.basis_1.T.tolist(),
     }
-
-
-# -- Density states -----------------------------------------------------
-
-def density_to_dict(rho: DensityState) -> dict:
-    out = operator_to_dict(rho.op)
-    out["rank"] = int(rho.rank)
-    out["spectrum"] = _float_list(rho.spectrum)
-    return out
 
 
 # -- CSV writers --------------------------------------------------------
@@ -181,19 +152,4 @@ def trace_csv(trace) -> str:
     lines = ["iter,e_A,residual"]
     for it, e, r in trace:
         lines.append(f"{it},{csv_float(e)},{csv_float(r)}")
-    return "\n".join(lines) + "\n"
-
-
-def tangency_csv(report: TangencyReport) -> str:
-    lines = ["t,residual"]
-    for t, r in zip(report.times, report.residuals):
-        lines.append(f"{csv_float(t)},{csv_float(r)}")
-    return "\n".join(lines) + "\n"
-
-
-def weyl_csv(spectra) -> str:
-    header = "idx," + ",".join("abcdefghij"[: len(spectra[0])])
-    lines = [header]
-    for i, spec in enumerate(spectra):
-        lines.append(f"{i}," + ",".join(csv_float(x) for x in spec))
     return "\n".join(lines) + "\n"

@@ -229,6 +229,23 @@ def _reject_non_finite(token):
     raise AssertionError(f"non-finite number {token} in the output")
 
 
+def assert_exit_contract(argv, tol):
+    """Exit 0, 2 or 3 with at most one stderr line and no warning; exit 2 for
+    a --tol that is not finite and >= 0; plain JSON on stdout at exit 0."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    assert code in (0, 2, 3)
+    assert err.getvalue().count("\n") <= 1
+    if tol is not None and not 0.0 <= tol < float("inf"):
+        assert code == 2
+    if code == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue(), parse_constant=_reject_non_finite)
+
+
 @settings(max_examples=400, deadline=None)
 @given(mode=st.sampled_from(["hamiltonian", "gradient-eigensolve"]),
        opt_mode=st.sampled_from(["ascent", "descent"]),
@@ -251,18 +268,118 @@ def test_flow_fuzz_exit_contract(mode, opt_mode, a, psi0, step, t_final,
         argv.append(f"--step={step!r}")
     if t_final is not None:
         argv.append(f"--t-final={t_final!r}")
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-            contextlib.redirect_stderr(err):
-        warnings.simplefilter("error")
-        code = cli.main(argv)
-    assert code in (0, 2, 3)
-    assert err.getvalue().count("\n") <= 1
-    if tol is not None and not 0.0 <= tol < float("inf"):
-        assert code == 2
-    if code == 0:
-        assert err.getvalue() == ""
-        json.loads(out.getvalue(), parse_constant=_reject_non_finite)
+    assert_exit_contract(argv, tol)
+
+
+# Operator and dual-vector payloads the mutations below start from: states,
+# a trace and a positivity rejection, and points of u(n)* at n = 2, 3.
+_QUTRIT = np.array([[0.5, 0.1 + 0.2j, 0.0], [0.1 - 0.2j, 0.3, 0.05j],
+                    [0.0, -0.05j, 0.2]])
+_BASE_OPERATORS = [operator_to_dict(np.asarray(a, dtype=complex)) for a in (
+    np.eye(2) / 2, np.diag([1.0, 0.0]), qubit_from_bloch(0.1, -0.2, 0.15),
+    qubit_from_bloch(0.0, 0.0, 0.6), np.diag([0.7, 0.7]), np.eye(3) / 3,
+    _QUTRIT, np.diag([0.6, 0.6, -0.2]))]
+_BASE_DUALS = [{"dim": 2, "y": [0.5, 0.1, 0.0, 0.2]},
+               {"dim": 2, "y": [0.0, 0.1, 0.2, 0.3]},
+               {"dim": 3, "y": to_dual(_QUTRIT, gellmann_basis(3)).tolist()},
+               {"dim": 3, "y": [1.0, -0.5, 0.0, 2.0, 0.0, 0.0, 0.3, 0.0, 0.1]}]
+_ENTRY = _odd_floats(0.0, 0.5, -1.0, 1e-320, 1e154, 1e200, 1e308)
+_NOT_A_NUMBER = st.sampled_from([None, "1", "x", True, [], [0.5], {}])
+_DIM = st.sampled_from([2, 3, 1e400, 2.5, True, "3", None])
+
+
+def _mutate(draw, value):
+    """value with one JSON-level change, at a drawn depth."""
+    if isinstance(value, list) and value and draw(st.booleans()):
+        i = draw(st.integers(0, len(value) - 1))
+        return value[:i] + [_mutate(draw, value[i])] + value[i + 1:]
+    kind = draw(st.sampled_from(["entry", "other", "nest", "drop", "extra"]))
+    if kind == "other":
+        return draw(_NOT_A_NUMBER)
+    if kind == "nest":
+        return [value]
+    if kind == "drop" and isinstance(value, list):
+        return value[:-1]  # a ragged row, or a short matrix or vector
+    if kind == "extra" and isinstance(value, list):
+        return value + [draw(_ENTRY)]
+    return draw(_ENTRY)
+
+
+@st.composite
+def _payload(draw, bases):
+    """A base payload with up to three mutations: a drawn dim, a dropped
+    key, or a changed entry, row or list."""
+    payload = dict(draw(st.sampled_from(bases)))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        key = draw(st.sampled_from(sorted(payload)))
+        kind = draw(st.sampled_from(["dim", "drop", "value", "value"]))
+        if kind == "dim":
+            payload["dim"] = draw(_DIM)
+        elif kind == "drop":
+            del payload[key]
+            if not payload:
+                break
+        else:
+            payload[key] = _mutate(draw, payload[key])
+    return payload
+
+
+_DIRECTION = st.lists(_odd_floats(0.0, 1.0, -0.5, 1e-320, 1e308),
+                      min_size=1, max_size=4).map(
+                          lambda xs: ",".join(map(repr, xs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(),
+       command=st.sampled_from([
+           ("classify",), ("decompose", "--mode", "spectral"),
+           ("decompose", "--mode", "bloch"), ("tensors", "--which", "lambda"),
+           ("tensors", "--which", "R"),
+           ("tensors", "--which", "distributions")]),
+       tol=st.one_of(st.none(), st.sampled_from([0.0, 1e-10, 0.1]),
+                     _odd_floats(-1.0)))
+def test_payload_fuzz_exit_contract(data, command, tol):
+    bases = _BASE_DUALS if command[0] == "tensors" else _BASE_OPERATORS
+    payload = data.draw(_payload(bases), label="payload")
+    argv = [] if tol is None else [f"--tol={tol!r}"]
+    argv += [*command, "--json", json.dumps(payload)]
+    if command[-1] == "bloch":
+        direction = data.draw(st.one_of(st.none(), _DIRECTION),
+                              label="direction")
+        if direction is not None:
+            argv.append(f"--direction={direction}")
+    assert_exit_contract(argv, tol)
+
+
+NOT_UTF8 = b'{"dim": 2, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}\xff'
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8-file",
+                                  "not-utf8-stdin"])
+def test_unreadable_input_exit_two(tmp_path, capsys, monkeypatch, case):
+    path = tmp_path / "op.json"
+    if case == "directory":
+        path = tmp_path
+    elif case == "not-utf8-file":
+        path.write_bytes(NOT_UTF8)
+    elif case == "not-utf8-stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(NOT_UTF8), encoding="utf-8"))
+        path = "-"
+    assert_usage_error(capsys, "classify", "--input", str(path))
+
+
+@pytest.mark.parametrize("argv", [
+    ("--output", "OUT", "ballgrid", "--resolution", "3"),
+    ("flow", "--mode", "hamiltonian", "--trace", "OUT"),
+    ("flow", "--mode", "gradient-eigensolve", "--trace", "OUT"),
+])
+def test_unwritable_output_exit_two(tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing" / "out.csv")
+    argv = [missing if a == "OUT" else a for a in argv]
+    if argv[0] == "flow":
+        argv += ["--json", json.dumps({"A": SIGMA3})]
+    assert_usage_error(capsys, *argv)
 
 
 def test_both_payload_sources_exit_two(tmp_path, capsys):

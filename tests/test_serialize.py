@@ -1,33 +1,31 @@
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from geomstates import (
-    TangencyReport,
     distributions_at,
     gellmann_basis,
     lambda_at,
-    require_density,
     structure_constants,
 )
 from geomstates.qutrit_tables import full_c_table, full_d_table, paper_zero_index_d
 from geomstates.serialize import (
     constants_csv_rows,
     csv_float,
-    density_to_dict,
     distributions_to_dict,
     dual_from_dict,
-    dual_to_dict,
     dumps,
     operator_from_dict,
     operator_to_dict,
     state_from_dict,
     state_to_dict,
-    tangency_csv,
     tensor_to_dict,
     trace_csv,
-    weyl_csv,
 )
 
 from conftest import random_hermitian, random_state
@@ -37,7 +35,7 @@ def test_operator_round_trip(rng):
     a = random_hermitian(rng, 3)
     d = operator_to_dict(a)
     back = operator_from_dict(json.loads(dumps(d)))
-    assert np.array_equal(back, a)  # 17 digits: bit-exact
+    assert np.array_equal(back, a)  # shortest round-trip repr: bit-exact
 
 
 def test_operator_rejects_non_hermitian():
@@ -56,15 +54,16 @@ def test_operator_rejects_shape_mismatch():
 
 def test_dual_round_trip(rng):
     y = rng.normal(size=9)
-    n, back = dual_from_dict(json.loads(dumps(dual_to_dict(3, y))))
+    n, back = dual_from_dict(json.loads(dumps({"dim": 3, "y": y.tolist()})))
     assert n == 3 and np.array_equal(back, y)
 
 
 def test_dual_length_checks():
     with pytest.raises(ValueError):
-        dual_to_dict(2, np.zeros(3))
-    with pytest.raises(ValueError):
         dual_from_dict({"dim": 2, "y": [0.0, 0.0, 0.0]})
+    for y in (None, 0.5):  # a scalar reads as one coordinate
+        with pytest.raises(ValueError, match="dual payload length 1 != 4"):
+            dual_from_dict({"dim": 2, "y": y})
 
 
 @pytest.mark.parametrize("dim", [1, 0, -1])
@@ -100,6 +99,42 @@ def test_state_rejects_length_mismatch():
         state_from_dict({"dim": 2, "q": [1.0], "p": [0.0, 0.0]})
 
 
+def _f17_reference(x: float) -> float:
+    # 17 significant digits determine a double, so this rounding is the
+    # identity; the writers rely on that and pass tolist() unchanged.
+    return float(format(x, ".17g"))
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308, -1.7976931348623157e308)
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from(_EDGE_FLOATS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.one_of(
+    st.lists(_FINITE, max_size=40).map(lambda xs: np.array(xs, dtype=float)),
+    hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+               elements=_FINITE)))
+def test_tolist_matches_17_digit_reference(a):
+    """ndarray.tolist() writes the same JSON as the 17-digit rule, and every
+    value reads back bit-exact."""
+    def reference(arr):
+        if arr.ndim == 1:
+            return [_f17_reference(float(x)) for x in arr]
+        return [reference(row) for row in arr]
+
+    text = dumps(a.tolist())
+    assert text == json.dumps(reference(a), indent=2, sort_keys=True)
+    back = np.array(json.loads(text), dtype=float).reshape(a.shape)
+    assert [_bits(x) for x in back.ravel().tolist()] == \
+        [_bits(x) for x in a.ravel().tolist()]
+
+
 def test_dumps_is_deterministic(rng):
     a = random_hermitian(rng, 2)
     assert dumps(operator_to_dict(a)) == dumps(operator_to_dict(a))
@@ -126,14 +161,6 @@ def test_distributions_dict_fields(rng):
     assert d["dims"] == {"lambda": 2, "R": 4, "D0": 2, "D1": 4}
     assert len(d["basis_lambda"]) == 2
     assert len(d["basis_lambda"][0]) == 4
-
-
-def test_density_dict_fields():
-    rho = require_density(np.diag([0.7, 0.3]).astype(complex))
-    d = density_to_dict(rho)
-    assert d["rank"] == 2
-    assert d["spectrum"] == [0.7, 0.3]
-    assert operator_from_dict(d) is not None
 
 
 def test_constants_rows_qutrit_expected_values():
@@ -183,19 +210,3 @@ def test_trace_csv_format():
     assert lines[1] == "0,1,0.5"
     assert lines[2] == "1,1.25,0.125"
 
-
-def test_tangency_csv_format():
-    rep = TangencyReport(times=np.array([0.1, 0.2]),
-                         residuals=np.array([1e-9, 2e-9]),
-                         max_residual=2e-9)
-    lines = tangency_csv(rep).strip().split("\n")
-    assert lines[0] == "t,residual"
-    assert lines[1] == "0.1,1e-09"
-
-
-def test_weyl_csv_format():
-    out = weyl_csv([np.array([0.7, 0.3]), np.array([0.5, 0.5])])
-    lines = out.strip().split("\n")
-    assert lines[0] == "idx,a,b"
-    assert lines[1] == "0,0.7,0.3"
-    assert lines[2] == "1,0.5,0.5"
