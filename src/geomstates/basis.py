@@ -38,11 +38,11 @@ class BasisError(ValueError):
     """Basis violates its orthogonality/normalization invariants."""
 
 
-def check_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
+def check_hermitian(a: np.ndarray) -> np.ndarray:
     """Validate Hermiticity of a square complex matrix, or of every matrix in
     a stack of shape (..., n, n), and return it as a complex ndarray.
 
-    The tolerance is absolute after scaling each matrix by
+    The tolerance TOL_HERM is absolute after scaling each matrix by
     max(max|entry|, 1).  Raises if any matrix fails or any entry is NaN or
     infinite.
     """
@@ -53,11 +53,11 @@ def check_hermitian(a: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     if not math.isfinite(mag.max()):
         raise HermiticityError("matrix has non-finite entries")
     skew = np.abs(a - a.swapaxes(-2, -1).conj())
-    # Each matrix's threshold tol * max(max|entry|, 1) is at least tol, so
-    # the per-matrix scales are needed only when some entry is skew by more.
-    if skew.max() > tol:
+    # Each matrix's threshold TOL_HERM * max(max|entry|, 1) is at least
+    # TOL_HERM: the per-matrix scales matter only if some skew is larger.
+    if skew.max() > TOL_HERM:
         scale = np.maximum(mag.max(axis=(-2, -1)), 1.0)
-        if (skew.max(axis=(-2, -1)) > tol * scale).any():
+        if (skew.max(axis=(-2, -1)) > TOL_HERM * scale).any():
             raise HermiticityError("matrix is not Hermitian within tolerance")
     return a
 
@@ -84,15 +84,15 @@ class OrthogonalBasis:
     def size(self) -> int:
         return self.dim * self.dim
 
-    def verify(self, tol: float = 1e-12) -> None:
+    def verify(self) -> None:
         """Raise BasisError unless Tr(b_mu b_nu) = 2 delta_mu_nu and element 0
-        is sqrt(2/n) I."""
+        is sqrt(2/n) I, each within 1e-12."""
         n = self.dim
         stack = self.elements
         gram = np.einsum("aij,bji->ab", stack, stack).real / 2.0
-        if np.abs(gram - np.eye(n * n)).max() > tol:
+        if np.abs(gram - np.eye(n * n)).max() > 1e-12:
             raise BasisError("basis is not trace-orthonormal")
-        if np.abs(self.elements[0] - np.sqrt(2.0 / n) * np.eye(n)).max() > tol:
+        if np.abs(stack[0] - np.sqrt(2.0 / n) * np.eye(n)).max() > 1e-12:
             raise BasisError("element 0 must be sqrt(2/n) * identity")
 
 

@@ -23,7 +23,6 @@ import numpy as np
 from . import serialize
 from .basis import gellmann_basis, structure_constants, to_dual
 from .dual_tensors import distributions_at, lambda_at, riemann_jordan_at
-from .qutrit_tables import full_c_table, full_d_table, paper_zero_index_d
 from .realified import (
     RealifiedState,
     critical_point_eigensolve,
@@ -54,6 +53,20 @@ MAX_FLOW_SAMPLES = 1_000_000
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Parse errors as UsageErrors, which main prints as one "error:" line
+    with no usage block.  Subparsers take the parent's class."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+    def _get_values(self, action, arg_strings):
+        # argparse drops the "--" of "--tol=--" and would store [] unparsed
+        if arg_strings == ["--"] and action.option_strings:
+            raise argparse.ArgumentError(action, "expected one argument")
+        return super()._get_values(action, arg_strings)
 
 
 def _read_payload(args, parse, noun: str):
@@ -170,19 +183,7 @@ def cmd_constants(args) -> int:
     if args.n > MAX_CONSTANTS_N:
         raise UsageError(f"dimension must be <= {MAX_CONSTANTS_N}")
     sc = structure_constants(gellmann_basis(args.n))
-    expected = None
-    if args.n == 3:
-        c_tab = full_c_table()
-        d_tab = full_d_table()
-
-        def expected(mu, nu, rho):
-            if 0 in (mu, nu, rho):
-                return 0.0, paper_zero_index_d(mu, nu, rho), False
-            return c_tab[mu, nu, rho], d_tab[mu, nu, rho], True
-
-    rows = serialize.constants_csv_rows(sc, expected=expected)
-    header = "mu,nu,rho,C,d" + (",check" if expected is not None else "")
-    _write(args.output, header + "\n" + "\n".join(rows) + "\n")
+    _write(args.output, "\n".join(serialize.constants_csv_rows(sc)) + "\n")
     return 0
 
 
@@ -271,7 +272,7 @@ def cmd_ballgrid(args) -> int:
 
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="geomstates",
         description="Geometry of finite-dimensional quantum state spaces.",
     )
@@ -327,13 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    args.step_given = "--step" in (argv if argv is not None else sys.argv[1:])
-    try:
+        args = build_parser().parse_args(argv)
+        args.step_given = "--step" in (argv if argv is not None
+                                       else sys.argv[1:])
         if not (math.isfinite(args.tol) and args.tol >= 0):
             raise UsageError("--tol must be finite and >= 0")
         # An overflow or an invalid operation is a numeric failure, never a
@@ -342,6 +340,8 @@ def main(argv=None) -> int:
             code = args.func(args)
         sys.stdout.flush()  # meet a closed pipe here, not at exit
         return code
+    except SystemExit:  # --help, after printing the help text
+        return 0
     except BrokenPipeError:  # the reader stopped early; drop the rest
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0

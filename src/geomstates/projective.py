@@ -42,11 +42,11 @@ class Ray:
     representative: RealifiedState
 
     @classmethod
-    def from_state(cls, psi: RealifiedState, tol: float = 1e-14) -> "Ray":
+    def from_state(cls, psi: RealifiedState) -> "Ray":
         z, n2 = _nonzero(psi, "cannot form the ray of the zero vector")
         z = z / np.sqrt(n2)
         for zk in z:
-            if abs(zk) > tol:
+            if abs(zk) > 1e-14:
                 z = z * (zk.conjugate() / abs(zk))
                 break
         return cls(RealifiedState.from_complex(z))

@@ -15,6 +15,7 @@ import numpy as np
 
 from .basis import StructureConstants, check_hermitian
 from .dual_tensors import DistributionReport, TensorAtPoint
+from .qutrit_tables import full_c_table, full_d_table
 from .realified import RealifiedState
 
 CSV_DIGITS = 12
@@ -56,10 +57,12 @@ def _dim(d: dict) -> int:
 
 def operator_from_dict(d: dict) -> np.ndarray:
     n = _dim(d)
-    a = np.array(d["re"], dtype=float) + 1j * np.array(d["im"], dtype=float)
-    if a.shape != (n, n):
-        raise ValueError(f"operator payload shape {a.shape} != ({n}, {n})")
-    return check_hermitian(a)
+    # each part on its own: numpy would broadcast a scalar or a row
+    re, im = (np.array(d[key], dtype=float) for key in ("re", "im"))
+    for a in (re, im):
+        if a.shape != (n, n):
+            raise ValueError(f"operator payload shape {a.shape} != ({n}, {n})")
+    return check_hermitian(re + 1j * im)
 
 
 # -- Dual vectors -------------------------------------------------------
@@ -123,29 +126,28 @@ def distributions_to_dict(r: DistributionReport) -> dict:
 
 # -- CSV writers --------------------------------------------------------
 
-def constants_csv_rows(sc: StructureConstants, expected=None,
-                       cutoff: float = 1e-12):
-    """Rows "mu,nu,rho,C,d" for every entry with |C|+|d| > cutoff.
+def constants_csv_rows(sc: StructureConstants) -> list:
+    """CSV lines, header first, "mu,nu,rho,C,d" for every entry with
+    |C| + |d| > 1e-12.
 
-    expected: optional callable (mu, nu, rho) -> (C, d, asserted) used to
-    append a verification column ("match" / "mismatch" / "reported" for
-    entries whose table values are recorded but not asserted).
+    At n = 3 a check column compares each entry with the qutrit_tables
+    reference: "match" or "mismatch" within 1e-12, and "reported" for an
+    entry with a 0 index, whose printed value is recorded, never asserted.
     """
     # argwhere lists the indices in C order, the order of the rows.
-    idx = np.argwhere(np.abs(sc.c) + np.abs(sc.d) > cutoff)
-    rows = []
-    for (mu, nu, rho), cv, dv in zip(idx.tolist(), sc.c[tuple(idx.T)].tolist(),
-                                     sc.d[tuple(idx.T)].tolist()):
-        row = [str(mu), str(nu), str(rho), csv_float(cv), csv_float(dv)]
-        if expected is not None:
-            ce, de, asserted = expected(mu, nu, rho)
-            agree = abs(cv - ce) <= 1e-12 and abs(dv - de) <= 1e-12
-            if not asserted:
-                row.append("reported")
-            else:
-                row.append("match" if agree else "mismatch")
-        rows.append(",".join(row))
-    return rows
+    idx = np.argwhere(np.abs(sc.c) + np.abs(sc.d) > 1e-12)
+    at = tuple(idx.T)
+    rows = [f"{mu},{nu},{rho},{csv_float(cv)},{csv_float(dv)}"
+            for (mu, nu, rho), cv, dv
+            in zip(idx.tolist(), sc.c[at].tolist(), sc.d[at].tolist())]
+    if sc.dim != 3:
+        return ["mu,nu,rho,C,d"] + rows
+    agree = ((np.abs(sc.c[at] - full_c_table()[at]) <= 1e-12)
+             & (np.abs(sc.d[at] - full_d_table()[at]) <= 1e-12))
+    check = np.where((idx == 0).any(axis=1), "reported",
+                     np.where(agree, "match", "mismatch"))
+    return ["mu,nu,rho,C,d,check"] + [f"{row},{c}" for row, c
+                                      in zip(rows, check.tolist())]
 
 
 def trace_csv(trace) -> str:

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import (
-    TOL_RANK,
     DimensionError,
     check_hermitian,
     eigenpair_masks,
@@ -19,11 +18,9 @@ from .basis import (
     structure_constants,
     to_dual,
 )
-from .dual_tensors import distributions_at
 from .projective import PureDensity
 
 TOL_PSD = 1e-10
-TOL_TAN = 1e-6
 
 
 class SingularTransformError(ValueError):
@@ -162,8 +159,7 @@ def require_density(a: np.ndarray) -> DensityState:
     return out
 
 
-def gl_act_cone(t: np.ndarray, xi: np.ndarray,
-                max_cond: float = 1e12) -> np.ndarray:
+def gl_act_cone(t: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Action (T, xi) -> T xi T^dagger of the general linear group on the cone.
 
     Preserves the signature (number of positive/negative eigenvalues) of xi.
@@ -172,7 +168,7 @@ def gl_act_cone(t: np.ndarray, xi: np.ndarray,
     xi = check_hermitian(xi)
     if t.shape != xi.shape:
         raise DimensionError("transform and operand dimensions differ")
-    if np.linalg.cond(t) > max_cond:
+    if np.linalg.cond(t) > 1e12:
         raise SingularTransformError("transform is singular or ill-conditioned")
     return t @ xi @ t.conj().T
 
@@ -270,8 +266,8 @@ def qubit_bloch_vector(rho: DensityState) -> np.ndarray:
     return to_dual(rho.op, gellmann_basis(2))[1:]
 
 
-def bloch_decompose_along(rho: DensityState, direction,
-                          tol: float = 1e-12) -> ConvexDecomposition:
+def bloch_decompose_along(rho: DensityState,
+                          direction) -> ConvexDecomposition:
     """Decompose a qubit state along a line through the Bloch ball.
 
     The line through the state's ball point in the given direction meets the
@@ -285,7 +281,7 @@ def bloch_decompose_along(rho: DensityState, direction,
     if d.shape != (3,) or not np.isfinite(d).all():
         raise DimensionError("direction must be a finite 3-vector")
     nd = np.linalg.norm(d)
-    if nd < tol:
+    if nd < 1e-12:
         raise ValueError("direction must be nonzero")
     d = d / nd
     v = qubit_bloch_vector(rho)
@@ -316,21 +312,21 @@ def qutrit_star(a, b) -> np.ndarray:
     return np.sqrt(3.0) * np.einsum("ljk,j,k->l", d8, a, b)
 
 
-def qutrit_pure_from_bloch(n_vec, tol: float = 1e-8):
+def qutrit_pure_from_bloch(n_vec):
     """Build the rank-one qutrit state (1/3)(I + sqrt(3) n^a lambda_a).
 
-    Accepts iff |n| = 1 and n * n = n under the d-symbol product; returns a
-    PureDensity, or a Rejection naming the failed condition.
+    Accepts iff |n| = 1 and n * n = n under the d-symbol product, to 1e-8;
+    returns a PureDensity, or a Rejection naming the failed condition.
     """
     n_vec = np.asarray(n_vec, dtype=float)
     if n_vec.shape != (8,):
         raise DimensionError("need an 8-component vector")
     nrm = np.linalg.norm(n_vec)
-    if abs(nrm - 1.0) > tol:
+    if abs(nrm - 1.0) > 1e-8:
         return Rejection("norm", f"|n| = {float(nrm)!r}, expected 1")
     star = qutrit_star(n_vec, n_vec)
     err = np.abs(star - n_vec).max()
-    if err > tol:
+    if err > 1e-8:
         return Rejection("idempotency", f"max |n*n - n| = {float(err)!r}")
     traceless = np.einsum("a,aij->ij", n_vec, gellmann_basis(3).elements[1:])
     rho = (np.eye(3) + np.sqrt(3.0) * traceless) / 3.0
@@ -353,17 +349,6 @@ def orbit_dimension(rho: DensityState) -> int:
     return int(eigenpair_masks(rho.spectrum)[0].sum())
 
 
-def stratum_tangent_basis(rho: DensityState) -> np.ndarray:
-    """Orthonormal y-coordinate basis of the tangent space of the rank
-    stratum at rho: the GL-orbit distribution restricted to trace-zero
-    directions."""
-    basis = gellmann_basis(rho.dim)
-    b1 = distributions_at(to_dual(rho.op, basis), basis).basis_1
-    # c -> b1 @ c has y_0 = b1[0] @ c: keep the c orthogonal to that row,
-    # never 0 as D_1 holds the top eigenvector's direction, y_0 = 1/sqrt(n).
-    return b1 @ np.linalg.svd(b1[:1])[2][1:].T
-
-
 @dataclass(frozen=True)
 class TangencyReport:
     times: np.ndarray
@@ -371,13 +356,29 @@ class TangencyReport:
     max_residual: float
 
 
-def tangency_check(samples, k: int, tol_tan: float = TOL_TAN) -> TangencyReport:
+def _stratum_residuals(v: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """Relative residuals of Hermitian velocities x (..., n, n) against the
+    rank-k stratum at states with eigenvectors v (..., n, n), image first:
+    the closed form of tangency_check."""
+    m = v.conj().swapaxes(-2, -1) @ x @ v
+    along_p = np.trace(m[..., :k, :k], axis1=-2, axis2=-1).real ** 2 / k
+    kernel = (np.abs(m[..., k:, k:]) ** 2).sum(axis=(-2, -1))
+    scale = np.maximum(np.linalg.norm(x, axis=(-2, -1)), np.sqrt(2.0))
+    return np.sqrt(along_p + kernel) / scale
+
+
+def tangency_check(samples, k: int) -> TangencyReport:
     """Verify that a sampled curve of rank-k states is tangent to its
     stratum.
 
-    samples: list of (t, operator) with uniform t spacing.  At each interior
-    sample the central-difference velocity is projected onto the stratum
-    tangent space; the report lists the relative residuals.
+    samples: list of (t, operator) with uniform t spacing, certified in one
+    certify_densities call.  At a rank-k state with eigenvectors W = V[:, :k]
+    (image) and U = V[:, k:] (kernel) the stratum's tangent space is
+    {X Hermitian : Tr X = 0, U^dagger X U = 0}; its orthogonal complement is
+    span{P} + {Q Y Q} (P, Q the image and kernel projectors).  So the
+    relative residual of the central-difference velocity X at an interior
+    sample (of its y-coordinates, over max(|y|, 1)), in Frobenius norms, is
+        sqrt(Tr(W^dagger X W)^2 / k + ||U^dagger X U||^2) / max(||X||, sqrt 2).
     """
     if len(samples) < 3:
         raise InvalidCurveError("need at least 3 samples")
@@ -385,27 +386,22 @@ def tangency_check(samples, k: int, tol_tan: float = TOL_TAN) -> TangencyReport:
     hs = np.diff(ts)
     if np.abs(hs - hs[0]).max() > 1e-9 * max(abs(hs[0]), 1e-300):
         raise InvalidCurveError("samples must be uniformly spaced")
-    states = []
-    for t, op in samples:
-        st = certify_density(op)
-        if isinstance(st, Rejection):
-            raise InvalidCurveError(f"sample at t={t} is not a state: {st.violated}")
-        if st.rank != k:
+    ops = [np.asarray(op, dtype=complex) for _, op in samples]
+    shapes = {op.shape for op in ops}
+    if len(shapes) != 1 or ops[0].ndim != 2:
+        raise InvalidCurveError(
+            f"samples must be matrices of one shape, got {sorted(shapes)}")
+    stack = np.stack(ops)
+    cert = certify_densities(stack)
+    bad = ~cert.accepted | (cert.rank != k)
+    if bad.any():
+        i = int(np.argmax(bad))
+        t = samples[i][0]
+        if cert.violated[i]:
             raise InvalidCurveError(
-                f"sample at t={t} has rank {st.rank}, expected {k}"
-            )
-        states.append(st)
-    basis = gellmann_basis(states[0].dim)
-    h = hs[0]
-    out_t, out_r = [], []
-    for i in range(1, len(states) - 1):
-        vel = (states[i + 1].op - states[i - 1].op) / (2.0 * h)
-        vy = to_dual(vel, basis)
-        tan = stratum_tangent_basis(states[i])
-        resid_vec = vy - tan @ (tan.T @ vy)
-        scale = max(np.linalg.norm(vy), 1.0)
-        out_t.append(ts[i])
-        out_r.append(float(np.linalg.norm(resid_vec)) / scale)
-    residuals = np.array(out_r)
-    return TangencyReport(np.array(out_t), residuals,
-                          float(residuals.max()) if len(residuals) else 0.0)
+                f"sample at t={t} is not a state: {cert.violated[i]}")
+        raise InvalidCurveError(
+            f"sample at t={t} has rank {cert.rank[i]}, expected {k}")
+    vel = (stack[2:] - stack[:-2]) / (2.0 * hs[0])
+    residuals = _stratum_residuals(cert.eigvecs[1:-1], vel, k)
+    return TangencyReport(ts[1:-1], residuals, float(residuals.max()))

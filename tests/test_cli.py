@@ -100,7 +100,6 @@ def test_usage_errors_exit_two(capsys):
     # refused before anything is allocated, so the oversize grid is cheap
     too_big = str(cli.MAX_BALLGRID_RESOLUTION + 1)
     assert run(capsys, "ballgrid", "--resolution", too_big)[0] == 2
-    assert run(capsys, "nonsense")[0] == 2
     # payloads that are not objects, or have dim < 2
     assert_usage_error(capsys, "classify", "--json", "[1,2]")
     assert_usage_error(capsys, "classify", "--json", "3")
@@ -132,6 +131,29 @@ def test_usage_errors_exit_two(capsys):
     # refused before C and d are allocated; never run an oversize case
     assert_usage_error(capsys, "constants", "--n",
                        str(cli.MAX_CONSTANTS_N + 1))
+    # argparse's own errors; it drops the "--" of "--opt=--" and would
+    # store [] unparsed
+    for argv in (("--tol", "abc", "classify", "--json", "{}"),
+                 ("flow", "--mode", "hamiltonian", "--step", "x", "--json",
+                  "{}"),
+                 ("constants", "--n", "three"),
+                 ("decompose", "--mode", "bloch", "--direction", "a,b",
+                  "--json", "{}"),
+                 ("tensors", "--json", "{}"),
+                 ("nonsense",),
+                 ("--tol=--", "classify", "--json", "{}"),
+                 ("ballgrid", "--resolution=--")):
+        assert_usage_error(capsys, *argv)
+    # re and im must each be n x n: numpy would broadcast a scalar or a row
+    for re, im in (("0.5", "[[0,0],[0,0]]"), ("[[0.5,0],[0,0.5]]", "0"),
+                   ("[[0.5,0],[0,0.5]]", "[[0,0]]")):
+        assert_usage_error(capsys, "classify", "--json",
+                           f'{{"dim": 2, "re": {re}, "im": {im}}}')
+
+
+def test_help_exits_zero(capsys):
+    code, out = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: geomstates")
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -239,7 +261,8 @@ def assert_exit_contract(argv, tol):
         code = cli.main(argv)
     assert code in (0, 2, 3)
     assert err.getvalue().count("\n") <= 1
-    if tol is not None and not 0.0 <= tol < float("inf"):
+    if isinstance(tol, str) or (tol is not None
+                                and not 0.0 <= tol < float("inf")):
         assert code == 2
     if code == 0:
         assert err.getvalue() == ""
@@ -324,9 +347,14 @@ def _payload(draw, bases):
     return payload
 
 
-_DIRECTION = st.lists(_odd_floats(0.0, 1.0, -0.5, 1e-320, 1e308),
-                      min_size=1, max_size=4).map(
-                          lambda xs: ",".join(map(repr, xs)))
+# Option values also come as text that is not a number: argparse's own
+# errors keep to the same contract, one "error:" line and exit 2.
+_NOT_NUMERIC = st.sampled_from(["abc", "", "1,2", "0x1p3", "1e", "--", "None",
+                                "a,b,c"])
+_DIRECTION = st.one_of(
+    st.lists(_odd_floats(0.0, 1.0, -0.5, 1e-320, 1e308),
+             min_size=1, max_size=4).map(lambda xs: ",".join(map(repr, xs))),
+    _NOT_NUMERIC)
 
 
 @settings(max_examples=300, deadline=None)
@@ -337,11 +365,11 @@ _DIRECTION = st.lists(_odd_floats(0.0, 1.0, -0.5, 1e-320, 1e308),
            ("tensors", "--which", "R"),
            ("tensors", "--which", "distributions")]),
        tol=st.one_of(st.none(), st.sampled_from([0.0, 1e-10, 0.1]),
-                     _odd_floats(-1.0)))
+                     _odd_floats(-1.0), _NOT_NUMERIC))
 def test_payload_fuzz_exit_contract(data, command, tol):
     bases = _BASE_DUALS if command[0] == "tensors" else _BASE_OPERATORS
     payload = data.draw(_payload(bases), label="payload")
-    argv = [] if tol is None else [f"--tol={tol!r}"]
+    argv = [] if tol is None else [f"--tol={tol}"]
     argv += [*command, "--json", json.dumps(payload)]
     if command[-1] == "bloch":
         direction = data.draw(st.one_of(st.none(), _DIRECTION),

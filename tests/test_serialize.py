@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from geomstates import (
+    StructureConstants,
     distributions_at,
     gellmann_basis,
     lambda_at,
     structure_constants,
 )
-from geomstates.qutrit_tables import full_c_table, full_d_table, paper_zero_index_d
 from geomstates.serialize import (
     constants_csv_rows,
     csv_float,
@@ -165,28 +165,30 @@ def test_distributions_dict_fields(rng):
 
 def test_constants_rows_qutrit_expected_values():
     sc = structure_constants(gellmann_basis(3))
-    c_tab, d_tab = full_c_table(), full_d_table()
-
-    def expected(mu, nu, rho):
-        if 0 in (mu, nu, rho):
-            return 0.0, paper_zero_index_d(mu, nu, rho), False
-        return c_tab[mu, nu, rho], d_tab[mu, nu, rho], True
-
-    rows = constants_csv_rows(sc, expected=expected)
+    rows = constants_csv_rows(sc)
+    assert rows[0] == "mu,nu,rho,C,d,check"
     assert "1,2,3,1,0,match" in rows
     assert "8,8,8,0,-0.57735026919,match" in rows
     # zero-index rows are recorded but never asserted
+    for row in rows[1:]:
+        idx = row.split(",")[:3]
+        assert row.endswith(",reported") == ("0" in idx)
     assert any(r.startswith("0,1,1,") and r.endswith(",reported") for r in rows)
     assert not any(r.endswith(",mismatch") for r in rows)
+    c = sc.c.copy()
+    c[1, 2, 3] += 1e-9
+    rows = constants_csv_rows(StructureConstants(3, c, sc.d, sc.basis))
+    assert "1,2,3,1.000000001,0,mismatch" in rows
 
 
 def test_constants_rows_qubit_levi_civita():
     sc = structure_constants(gellmann_basis(2))
     rows = constants_csv_rows(sc)
+    assert rows[0] == "mu,nu,rho,C,d"
     assert "1,2,3,1,0" in rows
     assert "2,1,3,-1,0" in rows
     # every traceless-sector C entry is +-1 (Levi-Civita)
-    for row in rows:
+    for row in rows[1:]:
         mu, nu, rho, c, d = row.split(",")
         if "0" not in (mu, nu, rho) and float(c) != 0:
             assert abs(abs(float(c)) - 1.0) < 1e-12
@@ -200,7 +202,13 @@ def test_constants_rows_follow_index_order(n):
             f"{csv_float(sc.d[mu, nu, rho])}"
             for mu in range(m) for nu in range(m) for rho in range(m)
             if abs(sc.c[mu, nu, rho]) + abs(sc.d[mu, nu, rho]) > 1e-12]
-    assert constants_csv_rows(sc) == want
+    header, *rows = constants_csv_rows(sc)
+    if n == 3:  # the check column comes last
+        assert header == "mu,nu,rho,C,d,check"
+        rows = [row.rsplit(",", 1)[0] for row in rows]
+    else:
+        assert header == "mu,nu,rho,C,d"
+    assert rows == want
 
 
 def test_trace_csv_format():

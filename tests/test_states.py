@@ -10,6 +10,7 @@ from geomstates import (
     certify_densities,
     certify_density,
     convex_decompose_spectral,
+    distributions_at,
     face_contains,
     face_of,
     gellmann_basis,
@@ -26,13 +27,12 @@ from geomstates import (
     to_dual,
     weyl_reduce,
 )
+from geomstates.basis import TOL_RANK
 from geomstates.states import (
     TOL_PSD,
-    TOL_RANK,
     InvalidCurveError,
     SingularTransformError,
-    distributions_at,
-    stratum_tangent_basis,
+    _stratum_residuals,
 )
 
 from conftest import random_hermitian, random_unit, unitary_exp
@@ -468,21 +468,71 @@ def test_orbit_dimensions_qutrit(rng):
 
 # -- tangency -------------------------------------------------------------------
 
+def traceless_d1_reference(rho):
+    """Orthonormal y-coordinate basis of the tangent space of the rank
+    stratum at rho, built from the distributions: D_1 (the GL-orbit
+    directions) met with y_0 = 0 where the principal angle is 0."""
+    basis = gellmann_basis(rho.dim)
+    b1 = distributions_at(to_dual(rho.op, basis), basis).basis_1
+    w, s, _ = np.linalg.svd(b1.T @ np.eye(b1.shape[0])[:, 1:])
+    return b1 @ w[:, :s.size][:, s > 1.0 - 1e-8]
+
+
+def reference_residual(rho, x):
+    """|y - proj(y)| / max(|y|, 1) for the y-coordinates of x, projected
+    onto traceless_d1_reference(rho)."""
+    tan = traceless_d1_reference(rho)
+    y = to_dual(x, gellmann_basis(rho.dim))
+    return np.linalg.norm(y - tan @ (tan.T @ y)) / max(np.linalg.norm(y), 1.0)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
-def test_stratum_tangent_basis_is_traceless_part_of_d1(rng, n):
-    basis = gellmann_basis(n)
+def test_tangency_residual_matches_traceless_d1_reference(rng, n):
     for k in range(1, n + 1):
         rho = random_density(rng, n, rank=k)
-        tan = stratum_tangent_basis(rho)
-        b1 = distributions_at(to_dual(rho.op, basis), basis).basis_1
-        # reference: D_1 meets y_0 = 0 where the principal angle is 0
-        w, s, _ = np.linalg.svd(b1.T @ np.eye(n * n)[:, 1:])
-        ref = b1 @ w[:, :s.size][:, s > 1.0 - 1e-8]
         # the rank-k stratum of trace-one states has dimension 2nk - k^2 - 1
-        assert tan.shape == ref.shape == (n * n, 2 * n * k - k * k - 1)
-        assert np.abs(tan.T @ tan - np.eye(tan.shape[1])).max() < 1e-12
-        assert np.abs(tan[0]).max() < 1e-14
-        assert np.abs(tan @ tan.T - ref @ ref.T).max() < 1e-12
+        assert traceless_d1_reference(rho).shape == (n * n,
+                                                     2 * n * k - k * k - 1)
+        for _ in range(3):
+            x = random_hermitian(rng, n)  # has a trace and a kernel block
+            want = reference_residual(rho, x)
+            assert want > 1e-8
+            assert abs(_stratum_residuals(rho.eigvecs, x, k) - want) < 1e-12
+            # three rank-k states whose chord is off the stratum at rho
+            before, after = (random_density(rng, n, rank=k).op
+                             for _ in range(2))
+            rep = tangency_check([(0.0, before), (0.5, rho.op),
+                                  (1.0, after)], k)
+            want = reference_residual(rho, after - before)
+            assert abs(rep.max_residual - want) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 8), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       eps=st.floats(1e-3, 1.0))
+def test_tangency_of_gl_orbit_and_kernel_block_residual(n, data, seed, eps):
+    k = data.draw(st.integers(1, n), label="k")
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, n, rank=k)
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    g /= np.linalg.norm(g, 2)
+    samples = []
+    for t in np.arange(-2, 3) * 1e-4:
+        w, v = np.linalg.eig(t * g)
+        tm = v @ np.diag(np.exp(w)) @ np.linalg.inv(v)
+        out = tm @ rho.op @ tm.conj().T
+        out = (out + out.conj().T) / 2
+        samples.append((t, out / np.trace(out).real))
+    assert tangency_check(samples, k).max_residual < 1e-6
+    # the curve's velocity at rho, plus a kernel-block term eps U H U^dagger
+    vel = g @ rho.op + rho.op @ g.conj().T
+    vel -= np.trace(vel).real * rho.op
+    u = rho.eigvecs[:, k:]
+    h = random_hermitian(rng, n - k)
+    x = vel + eps * u @ h @ u.conj().T
+    assert _stratum_residuals(rho.eigvecs, vel, k) < 1e-12
+    want = eps * np.linalg.norm(h) / max(np.linalg.norm(x), np.sqrt(2.0))
+    assert abs(_stratum_residuals(rho.eigvecs, x, k) - want) <= 1e-12
 
 
 def unitary_orbit_curve(h, rho0, ts):
@@ -527,3 +577,23 @@ def test_tangency_rejects_mixed_rank(rng):
     ]
     with pytest.raises(InvalidCurveError):
         tangency_check(samples, 1)
+
+
+def test_tangency_rejects_mixed_shapes():
+    samples = [(0.0, np.diag([1.0, 0.0])), (1.0, np.diag([1.0, 0.0, 0.0])),
+               (2.0, np.diag([1.0, 0.0]))]
+    with pytest.raises(InvalidCurveError):
+        tangency_check(samples, 1)
+
+
+def test_tangency_names_the_first_bad_sample():
+    pure, mixed = np.diag([1.0, 0.0]), np.diag([0.5, 0.5])
+    not_a_state = np.diag([1.5, -0.5])
+    with pytest.raises(InvalidCurveError,
+                       match=r"^sample at t=1 has rank 2, expected 1$"):
+        tangency_check([(0, pure), (1, mixed), (2, not_a_state)], 1)
+    with pytest.raises(InvalidCurveError, match=r"^sample at t=1 is not a "
+                       r"state: negative eigenvalue$"):
+        tangency_check([(0, pure), (1, not_a_state), (2, mixed)], 1)
+    with pytest.raises(InvalidCurveError, match="not a state: trace$"):
+        tangency_check([(0, pure), (1, pure), (2, 2 * pure)], 1)
