@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -188,13 +187,16 @@ def cmd_constants(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    if not (math.isfinite(args.step) and args.step > 0):
+    if args.step is not None and not (math.isfinite(args.step)
+                                      and args.step > 0):
         raise UsageError("--step must be finite and > 0")
+    # a Hamiltonian grid step; the eigensolver picks its own when None
+    grid_step = 1e-3 if args.step is None else args.step
     if not (math.isfinite(args.t_final) and args.t_final >= 0):
         raise UsageError("--t-final must be finite and >= 0")
     # round(t_final / step) + 1 samples, refused before anything is allocated
     if (args.mode == "hamiltonian"
-            and args.t_final / args.step >= MAX_FLOW_SAMPLES - 0.5):
+            and args.t_final / grid_step >= MAX_FLOW_SAMPLES - 0.5):
         raise UsageError(f"--t-final / --step must give at most "
                          f"{MAX_FLOW_SAMPLES} samples")
     if args.max_iter < 0:
@@ -219,7 +221,7 @@ def cmd_flow(args) -> int:
 
     if args.mode == "hamiltonian":
         samples, drift_norm, drift_ea = expectation_trace_samples(
-            op, psi0, args.t_final, args.step)
+            op, psi0, args.t_final, grid_step)
         if args.trace:
             lines = ["t,e_A,norm"]
             for t, e, nrm in samples.tolist():
@@ -234,9 +236,8 @@ def cmd_flow(args) -> int:
         }
     else:
         trace = [] if args.trace else None
-        step = args.step if args.step_given else None
         e, psi, converged = critical_point_eigensolve(
-            op, psi0, step=step, max_iter=args.max_iter,
+            op, psi0, step=args.step, max_iter=args.max_iter,
             mode=args.opt_mode, trace=trace)
         if args.trace:
             _write(args.trace, serialize.trace_csv(trace))
@@ -259,13 +260,15 @@ def cmd_ballgrid(args) -> int:
         raise UsageError(f"resolution must be <= {MAX_BALLGRID_RESOLUTION}")
     grid = np.linspace(-0.6, 0.6, r)
     stack = qubit_from_bloch(*np.meshgrid(grid, grid, grid, indexing="ij"))
-    cert = certify_densities(stack.reshape(-1, 2, 2), tol_psd=args.tol)
-    labels = [serialize.csv_float(v) for v in grid]
-    flags = zip(cert.accepted.tolist(), cert.rank.tolist())
+    cert = certify_densities(stack.reshape(-1, 2, 2), tol_psd=args.tol,
+                             vectors=False)
+    # one row per point in meshgrid order; is_density is rank > 0
+    labels = [serialize.csv_float(v) + "," for v in grid]
+    flags = [f"{int(k > 0)},{k}" for k in range(3)]
+    ranks = iter(cert.rank.tolist())
     lines = ["y1,y2,y3,is_density,rank"]
-    lines += [f"{c1},{c2},{c3},{int(ok)},{rank}"
-              for (c1, c2, c3), (ok, rank)
-              in zip(itertools.product(labels, repeat=3), flags)]
+    lines += [f"{c1}{c2}{c3}{flags[next(ranks)]}"
+              for c1 in labels for c2 in labels for c3 in labels]
     _write(args.output, "\n".join(lines) + "\n")
     return 0
 
@@ -312,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_payload(p)
     p.add_argument("--mode", choices=["hamiltonian", "gradient-eigensolve"],
                    required=True)
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--step", type=float)
     p.add_argument("--t-final", type=float, default=10.0)
     p.add_argument("--max-iter", type=int, default=100000)
     p.add_argument("--opt-mode", choices=["ascent", "descent"],
@@ -330,8 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        args.step_given = "--step" in (argv if argv is not None
-                                       else sys.argv[1:])
         if not (math.isfinite(args.tol) and args.tol >= 0):
             raise UsageError("--tol must be finite and >= 0")
         # An overflow or an invalid operation is a numeric failure, never a

@@ -38,10 +38,11 @@ class TensorAtPoint:
     point: np.ndarray  # y coordinates
     matrix: np.ndarray  # (n^2, n^2) real
     kind: str  # "lambda" or "R"
-    image_dim: int  # dim D_lambda or dim D_R at the point
+    _rank: int
 
     def rank(self) -> int:
-        return self.image_dim
+        """dim D_lambda or dim D_R at the point."""
+        return self._rank
 
 
 @dataclass(frozen=True)

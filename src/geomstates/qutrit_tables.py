@@ -64,13 +64,3 @@ def full_d_table() -> np.ndarray:
             d[p] = v
     return d
 
-
-def paper_zero_index_d(mu: int, nu: int, rho: int) -> float:
-    """The printed table value for a d entry with an identity index."""
-    idx = (mu, nu, rho)
-    if idx.count(0) != 1:
-        return 0.0
-    rest = [i for i in idx if i != 0]
-    if rest[0] != rest[1]:
-        return 0.0
-    return np.sqrt(2.0 / 3.0) if idx[2] == 0 else -np.sqrt(2.0 / 3.0)

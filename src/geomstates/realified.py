@@ -202,7 +202,6 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
                               step: float | None = None,
                               max_iter: int = 100_000,
                               mode: str = "ascent",
-                              tol: float | None = None,
                               trace: list | None = None):
     """Projected-gradient iteration on the Rayleigh quotient
     e_A(psi) = <psi, A psi> / <psi, psi>.
@@ -213,7 +212,8 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
     <s, s> / |Re<s, r_k - r_(k-1)>| with s = z_k - z_(k-1) and the residual
     r = A z - e z, keeping the previous step when the denominator is 0,
     and taking the default step when s = 0.
-    Renormalizes every iteration; stops when ||A psi - e psi|| < tol.
+    Renormalizes every iteration; stops when
+    ||A psi - e psi|| < 1e-9 ||A||.
 
     mode: "ascent" climbs toward the largest eigenvalue, "descent" toward the
     smallest.  If trace is a list, (iteration, e_A, residual) triples are
@@ -232,8 +232,7 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
         step = default_step
     if step <= 0:
         raise ValueError("step must be positive")
-    if tol is None:
-        tol = 1e-9 * max(norm_a, 1e-300)
+    tol = 1e-9 * max(norm_a, 1e-300)
     sign = 1.0 if mode == "ascent" else -1.0
 
     z = psi0.to_complex()

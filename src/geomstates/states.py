@@ -79,23 +79,33 @@ def _qutrit_minor_conditions(a: np.ndarray, tol: float) -> np.ndarray:
     ], axis=-1)
 
 
+# The failed test for each Certification.code
+_VIOLATIONS = np.array(["", "trace", "negative eigenvalue"])
+
+
 @dataclass(frozen=True)
 class Certification:
     """Per-matrix results of certify_densities over a stack (..., n, n)."""
 
-    violated: np.ndarray  # (...) str: "" if certified, else the failed test
-    rank: np.ndarray  # (...) int, 0 where rejected
+    code: np.ndarray  # (...) int8: 0 certified, 1 trace, 2 negative eigenvalue
+    rank: np.ndarray  # (...) int, 0 exactly where rejected
     spectrum: np.ndarray  # (..., n) descending
-    eigvecs: np.ndarray  # (..., n, n), column k belongs to spectrum[..., k]
+    # (..., n, n), column k belongs to spectrum[..., k]; None if vectors=False
+    eigvecs: np.ndarray | None
     trace: np.ndarray  # (...) real part of the trace
 
     @property
+    def violated(self) -> np.ndarray:
+        """(...) str: "" if certified, else the failed test."""
+        return _VIOLATIONS[self.code]
+
+    @property
     def accepted(self) -> np.ndarray:
-        return self.violated == ""
+        return self.code == 0
 
 
-def certify_densities(stack: np.ndarray,
-                      tol_psd: float = TOL_PSD) -> Certification:
+def certify_densities(stack: np.ndarray, tol_psd: float = TOL_PSD,
+                      vectors: bool = True) -> Certification:
     """Certify every matrix of a stack (..., n, n) as a density state.
 
     A matrix is accepted iff Tr = 1 (within 1e-10) and its spectrum is
@@ -104,11 +114,18 @@ def certify_densities(stack: np.ndarray,
     Hermitian.  For n=3 the explicit principal-minor inequalities are
     evaluated as a cross-check; a disagreement with the spectral criterion
     raises ArithmeticError, since the two are mathematically equivalent.
+
+    An accepted matrix has Tr = 1, so a positive largest eigenvalue and a
+    rank >= 1: accepted is rank > 0.  With vectors=False the spectrum comes
+    from eigvalsh and eigvecs is None; the decisions are the same.
     """
     a = check_hermitian(stack)
     tr = np.trace(a, axis1=-2, axis2=-1).real
-    w, v = np.linalg.eigh(a)
-    w, v = w[..., ::-1], v[..., ::-1]
+    if vectors:
+        w, v = np.linalg.eigh(a)
+        w, v = w[..., ::-1], v[..., ::-1]
+    else:
+        w, v = np.linalg.eigvalsh(a)[..., ::-1], None
     trace_ok = np.abs(tr - 1.0) <= 1e-10
     psd = w[..., -1] >= -tol_psd
     if a.shape[-1] == 3:
@@ -126,10 +143,9 @@ def certify_densities(stack: np.ndarray,
                 "spectral and principal-minor positivity criteria disagree: "
                 f"min eigenvalue {float(w[i][-1])}, minor check {which}"
             )
-    violated = np.where(trace_ok, np.where(psd, "", "negative eigenvalue"),
-                        "trace")
-    rank = numerical_rank(w) * (trace_ok & psd)
-    return Certification(violated, rank, w, v, tr)
+    code = np.where(trace_ok, np.where(psd, 0, 2), 1).astype(np.int8)
+    rank = numerical_rank(w) * (code == 0)
+    return Certification(code, rank, w, v, tr)
 
 
 def certify_density(a: np.ndarray, tol_psd: float = TOL_PSD):
@@ -142,7 +158,7 @@ def certify_density(a: np.ndarray, tol_psd: float = TOL_PSD):
     if a.ndim != 2:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     cert = certify_densities(a[None], tol_psd)
-    violated = str(cert.violated[0])
+    violated = str(_VIOLATIONS[cert.code[0]])
     if violated == "trace":
         return Rejection("trace", f"Tr = {float(cert.trace[0])!r}, expected 1")
     if violated:
@@ -204,8 +220,8 @@ def face_of(rho: DensityState) -> FaceDescriptor:
 
 
 def face_contains(face: FaceDescriptor, candidate: DensityState,
-                  mode: str = "image", tol: float = 1e-9) -> bool:
-    """Membership of a state in a face.
+                  mode: str = "image") -> bool:
+    """Membership of a state in a face, to 1e-9 in the largest entry.
 
     mode "image": candidate supported on the image of the base state,
     i.e. Ker(base) contained in Ker(candidate).  This is the predicate that
@@ -219,10 +235,10 @@ def face_contains(face: FaceDescriptor, candidate: DensityState,
     n = p.shape[0]
     if mode == "image":
         off = (np.eye(n) - p) @ candidate.op
-        return bool(np.abs(off).max() <= tol)
+        return bool(np.abs(off).max() <= 1e-9)
     if mode == "kernel":
         off = (np.eye(n) - face_of(candidate).projector()) @ face.base.op
-        return bool(np.abs(off).max() <= tol)
+        return bool(np.abs(off).max() <= 1e-9)
     raise ValueError(f"unknown mode {mode!r}")
 
 

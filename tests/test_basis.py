@@ -17,7 +17,7 @@ from geomstates import (
     to_dual,
 )
 from geomstates.basis import TOL_RANK, numerical_rank
-from geomstates.qutrit_tables import full_c_table, full_d_table, paper_zero_index_d
+from geomstates.qutrit_tables import full_c_table, full_d_table
 
 from conftest import random_hermitian
 
@@ -79,6 +79,17 @@ def test_qutrit_c_values_match_table():
 def test_qutrit_d_values_match_table_traceless():
     sc = structure_constants(gellmann_basis(3))
     assert np.abs(sc.d[1:, 1:, 1:] - full_d_table()[1:, 1:, 1:]).max() < 1e-12
+
+
+def paper_zero_index_d(mu: int, nu: int, rho: int) -> float:
+    """The printed table value for a d entry with an identity index."""
+    idx = (mu, nu, rho)
+    if idx.count(0) != 1:
+        return 0.0
+    rest = [i for i in idx if i != 0]
+    if rest[0] != rest[1]:
+        return 0.0
+    return np.sqrt(2.0 / 3.0) if idx[2] == 0 else -np.sqrt(2.0 / 3.0)
 
 
 def test_qutrit_d_zero_index_reported_not_asserted(capsys):

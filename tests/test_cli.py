@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geomstates import cli, gellmann_basis, qubit_from_bloch, to_dual
+from geomstates import (
+    certify_density,
+    cli,
+    gellmann_basis,
+    qubit_from_bloch,
+    to_dual,
+)
 from geomstates.serialize import operator_to_dict, state_from_dict, state_to_dict
 from geomstates.realified import RealifiedState
 
@@ -699,6 +705,18 @@ def test_parser_is_built_once_and_reuse_keeps_defaults(capsys, monkeypatch):
     assert steps == [0.01, None] * 2
 
 
+def test_flow_step_spellings_agree(tmp_path, capsys):
+    payload = json.dumps({"A": SIGMA3})
+    counts = []
+    for spelling in (("--step", "0.5"), ("--step=0.5",)):
+        trace = tmp_path / "trace.csv"
+        code, _ = run(capsys, "flow", "--mode", "gradient-eigensolve",
+                      *spelling, "--trace", str(trace), "--json", payload)
+        assert code == 0
+        counts.append(len(trace.read_text().splitlines()))
+    assert counts[0] == counts[1]
+
+
 def test_flow_seed_determinism(capsys):
     payload = json.dumps(
         {"A": operator_to_dict(np.diag([1.0, -1.0]).astype(complex))})
@@ -740,6 +758,20 @@ def test_ballgrid_bytes_pinned(capsys, resolution):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == BALLGRID_SHA256[resolution]
+
+
+@pytest.mark.parametrize("tol", ["0", "1e-10", "0.05"])
+def test_ballgrid_matches_per_point_certification(capsys, tol):
+    code, out = run(capsys, "--tol", tol, "ballgrid", "--resolution", "7")
+    assert code == 0
+    lines = out.splitlines()
+    grid = np.linspace(-0.6, 0.6, 7)
+    points = [(a, b, c) for a in grid for b in grid for c in grid]
+    assert len(lines) == 1 + len(points)
+    for line, y in zip(lines[1:], points):
+        ref = certify_density(qubit_from_bloch(*y), tol_psd=float(tol))
+        want = (1, ref.rank) if ref else (0, 0)
+        assert line.split(",")[3:] == [str(v) for v in want]
 
 
 def test_ballgrid_determinism(capsys):

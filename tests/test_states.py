@@ -147,6 +147,27 @@ def test_certify_densities_matches_reference(n, specs, seed):
             assert np.array_equal(single.spectrum, cert.spectrum[i])
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6),
+       specs=st.lists(st.tuples(st.sampled_from(["valid", "trace", "negative"]),
+                                st.integers(1, 6)),
+                      min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_certify_densities_without_vectors_decides_the_same(n, specs, seed):
+    rng = np.random.default_rng(seed)
+    stack = np.array([_sample_matrix(rng, n, kind, k) for kind, k in specs])
+    full = certify_densities(stack)
+    bare = certify_densities(stack, vectors=False)
+    assert bare.eigvecs is None and full.eigvecs.shape == stack.shape
+    assert np.array_equal(bare.violated, full.violated)
+    assert np.array_equal(bare.rank, full.rank)
+    assert np.array_equal(bare.accepted, full.accepted)
+    assert np.array_equal(bare.trace, full.trace)
+    assert np.abs(bare.spectrum - full.spectrum).max() < 1e-12
+    for cert in (full, bare):
+        assert np.array_equal(cert.accepted, cert.rank > 0)
+
+
 def test_certify_densities_keeps_leading_shape():
     stack = qubit_from_bloch(np.zeros((2, 3)), 0.0, np.array([0.0, 0.5, 0.6]))
     cert = certify_densities(stack)
