@@ -15,6 +15,7 @@ module would give theta(J Delta) = -i).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,6 +199,17 @@ def expectation_trace_samples(a: np.ndarray, psi0: RealifiedState,
             float(np.abs(norms - norms[0]).max()), float(np.abs(e - e[0]).max()))
 
 
+def _realified_operator(a: np.ndarray) -> np.ndarray:
+    """The real symmetric (2n, 2n) matrix [[Re A, -Im A], [Im A, Re A]]:
+    Hermitian A acting on the realified coordinates x = (q, p)."""
+    n = a.shape[0]
+    out = np.empty((2 * n, 2 * n))
+    out[:n, :n] = out[n:, n:] = a.real
+    out[n:, :n] = a.imag
+    out[:n, n:] = -a.imag
+    return out
+
+
 def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
                               step: float | None = None,
                               max_iter: int = 100_000,
@@ -207,13 +219,23 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
     e_A(psi) = <psi, A psi> / <psi, psi>.
 
     Critical points of f_A are exactly the eigenvectors of A; the quotient at
-    a critical point is the eigenvalue.  The first step is the fixed
-    step (default 0.1 / ||A||); after it, the Barzilai-Borwein step
-    <s, s> / |Re<s, r_k - r_(k-1)>| with s = z_k - z_(k-1) and the residual
-    r = A z - e z, keeping the previous step when the denominator is 0,
+    a critical point is the eigenvalue.  The iteration runs on the realified
+    coordinates x = (q, p), where A acts as the real symmetric matrix
+    [[Re A, -Im A], [Im A, Re A]] and Re<u, v> of complex vectors is the real
+    dot product of the realified ones.
+    The first step is the fixed step (default 0.1 / ||A||, with ||A|| the
+    largest |eigenvalue| from eigvalsh); after it, the Barzilai-Borwein step
+    <s, s> / |<s, r_k - r_(k-1)>| with s = x_k - x_(k-1) and the residual
+    r = A x - e x, keeping the previous step when the denominator is 0,
     and taking the default step when s = 0.
     Renormalizes every iteration; stops when
     ||A psi - e psi|| < 1e-9 ||A||.
+
+    The iteration runs on A * 2**-k with k the binary exponent of ||A||, a
+    scaling that is exact, so the iterates do not depend on the magnitude
+    of A: no squared residual underflows for tiny A and no dot product
+    overflows for huge A.  A given step is multiplied by 2**k, and the
+    eigenvalue and the traced values are scaled back by 2**k.
 
     mode: "ascent" climbs toward the largest eigenvalue, "descent" toward the
     smallest.  If trace is a list, (iteration, e_A, residual) triples are
@@ -226,39 +248,49 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
         raise InvalidStartError("starting vector must be nonzero")
     if mode not in ("ascent", "descent"):
         raise ValueError(f"unknown mode {mode!r}")
-    norm_a = np.linalg.norm(a, 2)
+    w = np.linalg.eigvalsh(a)
+    norm_a = max(-w[0], w[-1])
+    k = math.frexp(norm_a)[1]
+    norm_a = math.ldexp(norm_a, -k)  # in [0.5, 1), or 0 for A = 0
     default_step = 0.1 / max(norm_a, 1e-300)
     if step is None:
         step = default_step
-    if step <= 0:
+    elif step <= 0:
         raise ValueError("step must be positive")
+    else:
+        try:
+            step = math.ldexp(step, k)
+        except OverflowError:  # step * ||A|| is beyond the float range
+            step = math.inf
     tol = 1e-9 * max(norm_a, 1e-300)
     sign = 1.0 if mode == "ascent" else -1.0
 
-    z = psi0.to_complex()
-    z = z / np.linalg.norm(z)
+    a_hat = np.ldexp(_realified_operator(a), -k)
+    n = psi0.dim
+    x = np.concatenate([psi0.q, psi0.p])
+    x = x / math.sqrt(x.dot(x))
     converged = False
     e = 0.0
     for it in range(max_iter + 1):
-        az = a @ z
-        e = float((z.conj() @ az).real)
-        resid_vec = az - e * z
-        resid = float(np.linalg.norm(resid_vec))
+        ax = a_hat.dot(x)
+        e = float(x.dot(ax))
+        r = ax - e * x
+        resid = math.sqrt(r.dot(r))
         if trace is not None:
-            trace.append((it, e, resid))
+            trace.append((it, math.ldexp(e, k), math.ldexp(resid, k)))
         if resid < tol:
             converged = True
             break
         if it == max_iter:
             break
         if it > 0:
-            s = z - z_prev
-            denom = abs(float(np.vdot(s, resid_vec - r_prev).real))
-            if not s.any():  # the last step was too small to move z
+            s = x - x_prev
+            denom = abs(float(s.dot(r - r_prev)))
+            if not np.count_nonzero(s):  # the last step did not move x
                 step = default_step
             elif denom > 0.0:
-                step = float(np.vdot(s, s).real) / denom
-        z_prev, r_prev = z, resid_vec
-        z = z + sign * step * resid_vec
-        z = z / np.linalg.norm(z)
-    return e, RealifiedState.from_complex(z), converged
+                step = float(s.dot(s)) / denom
+        x_prev, r_prev = x, r
+        x = x + sign * step * r
+        x = x / math.sqrt(x.dot(x))
+    return math.ldexp(e, k), RealifiedState(x[:n], x[n:]), converged

@@ -257,9 +257,9 @@ def _reject_non_finite(token):
     raise AssertionError(f"non-finite number {token} in the output")
 
 
-def assert_exit_contract(argv, tol):
-    """Exit 0, 2 or 3 with at most one stderr line and no warning; exit 2 for
-    a --tol that is not finite and >= 0; plain JSON on stdout at exit 0."""
+def run_contract(argv):
+    """cli.main(argv) with warnings as errors: exit 0, 2 or 3 with at most
+    one stderr line, and an empty stderr at exit 0.  Returns (code, stdout)."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
@@ -267,19 +267,31 @@ def assert_exit_contract(argv, tol):
         code = cli.main(argv)
     assert code in (0, 2, 3)
     assert err.getvalue().count("\n") <= 1
+    if code == 0:
+        assert err.getvalue() == ""
+    return code, out.getvalue()
+
+
+def assert_exit_contract(argv, tol):
+    """run_contract, plus exit 2 for a --tol that is not finite and >= 0 and
+    plain JSON on stdout at exit 0."""
+    code, out = run_contract(argv)
     if isinstance(tol, str) or (tol is not None
                                 and not 0.0 <= tol < float("inf")):
         assert code == 2
     if code == 0:
-        assert err.getvalue() == ""
-        json.loads(out.getvalue(), parse_constant=_reject_non_finite)
+        json.loads(out, parse_constant=_reject_non_finite)
 
 
 @settings(max_examples=400, deadline=None)
 @given(mode=st.sampled_from(["hamiltonian", "gradient-eigensolve"]),
        opt_mode=st.sampled_from(["ascent", "descent"]),
-       a=st.sampled_from([np.diag([1.0, -1.0]), np.diag([2.0, 0.5, -1.0]),
-                          np.array([[0.0, 1j], [-1j, 0.0]])]),
+       a=st.builds(np.multiply,
+                   st.sampled_from([np.diag([1.0, -1.0]),
+                                    np.diag([2.0, 0.5, -1.0]),
+                                    np.array([[0.0, 1j], [-1j, 0.0]])]),
+                   st.sampled_from([1.0, 1.0, 1.0, 1e-300, 1e-170, 1e150,
+                                    1e300])),
        psi0=st.one_of(st.none(), _flow_psi0()),
        step=st.one_of(st.none(), _odd_floats(1e-3, 0.7, 1e-300, 1e308)),
        t_final=st.one_of(st.none(), _odd_floats(0.0, 1.0, 1e5, 1e308)),
@@ -383,6 +395,43 @@ def test_payload_fuzz_exit_contract(data, command, tol):
         if direction is not None:
             argv.append(f"--direction={direction}")
     assert_exit_contract(argv, tol)
+
+
+def _int_option_text(low, high, valid_high):
+    """Text for an integer option that accepts low..high: a value up to
+    valid_high, bare, signed, padded or with an underscore; values out of
+    range on either side, up to 31 digits; and text int() refuses, among it
+    a number past its 4300-digit limit."""
+    valid = st.integers(low, valid_high)
+    return st.one_of(
+        valid.map(str), valid.map("+{}".format), valid.map(" {} ".format),
+        valid.map("0_{}".format), st.integers(-10**30, low - 1).map(str),
+        st.integers(high + 1, 10**30).map(str),
+        st.sampled_from(["-", "2.0", "1e3", "0x3", "\u0663", "nan", "inf",
+                         "9" * 5000]),
+        _NOT_NUMERIC)
+
+
+# A valid n stays <= 6 and a valid resolution <= 9 to keep the test quick.
+_INT_OPTIONS = {"constants": ("--n", cli.MAX_CONSTANTS_N, 6),
+                "ballgrid": ("--resolution", cli.MAX_BALLGRID_RESOLUTION, 9)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), command=st.sampled_from(sorted(_INT_OPTIONS)))
+def test_integer_option_fuzz_exit_contract(data, command):
+    option, high, valid_high = _INT_OPTIONS[command]
+    text = data.draw(_int_option_text(2, high, valid_high), label="value")
+    code, out = run_contract([command, f"{option}={text}"])
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    assert code == (0 if value is not None and 2 <= value <= high else 2)
+    if code == 0 and command == "ballgrid":
+        assert out.count("\n") == value ** 3 + 1
+    elif code == 0:
+        assert out.startswith("mu,nu,rho,C,d")
 
 
 NOT_UTF8 = b'{"dim": 2, "re": [[1, 0], [0, 0]], "im": [[0, 0], [0, 0]]}\xff'
@@ -634,6 +683,21 @@ def test_flow_eigensolve_descent(capsys):
     # result state round-trips through the state parser
     psi = state_from_dict(report["state"])
     assert abs(psi.norm() - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e300])
+@pytest.mark.parametrize("mode, sign", [("ascent", 1.0), ("descent", -1.0)])
+def test_flow_eigensolve_extreme_scales(capsys, scale, mode, sign):
+    # The solver works at an exact power-of-two scale of A: at 1e300 no dot
+    # product overflows, and at 1e-170 no squared residual underflows to 0.
+    payload = json.dumps({"A": operator_to_dict(
+        np.diag([scale, -scale]).astype(complex))})
+    code, out = run(capsys, "flow", "--mode", "gradient-eigensolve",
+                    "--opt-mode", mode, "--json", payload)
+    report = json.loads(out)
+    assert code == 0 and report["converged"]
+    eps = np.finfo(float).eps
+    assert abs(report["eigenvalue"] - sign * scale) <= 16 * eps * scale
 
 
 def test_flow_eigensolve_identity_trace(tmp_path, capsys):

@@ -20,7 +20,11 @@ from geomstates import (
     spectral_oracle,
     star_product,
 )
-from geomstates.realified import InvalidStartError, expectation_trace_samples
+from geomstates.realified import (
+    InvalidStartError,
+    _realified_operator,
+    expectation_trace_samples,
+)
 
 from conftest import random_hermitian, random_state, unitary_exp
 
@@ -104,6 +108,59 @@ def test_bracket_homomorphisms_random(rng):
                    - quadratic_function(a @ b + b @ a, psi)) < 1e-10
         assert abs(bracket_omega(a, b, psi)
                    - quadratic_function(-1j * (a @ b - b @ a), psi)) < 1e-10
+
+
+# Each side of a bracket identity is a sum of O(n) rounded products, so a
+# worst-case bound is a small multiple of n * eps * ||A|| ||B|| ||psi||^2
+# (times norms of |A| and |B|, which can exceed those of A and B).  Rounding
+# errors of both signs partly cancel: over 30,000 draws of the sampler below
+# the error stayed under 0.87 n eps ||A|| ||B|| ||psi||^2, and under
+# 0.58 n eps ||A|| ||psi|| for A x against the realified A psi.  C = 4
+# leaves a margin of more than 4x.
+C_BRACKET = 4.0
+EPS = np.finfo(float).eps
+
+
+def _operator_of_kind(rng, n, kind):
+    """An exactly Hermitian random matrix, or one with integer eigenvalues
+    repeated at n > 5, or one of rank about n / 2."""
+    if kind == "random":
+        return random_hermitian(rng, n)
+    q = np.linalg.qr(random_hermitian(rng, n)
+                     + 1j * random_hermitian(rng, n))[0]
+    if kind == "degenerate":
+        w = rng.integers(-2, 3, size=n).astype(float)
+    else:
+        w = np.where(rng.random(n) < 0.5, 0.0, rng.normal(size=n))
+    m = (q * w) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "degenerate", "rank-deficient"]),
+       exps=st.tuples(*[st.integers(-50, 50)] * 3))
+def test_bracket_homomorphisms_across_n(n, seed, kind, exps):
+    rng = np.random.default_rng(seed)
+    a = _operator_of_kind(rng, n, kind) * 10.0 ** exps[0]
+    b = _operator_of_kind(rng, n, kind) * 10.0 ** exps[1]
+    psi = RealifiedState(*(rng.normal(size=(2, n)) * 10.0 ** exps[2]))
+    norm_a, norm_b = np.linalg.norm(a, 2), np.linalg.norm(b, 2)
+    tol = C_BRACKET * n * EPS * norm_a * norm_b * psi.norm() ** 2
+    # h + h^dagger and -i(h - h^dagger) with h = AB are exactly Hermitian:
+    # AB + BA and -i[A, B] as computed are not
+    h = a @ b
+    assert abs(bracket_g(a, b, psi)
+               - quadratic_function(h + h.conj().T, psi)) <= tol
+    assert abs(bracket_omega(a, b, psi)
+               - quadratic_function(-1j * (h - h.conj().T), psi)) <= tol
+    # the solver's real symmetric form of A on x = (q, p)
+    a_hat = _realified_operator(a)
+    assert np.array_equal(a_hat, a_hat.T)
+    az = a @ psi.to_complex()
+    assert (np.abs(a_hat @ np.concatenate([psi.q, psi.p])
+                   - np.concatenate([az.real, az.imag])).max()
+            <= C_BRACKET * n * EPS * norm_a * psi.norm())
 
 
 def test_star_product_identity():
@@ -260,6 +317,84 @@ def test_eigensolve_barzilai_borwein_converges_fast(rng, n, kind):
             assert trace[-1][0] <= 500
 
 
+def complex_reference_eigensolve(a, psi0, mode):
+    """The solver's loop in complex coordinates, as it ran before it moved to
+    the realified ones, kept as an independent reference.
+
+    Returns (eigenvalue, converged, iterations)."""
+    norm_a = np.linalg.norm(a, 2)
+    default_step = step = 0.1 / max(norm_a, 1e-300)
+    tol = 1e-9 * max(norm_a, 1e-300)
+    sign = 1.0 if mode == "ascent" else -1.0
+    z = psi0.to_complex()
+    z = z / np.linalg.norm(z)
+    for it in range(100_001):
+        az = a @ z
+        e = float((z.conj() @ az).real)
+        resid_vec = az - e * z
+        if float(np.linalg.norm(resid_vec)) < tol:
+            return e, True, it
+        if it > 0:
+            s = z - z_prev
+            denom = abs(float(np.vdot(s, resid_vec - r_prev).real))
+            if not s.any():
+                step = default_step
+            elif denom > 0.0:
+                step = float(np.vdot(s, s).real) / denom
+        z_prev, r_prev = z, resid_vec
+        z = z + sign * step * resid_vec
+        z = z / np.linalg.norm(z)
+    return e, False, it
+
+
+@pytest.mark.parametrize("kind", ["gapped", "random", "degenerate"])
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 12])
+def test_eigensolve_matches_complex_reference(rng, n, kind):
+    # the realified loop sums in another order: the same iterates up to
+    # round-off, so the same iteration count and a last-bits eigenvalue
+    for _ in range(4):
+        q = np.linalg.qr(random_hermitian(rng, n)
+                         + 1j * random_hermitian(rng, n))[0]
+        a = (q * _spectrum(rng, n, kind)) @ q.conj().T
+        norm_a = np.linalg.norm(a, 2)
+        for mode in ("ascent", "descent"):
+            psi0 = random_state(rng, n)
+            trace = []
+            e, _, conv = critical_point_eigensolve(a, psi0, mode=mode,
+                                                   trace=trace)
+            e_ref, conv_ref, iters_ref = complex_reference_eigensolve(
+                a, psi0, mode)
+            assert conv == conv_ref and trace[-1][0] == iters_ref
+            assert abs(e - e_ref) <= 8 * n * EPS * norm_a
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_eigensolve_is_scale_invariant(rng, n):
+    # the solver runs at an exact power-of-two scale of A: a power-of-two
+    # factor changes nothing, and a decimal one only A's rounding.  For
+    # ||A|| beyond about 1e±146 LAPACK's eigvalsh rescales A by a factor that
+    # is not a power of two, so the bit-for-bit check stays inside that.
+    a = random_hermitian(rng, n)
+    bound = 8 * n * EPS * np.linalg.norm(a, 2)
+    for mode in ("ascent", "descent"):
+        psi0 = random_state(rng, n)
+        trace = []
+        e1, psi1, conv1 = critical_point_eigensolve(a, psi0, mode=mode,
+                                                    trace=trace)
+        assert conv1
+        for scale in (2.0 ** -400, 2.0 ** 400):
+            e, psi, conv = critical_point_eigensolve(a * scale, psi0,
+                                                     mode=mode)
+            assert conv and e / scale == e1
+            assert np.array_equal(psi.to_complex(), psi1.to_complex())
+        for scale in (1e-300, 1e-170, 1e-100, 1e100, 1e150, 1e300):
+            scaled = []
+            e, _, conv = critical_point_eigensolve(a * scale, psi0, mode=mode,
+                                                   trace=scaled)
+            assert conv and len(scaled) == len(trace)
+            assert abs(e / scale - e1) <= bound
+
+
 def test_eigensolve_identity_converges_immediately(rng):
     psi0 = random_state(rng, 3)
     trace = []
@@ -294,6 +429,14 @@ def test_eigensolve_eigenvalue_matches_some_oracle_value(rng):
     w, _ = spectral_oracle(a)
     e, _, conv = critical_point_eigensolve(a, random_state(rng, 4))
     assert conv and np.abs(w - e).min() < 1e-7
+
+
+def test_eigensolve_huge_step_unused_at_an_eigenvector():
+    # step * 2**k overflows, but a start at an eigenvector never takes it
+    e, _, conv = critical_point_eigensolve(
+        np.diag([2.0, -1.0]), RealifiedState([1.0, 0.0], [0.0, 0.0]),
+        step=1e308)
+    assert conv and e == 2.0
 
 
 def test_eigensolve_zero_start_rejected():
