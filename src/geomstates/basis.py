@@ -89,7 +89,7 @@ class OrthogonalBasis:
         is sqrt(2/n) I, each within 1e-12."""
         n = self.dim
         stack = self.elements
-        gram = np.einsum("aij,bji->ab", stack, stack).real / 2.0
+        gram = triple_traces(np.eye(n), stack).real / 2.0
         if np.abs(gram - np.eye(n * n)).max() > 1e-12:
             raise BasisError("basis is not trace-orthonormal")
         if np.abs(stack[0] - np.sqrt(2.0 / n) * np.eye(n)).max() > 1e-12:
@@ -166,8 +166,9 @@ class StructureConstants:
         [b_mu, b_nu]   = 2i C_{mu nu rho} b_rho
         [b_mu, b_nu]_+ = 2 sqrt(2/n) b_0 delta_{mu nu} + 2 d_{mu nu rho} b_rho
 
-    The explicit b_0 delta term means d carries no (mu, mu, 0) component;
-    d entries with a 0 somewhere else are still nonzero.
+    C vanishes wherever an index is 0.  The explicit b_0 delta term means
+    d[mu, nu, 0] = 0, while d[0, nu, rho] = d[nu, 0, rho] =
+    sqrt(2/n) delta_{nu rho} for rho >= 1.
     """
 
     dim: int
@@ -211,14 +212,17 @@ def eigenpair_masks(w: np.ndarray):
 
 
 def structure_constants(basis: OrthogonalBasis) -> StructureConstants:
-    """Compute C and d for an orthogonal basis from triple traces."""
+    """C and d for an orthogonal basis: the parts (T -+ T[b, a, c]) / 4 of
+    T[a, b, c] = Tr(b_a b_b b_c).  For Hermitian b, Tr(XYZ)* = Tr(ZYX) =
+    Tr(YXZ), so T[b, a, c] = conj(T[a, b, c]) and they are Im T / 2 and
+    Re T / 2 (less the b_0 delta term)."""
     basis.verify()
     n = basis.dim
     stack = basis.elements
     # T[a, b, c] = Tr(b_a b_b b_c) = Tr(b_c b_a b_b) by cyclicity.
     triple = triple_traces(stack, stack).transpose(1, 2, 0)
-    c = ((triple - triple.transpose(1, 0, 2)) / 4.0).imag
-    d = ((triple + triple.transpose(1, 0, 2)) / 4.0).real
+    c = triple.imag / 2.0
+    d = triple.real / 2.0
     m = n * n
     d[np.arange(m), np.arange(m), 0] -= np.sqrt(2.0 / n)
     return StructureConstants(n, c, d, basis)

@@ -42,8 +42,8 @@ from .states import (
 DEFAULT_SEED = 12345
 # r^3 rows are held in memory; 101 gives about 1.03 M points.
 MAX_BALLGRID_RESOLUTION = 101
-# C and d are two dense (n^2)^3 arrays; 12 gives about 48 MB for the pair
-# (the n=20 pair alone would be 1 GB).
+# C and d are two dense real (n^2)^3 arrays, read off one complex one; 12
+# gives about 48 MB for the pair (the n=20 pair alone would be 1 GB).
 MAX_CONSTANTS_N = 12
 # A hamiltonian flow holds a few (T+1, n) complex sample arrays; at 1 M
 # samples and n = 12 each is about 190 MB.
@@ -213,7 +213,7 @@ def cmd_flow(args) -> int:
         if psi0.dim != op.shape[0]:
             raise ValueError(
                 f"psi0 has dim {psi0.dim}, A has dim {op.shape[0]}")
-        if psi0.norm() == 0.0:
+        if not (np.count_nonzero(psi0.q) or np.count_nonzero(psi0.p)):
             raise ValueError("psi0 must be nonzero")
         return op, psi0
 

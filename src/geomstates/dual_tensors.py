@@ -22,7 +22,7 @@ from .basis import (
     pair_indices,
     triple_traces,
 )
-from .realified import RealifiedState, bracket_g, bracket_omega
+from .realified import RealifiedState, star_product
 
 # Global scale between the contravariant Hermitian tensor on the realified
 # Hilbert space and the pushed-forward (R + i Lambda) on the dual, fixed once
@@ -148,7 +148,7 @@ def distributions_at(y: np.ndarray,
 def pushforward_check(psi: RealifiedState, a: np.ndarray, b: np.ndarray):
     """Both sides of the momentum-map pushforward identity.
 
-    lhs: (G + i Omega)(df_A, df_B) at psi, from coordinate gradients.
+    lhs: (G + i Omega)(df_A, df_B) at psi, the star product <A psi, B psi>.
     rhs: PAIRING_SCALE * (R + i Lambda) at xi = |psi><psi| evaluated on the
     linear functions of A and B.
     """
@@ -156,7 +156,7 @@ def pushforward_check(psi: RealifiedState, a: np.ndarray, b: np.ndarray):
         raise ValueError("psi must be nonzero")
     a = check_hermitian(a)
     b = check_hermitian(b)
-    lhs = complex(bracket_g(a, b, psi), bracket_omega(a, b, psi))
+    lhs = star_product(a, b, psi)
     z = psi.to_complex()
     xi = np.outer(z, z.conj())
     ab = a @ b

@@ -126,31 +126,21 @@ def quadratic_function(a: np.ndarray, psi: RealifiedState) -> float:
     return float((z.conj() @ (a @ z)).real) / 2.0
 
 
-def _gradient_components(a: np.ndarray, psi: RealifiedState) -> np.ndarray:
-    """Coordinate differential of f_A at psi; equals the realification of
-    A psi since g is the flat Euclidean metric."""
-    az = a @ psi.to_complex()
-    return _realify(az)
+def star_product(a: np.ndarray, b: np.ndarray, psi: RealifiedState) -> complex:
+    """(G + i Omega)(df_A, df_B) at psi: <A psi, B psi>, as grad f_A is A psi
+    and g, w are Re, Im <.,.>.  Equals <psi, AB psi>."""
+    z = psi.to_complex()
+    return complex(np.vdot(_operator_on(a, psi) @ z, _operator_on(b, psi) @ z))
 
 
 def bracket_g(a: np.ndarray, b: np.ndarray, psi: RealifiedState) -> float:
     """G(df_A, df_B) at psi; equals f_{AB+BA}(psi)."""
-    da = _gradient_components(check_hermitian(a), psi)
-    db = _gradient_components(check_hermitian(b), psi)
-    return float(da @ db)
+    return star_product(a, b, psi).real
 
 
 def bracket_omega(a: np.ndarray, b: np.ndarray, psi: RealifiedState) -> float:
     """Omega(df_A, df_B) at psi; equals f_{-i[A,B]}(psi)."""
-    n = psi.dim
-    da = _gradient_components(check_hermitian(a), psi)
-    db = _gradient_components(check_hermitian(b), psi)
-    return float(da[:n] @ db[n:] - da[n:] @ db[:n])
-
-
-def star_product(a: np.ndarray, b: np.ndarray, psi: RealifiedState) -> complex:
-    """bracket_g + i bracket_omega; equals <psi, AB psi>."""
-    return complex(bracket_g(a, b, psi), bracket_omega(a, b, psi))
+    return star_product(a, b, psi).imag
 
 
 def gradient_vf(a: np.ndarray, psi: RealifiedState) -> TangentVector:
@@ -235,7 +225,9 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
     scaling that is exact, so the iterates do not depend on the magnitude
     of A: no squared residual underflows for tiny A and no dot product
     overflows for huge A.  A given step is multiplied by 2**k, and the
-    eigenvalue and the traced values are scaled back by 2**k.
+    eigenvalue and the traced values are scaled back by 2**k.  The start is
+    scaled alike by the binary exponent of its largest entry, so its size
+    does not matter; a non-finite residual stops the iteration unconverged.
 
     mode: "ascent" climbs toward the largest eigenvalue, "descent" toward the
     smallest.  If trace is a list, (iteration, e_A, residual) triples are
@@ -244,7 +236,8 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
     Returns (eigenvalue, state, converged).
     """
     a = check_hermitian(a)
-    if psi0.norm() == 0.0:
+    x = np.concatenate([psi0.q, psi0.p])
+    if not np.count_nonzero(x):
         raise InvalidStartError("starting vector must be nonzero")
     if mode not in ("ascent", "descent"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -267,7 +260,7 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
 
     a_hat = np.ldexp(_realified_operator(a), -k)
     n = psi0.dim
-    x = np.concatenate([psi0.q, psi0.p])
+    x = np.ldexp(x, -math.frexp(np.abs(x).max())[1])
     x = x / math.sqrt(x.dot(x))
     converged = False
     e = 0.0
@@ -278,6 +271,8 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
         resid = math.sqrt(r.dot(r))
         if trace is not None:
             trace.append((it, math.ldexp(e, k), math.ldexp(resid, k)))
+        if not math.isfinite(resid):
+            break
         if resid < tol:
             converged = True
             break

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from geomstates import RealifiedState, spectral_oracle
 
@@ -10,6 +11,38 @@ from geomstates import RealifiedState, spectral_oracle
 def random_hermitian(rng, n):
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return (m + m.conj().T) / 2
+
+
+def operator_of_kind(rng, n, kind):
+    """An exactly Hermitian random matrix, or one with integer eigenvalues
+    repeated at n > 5, or one of rank about n / 2."""
+    if kind == "random":
+        return random_hermitian(rng, n)
+    q = np.linalg.qr(random_hermitian(rng, n)
+                     + 1j * random_hermitian(rng, n))[0]
+    if kind == "degenerate":
+        w = rng.integers(-2, 3, size=n).astype(float)
+    else:
+        w = np.where(rng.random(n) < 0.5, 0.0, rng.normal(size=n))
+    m = (q * w) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
+# Draws of bracket_sample: n = 2...12, one operator kind, and powers of ten
+# for A, B and psi.
+BRACKET_DRAWS = dict(
+    n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["random", "degenerate", "rank-deficient"]),
+    exps=st.tuples(*[st.integers(-50, 50)] * 3))
+
+
+def bracket_sample(n, seed, kind, exps):
+    """Two operators of one kind and a state, scaled by 10**exps."""
+    rng = np.random.default_rng(seed)
+    a = operator_of_kind(rng, n, kind) * 10.0 ** exps[0]
+    b = operator_of_kind(rng, n, kind) * 10.0 ** exps[1]
+    psi = RealifiedState(*(rng.normal(size=(2, n)) * 10.0 ** exps[2]))
+    return a, b, psi
 
 
 def random_state(rng, n):

@@ -205,6 +205,35 @@ def test_flow_overflow_is_numeric_failure(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("exp", [-565, 664])
+def test_flow_eigensolve_psi0_at_any_scale(capsys, exp):
+    # |psi0|^2 underflows to 0 at 2**-565 and overflows at 2**664.  psi0 is
+    # zero only when no entry is nonzero, and the solver scales the start by
+    # a power of two before it normalizes it, so stdout is that of the
+    # unscaled start, byte for byte.
+    a = operator_to_dict(np.array([[1.0, 0.5 - 0.25j], [0.5 + 0.25j, -1.0]]))
+    outs = []
+    for q in ([0.6, 0.8], np.ldexp([0.6, 0.8], exp).tolist()):
+        payload = json.dumps({"A": a, "psi0": {"dim": 2, "q": q,
+                                               "p": [0.0, 0.0]}})
+        outs.append(run(capsys, "flow", "--mode", "gradient-eigensolve",
+                        "--json", payload))
+    assert outs[0][0] == 0 and outs[1] == outs[0]
+
+
+@pytest.mark.parametrize("q", [[1e-170, 1e-170], [1e200, 1e200]])
+def test_flow_hamiltonian_psi0_beyond_square_range(capsys, q):
+    # psi0 is nonzero, so it is no usage error; the Hamiltonian samples are
+    # divided by |psi|^2, which underflows to 0 or overflows: exit 3
+    payload = json.dumps({"A": SIGMA3, "psi0": {"dim": 2, "q": q,
+                                                "p": [0, 0]}})
+    code = cli.main(["flow", "--mode", "hamiltonian", "--json", payload])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("numeric failure: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_flow_sample_grid_capped(capsys):
     # round(t_final / step) + 1 samples; refused before anything is allocated
     payload = json.dumps({"A": SIGMA3})
