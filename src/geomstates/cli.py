@@ -213,8 +213,7 @@ def cmd_flow(args) -> int:
         if psi0.dim != op.shape[0]:
             raise ValueError(
                 f"psi0 has dim {psi0.dim}, A has dim {op.shape[0]}")
-        if not (np.count_nonzero(psi0.q) or np.count_nonzero(psi0.p)):
-            raise ValueError("psi0 must be nonzero")
+        psi0.unit()  # ZeroVectorError, a ValueError, at psi0 = 0
         return op, psi0
 
     op, psi0 = _read_payload(args, parse, "flow")
@@ -223,11 +222,8 @@ def cmd_flow(args) -> int:
         samples, drift_norm, drift_ea = expectation_trace_samples(
             op, psi0, args.t_final, grid_step)
         if args.trace:
-            lines = ["t,e_A,norm"]
-            for t, e, nrm in samples.tolist():
-                lines.append(",".join(serialize.csv_float(x)
-                                      for x in (t, e, nrm)))
-            _write(args.trace, "\n".join(lines) + "\n")
+            _write(args.trace, serialize.trace_csv(samples.tolist(),
+                                                   header="t,e_A,norm"))
         report = {
             "mode": "hamiltonian",
             "t_final": args.t_final,

@@ -152,8 +152,7 @@ def pushforward_check(psi: RealifiedState, a: np.ndarray, b: np.ndarray):
     rhs: PAIRING_SCALE * (R + i Lambda) at xi = |psi><psi| evaluated on the
     linear functions of A and B.
     """
-    if psi.norm() == 0.0:
-        raise ValueError("psi must be nonzero")
+    psi.unit()  # ZeroVectorError at psi = 0
     a = check_hermitian(a)
     b = check_hermitian(b)
     lhs = star_product(a, b, psi)

@@ -1,6 +1,7 @@
 """The ray space: gauge-fixed rays, the momentum map onto rank-one
 projectors, expectation values, the connection one-form, the projected
-Hermitian tensor, and transition probabilities between extremal states."""
+Hermitian tensor, and transition probabilities between extremal states.
+The maps take psi at any finite scale, through RealifiedState.unit and norm."""
 
 from __future__ import annotations
 
@@ -9,26 +10,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import DimensionError, check_hermitian
-from .realified import RealifiedState, TangentVector, _operator_on
+from .realified import RealifiedState, TangentVector, _complex, _operator_on
+from .realified import ZeroVectorError  # noqa: F401  raised by unit()
 
 TOL_PURE = 1e-10
 
 
-class ZeroVectorError(ValueError):
-    """A nonzero vector was required."""
-
-
 class NotExtremalError(ValueError):
     """Operation defined only on rank-one (pure) states."""
-
-
-def _nonzero(psi: RealifiedState, message: str):
-    """psi as a complex vector z and <z, z>; ZeroVectorError at z = 0."""
-    z = psi.to_complex()
-    n2 = float((z.conj() @ z).real)
-    if n2 == 0.0:
-        raise ZeroVectorError(message)
-    return z, n2
 
 
 @dataclass(frozen=True)
@@ -43,13 +32,9 @@ class Ray:
 
     @classmethod
     def from_state(cls, psi: RealifiedState) -> "Ray":
-        z, n2 = _nonzero(psi, "cannot form the ray of the zero vector")
-        z = z / np.sqrt(n2)
-        for zk in z:
-            if abs(zk) > 1e-14:
-                z = z * (zk.conjugate() / abs(zk))
-                break
-        return cls(RealifiedState.from_complex(z))
+        z = _complex(psi.unit())
+        zk = z[np.argmax(np.abs(z) > 1e-14)]  # a unit z has an entry that big
+        return cls(RealifiedState.from_complex(z * (zk.conjugate() / abs(zk))))
 
 
 @dataclass(frozen=True)
@@ -76,15 +61,15 @@ def momentum_map(psi: RealifiedState) -> PureDensity:
 
     Invariant under rescaling psi by any nonzero complex number.
     """
-    z, n2 = _nonzero(psi, "momentum map undefined at the zero vector")
-    return PureDensity(np.outer(z, z.conj()) / n2)
+    u = _complex(psi.unit())
+    return PureDensity(np.outer(u, u.conj()))
 
 
 def expectation(a: np.ndarray, psi: RealifiedState) -> float:
     """e_A(psi) = <psi, A psi> / <psi, psi>; scale invariant."""
     a = _operator_on(a, psi)
-    z, n2 = _nonzero(psi, "expectation undefined at the zero vector")
-    return float((z.conj() @ (a @ z)).real) / n2
+    u = _complex(psi.unit())
+    return float((u.conj() @ (a @ u)).real)
 
 
 def connection_form(psi: RealifiedState, v: TangentVector) -> complex:
@@ -93,8 +78,8 @@ def connection_form(psi: RealifiedState, v: TangentVector) -> complex:
     Vertical directions are recovered exactly: theta on the dilation
     direction is 1 and on its J-rotation is i.
     """
-    z, n2 = _nonzero(psi, "connection form undefined at the zero vector")
-    return complex(z.conj() @ v.to_complex()) / n2
+    u = _complex(psi.unit())
+    return complex(u.conj() @ v.to_complex()) / psi.norm()
 
 
 def projected_hermitian(psi: RealifiedState, v: TangentVector,
@@ -107,12 +92,11 @@ def projected_hermitian(psi: RealifiedState, v: TangentVector,
     Annihilates the dilation direction and its J-rotation; invariant under
     rescaling psi.
     """
-    z, n2 = _nonzero(psi, "tensor undefined at the zero vector")
+    u = _complex(psi.unit())
     vc = v.to_complex()
     wc = w.to_complex()
-    return complex(vc.conj() @ wc) / n2 - complex(
-        (vc.conj() @ z) * (z.conj() @ wc)
-    ) / n2**2
+    return complex(vc.conj() @ wc - (vc.conj() @ u) * (u.conj() @ wc)) / (
+        psi.norm() ** 2)
 
 
 def transition_probability(rho1: PureDensity, rho2: PureDensity) -> float:

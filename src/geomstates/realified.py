@@ -23,8 +23,11 @@ import numpy as np
 from .basis import DimensionError, check_hermitian
 
 
-class InvalidStartError(ValueError):
-    """Zero starting vector handed to an iterative solver."""
+class ZeroVectorError(ValueError):
+    """A nonzero vector was required."""
+
+
+InvalidStartError = ZeroVectorError  # a zero start of the eigensolver
 
 
 @dataclass(frozen=True)
@@ -52,8 +55,25 @@ class RealifiedState:
         z = np.asarray(z, dtype=complex)
         return cls(z.real.copy(), z.imag.copy())
 
+    def _scaled(self):
+        """(q, p) times 2**-k, and k: the exact scaling that puts the largest
+        |entry| in [0.5, 1), so the sum of squares is 0 only for psi = 0."""
+        x = np.concatenate([self.q, self.p])
+        k = math.frexp(np.abs(x).max(initial=0.0))[1]
+        return np.ldexp(x, -k), k
+
     def norm(self) -> float:
-        return float(np.sqrt(self.q @ self.q + self.p @ self.p))
+        """|psi|; OverflowError when it is beyond the float range."""
+        x, k = self._scaled()
+        return math.ldexp(math.sqrt(x.dot(x)), k)
+
+    def unit(self) -> np.ndarray:
+        """psi / |psi| as one real array (q, p), the same for psi * 2**e."""
+        x, _ = self._scaled()
+        n2 = x.dot(x)
+        if not n2:
+            raise ZeroVectorError("psi must be nonzero")
+        return x / math.sqrt(n2)
 
 
 @dataclass(frozen=True)
@@ -72,12 +92,17 @@ class TangentVector:
             raise ValueError("tangent components must be finite")
 
     def to_complex(self) -> np.ndarray:
-        n = self.base.dim
-        return self.components[:n] + 1j * self.components[n:]
+        return _complex(self.components)
 
 
 def _realify(z: np.ndarray) -> np.ndarray:
     return np.concatenate([z.real, z.imag])
+
+
+def _complex(x: np.ndarray) -> np.ndarray:
+    """The complex vector whose realification is x."""
+    n = x.shape[0] // 2
+    return x[:n] + 1j * x[n:]
 
 
 @dataclass(frozen=True)
@@ -166,7 +191,7 @@ def flow_hamiltonian(a: np.ndarray, psi0: RealifiedState, t_final: float,
     Returns (times, z): times of shape (T+1,) and the complex samples z of
     shape (T+1, n), endpoints included.
     """
-    a = check_hermitian(a)
+    a = _operator_on(a, psi0)
     n_steps = max(1, int(round(t_final / step)))
     times = np.arange(n_steps + 1) * (t_final / n_steps)
     w, v = np.linalg.eigh(a)
@@ -226,8 +251,7 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
     of A: no squared residual underflows for tiny A and no dot product
     overflows for huge A.  A given step is multiplied by 2**k, and the
     eigenvalue and the traced values are scaled back by 2**k.  The start is
-    scaled alike by the binary exponent of its largest entry, so its size
-    does not matter; a non-finite residual stops the iteration unconverged.
+    psi0.unit(); a non-finite residual stops the iteration unconverged.
 
     mode: "ascent" climbs toward the largest eigenvalue, "descent" toward the
     smallest.  If trace is a list, (iteration, e_A, residual) triples are
@@ -235,10 +259,8 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
 
     Returns (eigenvalue, state, converged).
     """
-    a = check_hermitian(a)
-    x = np.concatenate([psi0.q, psi0.p])
-    if not np.count_nonzero(x):
-        raise InvalidStartError("starting vector must be nonzero")
+    a = _operator_on(a, psi0)
+    x = psi0.unit()
     if mode not in ("ascent", "descent"):
         raise ValueError(f"unknown mode {mode!r}")
     w = np.linalg.eigvalsh(a)
@@ -260,8 +282,6 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
 
     a_hat = np.ldexp(_realified_operator(a), -k)
     n = psi0.dim
-    x = np.ldexp(x, -math.frexp(np.abs(x).max())[1])
-    x = x / math.sqrt(x.dot(x))
     converged = False
     e = 0.0
     for it in range(max_iter + 1):

@@ -150,8 +150,7 @@ def constants_csv_rows(sc: StructureConstants) -> list:
                                       in zip(rows, check.tolist())]
 
 
-def trace_csv(trace) -> str:
-    lines = ["iter,e_A,residual"]
-    for it, e, r in trace:
-        lines.append(f"{it},{csv_float(e)},{csv_float(r)}")
-    return "\n".join(lines) + "\n"
+def trace_csv(rows, header: str = "iter,e_A,residual") -> str:
+    """Flow-trace CSV: the header, then each row's cells through csv_float."""
+    return "\n".join([header] + [",".join(map(csv_float, row))
+                                 for row in rows]) + "\n"

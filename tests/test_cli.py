@@ -18,10 +18,19 @@ from geomstates import (
     qubit_from_bloch,
     to_dual,
 )
-from geomstates.serialize import operator_to_dict, state_from_dict, state_to_dict
-from geomstates.realified import RealifiedState
+from geomstates.serialize import (
+    csv_float,
+    operator_to_dict,
+    state_from_dict,
+    state_to_dict,
+)
+from geomstates.realified import (
+    RealifiedState,
+    critical_point_eigensolve,
+    expectation_trace_samples,
+)
 
-from conftest import subprocess_env
+from conftest import random_hermitian, random_state, subprocess_env
 
 
 def run(capsys, *argv):
@@ -699,6 +708,31 @@ def test_flow_hamiltonian_drift(tmp_path, capsys):
     lines = trace.read_text().strip().split("\n")
     assert lines[0] == "t,e_A,norm"
     assert len(lines) > 100
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_flow_trace_files_keep_their_per_mode_format(tmp_path, capsys, seed):
+    # The lines each mode wrote before both went through trace_csv: the
+    # iteration as an integer, every float through csv_float.
+    rng = np.random.default_rng(seed)
+    n = 2 + seed
+    a, psi0 = random_hermitian(rng, n), random_state(rng, n)
+    payload = json.dumps({"A": operator_to_dict(a),
+                          "psi0": state_to_dict(psi0)})
+    trace = tmp_path / "trace.csv"
+    run(capsys, "flow", "--mode", "hamiltonian", "--t-final", "1",
+        "--step", "0.01", "--trace", str(trace), "--json", payload)
+    samples = expectation_trace_samples(a, psi0, 1.0, 0.01)[0]
+    want = ["t,e_A,norm"] + [",".join(csv_float(x) for x in (t, e, nrm))
+                             for t, e, nrm in samples.tolist()]
+    assert trace.read_text() == "\n".join(want) + "\n"
+    run(capsys, "flow", "--mode", "gradient-eigensolve", "--trace",
+        str(trace), "--json", payload)
+    rows = []
+    critical_point_eigensolve(a, psi0, trace=rows)
+    want = ["iter,e_A,residual"] + [f"{it},{csv_float(e)},{csv_float(r)}"
+                                    for it, e, r in rows]
+    assert trace.read_text() == "\n".join(want) + "\n"
 
 
 def test_flow_eigensolve_descent(capsys):

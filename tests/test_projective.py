@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geomstates import (
     PureDensity,
@@ -7,16 +11,25 @@ from geomstates import (
     RealifiedState,
     TangentVector,
     connection_form,
+    critical_point_eigensolve,
     expectation,
     gellmann_basis,
     momentum_map,
     projected_hermitian,
+    pushforward_check,
     quadratic_function,
     transition_probability,
 )
+from geomstates import projective, realified
 from geomstates.projective import NotExtremalError, ZeroVectorError
 
-from conftest import random_hermitian, random_state, random_unit, unitary_exp
+from conftest import (
+    operator_of_kind,
+    random_hermitian,
+    random_state,
+    random_unit,
+    unitary_exp,
+)
 
 SIGMA = gellmann_basis(2).elements
 
@@ -171,3 +184,142 @@ def test_ray_gauge(rng):
 def test_ray_zero_rejected():
     with pytest.raises(ZeroVectorError):
         Ray.from_state(RealifiedState([0.0, 0.0], [0.0, 0.0]))
+
+
+# -- scale: the maps read psi through RealifiedState.unit and norm ---------
+
+def _state_of_kind(rng, n, kind, phase):
+    """e^(i phase) times a random psi, one with about half its entries 0, or
+    a basis vector."""
+    z = rng.normal(size=n) + 1j * rng.normal(size=n)
+    if kind == "sparse":
+        z[rng.random(n) < 0.5] = 0.0
+        z[rng.integers(n)] = 1.0
+    elif kind == "basis":
+        z = np.eye(n)[rng.integers(n)].astype(complex)
+    return RealifiedState.from_complex(np.exp(1j * phase) * z)
+
+
+def _times_two_to(psi, e):
+    return RealifiedState(np.ldexp(psi.q, e), np.ldexp(psi.p, e))
+
+
+SCALE_DRAWS = dict(
+    n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["random", "sparse", "basis"]),
+    phase=st.floats(0.0, 2 * np.pi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(e=st.integers(-600, 600), **SCALE_DRAWS)
+def test_ray_maps_bit_identical_at_any_scale(n, seed, kind, phase, e):
+    # psi * 2**e has the unit vector of psi bit for bit, because scaling by a
+    # power of two is exact; |psi|^2 itself underflows below about 2**-537
+    # and overflows above about 2**512.
+    rng = np.random.default_rng(seed)
+    psi = _state_of_kind(rng, n, kind, phase)
+    big = _times_two_to(psi, e)
+    a = random_hermitian(rng, n)
+    assert np.array_equal(momentum_map(big).op, momentum_map(psi).op)
+    assert expectation(a, big) == expectation(a, psi)
+    want, got = (Ray.from_state(x).representative for x in (psi, big))
+    assert np.array_equal(got.q, want.q) and np.array_equal(got.p, want.p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(e=st.integers(-300, 300), **SCALE_DRAWS)
+def test_ray_tensors_bit_identical_when_psi_v_w_scale_together(
+        n, seed, kind, phase, e):
+    # theta and the projected tensor are homogeneous of degree 0 in
+    # (psi, v, w) together; <v, w> stays in range up to |e| = 300, while
+    # <psi, psi>^2 leaves it beyond |e| = 256.
+    rng = np.random.default_rng(seed)
+    psi = _state_of_kind(rng, n, kind, phase)
+    v, w = (tangent(psi, rng.normal(size=n) + 1j * rng.normal(size=n))
+            for _ in range(2))
+    big = _times_two_to(psi, e)
+    bv, bw = (TangentVector(big, np.ldexp(t.components, e)) for t in (v, w))
+    assert connection_form(big, bv) == connection_form(psi, v)
+    assert projected_hermitian(big, bv, bw) == projected_hermitian(psi, v, w)
+
+
+# U psi takes one n-term matvec and U rho U^dagger two n-term matrix
+# products of unit-size entries; the pairing (1/2) Tr(A |psi><psi|) and f_A
+# are n-term sums bounded by ||A|| |psi|^2.  Over 20,000 draws of
+# _state_of_kind at n = 2...12, with psi and A scaled by 10**-50...10**50,
+# the differences stayed under 3.5 n eps and 0.35 n eps ||A|| |psi|^2;
+# C_EQUIV = 16 and C_PULLBACK = 4 leave margins of 4x and 11x.
+C_EQUIV = 16.0
+C_PULLBACK = 4.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(exps=st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+       a_kind=st.sampled_from(["random", "degenerate", "rank-deficient"]),
+       **SCALE_DRAWS)
+def test_momentum_map_equivariance_and_pullback_across_n(
+        n, seed, kind, phase, exps, a_kind):
+    rng = np.random.default_rng(seed)
+    psi = _state_of_kind(rng, n, kind, phase)
+    z = psi.to_complex() * 10.0 ** exps[0]
+    psi = RealifiedState.from_complex(z)
+    eps = np.finfo(float).eps
+    u = unitary_exp(random_hermitian(rng, n))
+    lhs = momentum_map(RealifiedState.from_complex(u @ z)).op
+    rhs = u @ momentum_map(psi).op @ u.conj().T
+    assert np.abs(lhs - rhs).max() <= C_EQUIV * n * eps
+    a = operator_of_kind(rng, n, a_kind) * 10.0 ** exps[1]
+    pairing = 0.5 * np.trace(a @ np.outer(z, z.conj())).real
+    assert abs(pairing - quadratic_function(a, psi)) <= (
+        C_PULLBACK * n * eps * np.linalg.norm(a, 2) * psi.norm() ** 2)
+
+
+@pytest.mark.parametrize("x, want", [
+    (1e-170, math.hypot(1e-170, 1e-170)),  # the sum of squares underflows
+    (1e200, math.hypot(1e200, 1e200)),  # the sum of squares overflows
+    (0.0, 0.0),
+])
+def test_norm_at_any_scale(x, want):
+    eps = np.finfo(float).eps
+    assert abs(RealifiedState([x, x], [0.0, 0.0]).norm() - want) <= 2 * eps * want
+
+
+def test_norm_beyond_the_float_range_raises():
+    with pytest.raises(OverflowError):
+        RealifiedState([1e308, 1e308], [1e308, 1e308]).norm()  # 2e308
+
+
+def test_unit_is_scaled_exactly(rng):
+    psi = random_state(rng, 5)
+    for e in (-1000, -600, 0, 600, 1000):
+        assert np.array_equal(_times_two_to(psi, e).unit(), psi.unit())
+    u = psi.unit()
+    assert abs(u @ u - 1.0) <= 4 * np.finfo(float).eps
+
+
+def test_pushforward_accepts_a_tiny_state():
+    psi = RealifiedState([1e-170, 1e-170], [0.0, 0.0])
+    lhs, rhs = pushforward_check(psi, np.eye(2), np.eye(2))
+    assert np.isfinite(lhs) and np.isfinite(rhs)
+
+
+def test_one_zero_vector_error():
+    assert (projective.ZeroVectorError is realified.ZeroVectorError
+            is realified.InvalidStartError)
+    assert issubclass(ZeroVectorError, ValueError)
+
+
+@pytest.mark.parametrize("call", [
+    lambda psi: psi.unit(),
+    Ray.from_state,
+    momentum_map,
+    lambda psi: expectation(np.eye(2), psi),
+    lambda psi: connection_form(psi, tangent(psi, np.ones(2))),
+    lambda psi: projected_hermitian(psi, tangent(psi, np.ones(2)),
+                                    tangent(psi, np.ones(2))),
+    lambda psi: pushforward_check(psi, np.eye(2), np.eye(2)),
+    lambda psi: critical_point_eigensolve(np.eye(2), psi),
+])
+def test_every_entry_point_refuses_the_zero_vector(call):
+    with pytest.raises(ZeroVectorError):
+        call(RealifiedState([0.0, -0.0], [0.0, 0.0]))

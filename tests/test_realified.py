@@ -491,6 +491,15 @@ def test_eigensolve_start_at_any_scale(rng, n, mode):
         assert np.array_equal(state.p, want[1].p)
 
 
+@pytest.mark.parametrize("flow", [
+    lambda a, psi: critical_point_eigensolve(a, psi),
+    lambda a, psi: flow_hamiltonian(a, psi, 1.0),
+])
+def test_flows_refuse_a_start_of_another_dimension(rng, flow):
+    with pytest.raises(DimensionError):
+        flow(random_hermitian(rng, 4), random_state(rng, 6))
+
+
 def test_eigensolve_zero_start_rejected():
     with pytest.raises(InvalidStartError):
         critical_point_eigensolve(np.eye(2), RealifiedState([0, 0], [0, 0]))

@@ -285,6 +285,48 @@ def test_gl_states_preserves_rank(rng):
         assert out.rank == rho.rank
 
 
+def _unitary(rng, n):
+    return np.linalg.qr(rng.normal(size=(n, n))
+                        + 1j * rng.normal(size=(n, n)))[0]
+
+
+def _hermitian(q, w):
+    m = (q * w) @ q.conj().T
+    return (m + m.conj().T) / 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["random", "degenerate", "rank-deficient"]))
+def test_gl_action_keeps_signature_and_rank_across_n(n, seed, kind):
+    # Sylvester's law of inertia.  T = U diag(s) V^dagger has singular
+    # values s in [0.5, 2], so by Ostrowski's theorem each eigenvalue of
+    # T xi T^dagger is the matching eigenvalue of xi times a factor in
+    # [0.25, 4]: a nonzero one is between 0.125 and 8 in size, far above the
+    # cut of 1e-9 times the largest (at most 8e-9), and a zero one moves by
+    # rounding alone, about n eps.  The same holds for the density state.
+    rng = np.random.default_rng(seed)
+    if kind == "degenerate":  # two magnitudes, each repeated
+        w = rng.choice([-2.0, -0.5, 0.5, 2.0], n)
+    else:
+        signs = [-1.0, 0.0, 1.0] if kind == "rank-deficient" else [-1.0, 1.0]
+        w = rng.choice(signs, n) * rng.uniform(0.5, 2.0, n)
+        w[0] = w[0] or 1.0  # xi is never 0
+    q = _unitary(rng, n)
+    t = (_unitary(rng, n) * rng.uniform(0.5, 2.0, n)) @ _unitary(rng, n)
+
+    def signature(m):
+        vals = np.linalg.eigvalsh(m)
+        cut = TOL_RANK * np.abs(vals).max()
+        return int((vals > cut).sum()), int((vals < -cut).sum())
+
+    want = int((w > 0).sum()), int((w < 0).sum())
+    xi = _hermitian(q, w)
+    assert signature(xi) == signature(gl_act_cone(t, xi)) == want
+    rho = require_density(_hermitian(q, np.abs(w) / np.abs(w).sum()))
+    assert rho.rank == gl_act_states(t, rho).rank == np.count_nonzero(w)
+
+
 # -- faces ----------------------------------------------------------------
 
 def test_face_dimensions():
