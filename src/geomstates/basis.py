@@ -243,6 +243,8 @@ def from_dual(y: np.ndarray, basis: OrthogonalBasis) -> np.ndarray:
         raise DimensionError(
             f"expected {basis.size} coordinates, got shape {y.shape}"
         )
+    if not np.isfinite(y).all():
+        raise ValueError("coordinates must be finite")
     return np.einsum("a,aij->ij", y, basis.elements)
 
 

@@ -4,8 +4,8 @@ Subcommands: classify, decompose, tensors, constants, flow, ballgrid.
 Input is an operator / state / coordinate payload given either as a file
 path (``--input``, "-" for stdin) or inline (``--json``).  Results go to
 --output (default stdout).  Exit codes: 0 = ran (including negative
-classifications), 2 = usage, parse or file error, 3 = internal numeric
-failure.
+classifications), 2 = usage, parse or file error or any ValueError of the
+library, 3 = internal numeric failure.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ MAX_CONSTANTS_N = 12
 MAX_FLOW_SAMPLES = 1_000_000
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -141,14 +141,7 @@ def cmd_decompose(args) -> int:
             {"density": False, "violated": rho.violated}))
         return 0
     if args.mode == "bloch":
-        if rho.dim != 2:
-            raise UsageError("bloch mode requires a 2-level state")
-        if args.direction is None:
-            raise UsageError("bloch mode requires --direction")
-        try:
-            dec = bloch_decompose_along(rho, args.direction)
-        except ValueError as exc:
-            raise UsageError(f"bad --direction: {exc}") from exc
+        dec = bloch_decompose_along(rho, args.direction)
     else:
         dec = convex_decompose_spectral(rho)
     residual = float(np.abs(dec.reconstruct() - rho.op).max())
@@ -177,8 +170,6 @@ def cmd_tensors(args) -> int:
 
 
 def cmd_constants(args) -> int:
-    if args.n < 2:
-        raise UsageError("dimension must be >= 2")
     if args.n > MAX_CONSTANTS_N:
         raise UsageError(f"dimension must be <= {MAX_CONSTANTS_N}")
     sc = structure_constants(gellmann_basis(args.n))
@@ -210,10 +201,6 @@ def cmd_flow(args) -> int:
             rng = np.random.default_rng(args.seed)
             psi0 = RealifiedState(rng.normal(size=op.shape[0]),
                                   rng.normal(size=op.shape[0]))
-        if psi0.dim != op.shape[0]:
-            raise ValueError(
-                f"psi0 has dim {psi0.dim}, A has dim {op.shape[0]}")
-        psi0.unit()  # ZeroVectorError, a ValueError, at psi0 = 0
         return op, psi0
 
     op, psi0 = _read_payload(args, parse, "flow")
@@ -342,12 +329,12 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # the reader stopped early; drop the rest
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"numeric failure: {exc}\n")
         return 3
+    except ValueError as exc:  # after LinAlgError, itself a ValueError
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ InvalidStartError = ZeroVectorError  # a zero start of the eigensolver
 
 @dataclass(frozen=True)
 class RealifiedState:
-    """Real coordinates (q, p) of a complex vector."""
+    """Real coordinates (q, p) of a complex vector; finite entries only."""
 
     q: np.ndarray
     p: np.ndarray
@@ -42,6 +42,8 @@ class RealifiedState:
         object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
         if self.q.shape != self.p.shape or self.q.ndim != 1:
             raise DimensionError("q and p must be equal-length 1-d arrays")
+        if not (np.isfinite(self.q).all() and np.isfinite(self.p).all()):
+            raise ValueError("state entries must be finite")
 
     @property
     def dim(self) -> int:
@@ -192,6 +194,8 @@ def flow_hamiltonian(a: np.ndarray, psi0: RealifiedState, t_final: float,
     shape (T+1, n), endpoints included.
     """
     a = _operator_on(a, psi0)
+    if not (math.isfinite(t_final) and math.isfinite(step) and step > 0):
+        raise ValueError("need a finite t_final and a finite step > 0")
     n_steps = max(1, int(round(t_final / step)))
     times = np.arange(n_steps + 1) * (t_final / n_steps)
     w, v = np.linalg.eigh(a)
@@ -204,12 +208,18 @@ def expectation_trace_samples(a: np.ndarray, psi0: RealifiedState,
     """Hamiltonian flow with per-sample (t, e_A, norm) rows and the
     conservation drifts of both quantities.
 
+    The flow runs from the exact scaling psi0._scaled(), so e_A is the same
+    for psi0 * 2**e and the norms are 2**e times; ZeroVectorError at 0.
+
     Returns (samples, norm_drift, e_drift) with samples of shape (T+1, 3).
     """
-    times, z = flow_hamiltonian(a, psi0, t_final, step)
+    psi0.unit()
+    x, k = psi0._scaled()
+    times, z = flow_hamiltonian(a, RealifiedState(*np.split(x, 2)), t_final,
+                                step)
     n2 = np.einsum("ti,ti->t", z.conj(), z).real
     e = np.einsum("ti,ti->t", z.conj(), z @ np.asarray(a).T).real / n2
-    norms = np.sqrt(n2)
+    norms = np.ldexp(np.sqrt(n2), k)
     return (np.column_stack([times, e, norms]),
             float(np.abs(norms - norms[0]).max()), float(np.abs(e - e[0]).max()))
 
@@ -251,7 +261,8 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
     of A: no squared residual underflows for tiny A and no dot product
     overflows for huge A.  A given step is multiplied by 2**k, and the
     eigenvalue and the traced values are scaled back by 2**k.  The start is
-    psi0.unit(); a non-finite residual stops the iteration unconverged.
+    psi0.unit(); a non-finite residual stops the iteration unconverged, with
+    the last finite iterate and its eigenvalue.
 
     mode: "ascent" climbs toward the largest eigenvalue, "descent" toward the
     smallest.  If trace is a list, (iteration, e_A, residual) triples are
@@ -270,8 +281,8 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
     default_step = 0.1 / max(norm_a, 1e-300)
     if step is None:
         step = default_step
-    elif step <= 0:
-        raise ValueError("step must be positive")
+    elif not (math.isfinite(step) and step > 0):
+        raise ValueError("step must be finite and > 0")
     else:
         try:
             step = math.ldexp(step, k)
@@ -291,7 +302,8 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
         resid = math.sqrt(r.dot(r))
         if trace is not None:
             trace.append((it, math.ldexp(e, k), math.ldexp(resid, k)))
-        if not math.isfinite(resid):
+        if not math.isfinite(resid):  # the last step left the float range
+            x, e = x_prev, e_prev
             break
         if resid < tol:
             converged = True
@@ -305,7 +317,7 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
                 step = default_step
             elif denom > 0.0:
                 step = float(s.dot(s)) / denom
-        x_prev, r_prev = x, r
+        x_prev, r_prev, e_prev = x, r, e
         x = x + sign * step * r
         x = x / math.sqrt(x.dot(x))
     return math.ldexp(e, k), RealifiedState(x[:n], x[n:]), converged

@@ -93,8 +93,6 @@ def state_from_dict(d: dict) -> RealifiedState:
     p = np.array(d["p"], dtype=float)
     if q.shape != (n,) or p.shape != (n,):
         raise ValueError("q/p length mismatch")
-    if not (np.isfinite(q).all() and np.isfinite(p).all()):
-        raise ValueError("state payload has non-finite entries")
     return RealifiedState(q, p)
 
 

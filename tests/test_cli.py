@@ -1,7 +1,10 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import json
+import math
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import geomstates
 from geomstates import (
     certify_density,
     cli,
@@ -199,9 +203,9 @@ def test_flow_bad_psi0_refused(capsys, mode, psi0):
 
 
 @pytest.mark.parametrize("argv", [
-    # the norm of psi0 overflows
+    # the norm of psi0, about 2.4e308, overflows
     ("--json", json.dumps({"A": SIGMA3, "psi0": {
-        "dim": 2, "q": [1e300, 1e300], "p": [0, 0]}})),
+        "dim": 2, "q": [1.7e308, 1.7e308], "p": [0, 0]}})),
     # t * eigenvalue overflows in the phase of exp(itA)
     ("--t-final", "1e308", "--step", "1e307",
      "--json", json.dumps({"A": operator_to_dict(np.diag([1.0, -3.0]))})),
@@ -230,17 +234,35 @@ def test_flow_eigensolve_psi0_at_any_scale(capsys, exp):
     assert outs[0][0] == 0 and outs[1] == outs[0]
 
 
-@pytest.mark.parametrize("q", [[1e-170, 1e-170], [1e200, 1e200]])
-def test_flow_hamiltonian_psi0_beyond_square_range(capsys, q):
-    # psi0 is nonzero, so it is no usage error; the Hamiltonian samples are
-    # divided by |psi|^2, which underflows to 0 or overflows: exit 3
-    payload = json.dumps({"A": SIGMA3, "psi0": {"dim": 2, "q": q,
-                                                "p": [0, 0]}})
-    code = cli.main(["flow", "--mode", "hamiltonian", "--json", payload])
-    captured = capsys.readouterr()
-    assert code == 3 and captured.out == ""
-    assert captured.err.startswith("numeric failure: ")
-    assert captured.err.count("\n") == 1
+@pytest.mark.parametrize("q", [np.ldexp([0.6, 0.8], exp)
+                               for exp in (-565, 664, 997)])
+def test_flow_hamiltonian_psi0_beyond_square_range(capsys, tmp_path, q):
+    # |q|^2 underflows to 0 at 2**-565 (about 1e-170) and overflows at
+    # 2**664 (about 1e200) and 2**997 (about 1e300), but the flow runs from
+    # psi0 scaled exactly by a power of two: e_A is that of [0.6, 0.8] bit
+    # for bit, and the norms are 2**exp times.
+    exp = round(math.log2(q[0] / 0.6))
+    outs, samples = [], []
+    for x in (np.array([0.6, 0.8]), q):
+        psi0 = {"dim": 2, "q": x.tolist(), "p": [0.0, 0.0]}
+        trace = tmp_path / "trace.csv"
+        code, out = run(capsys, "flow", "--mode", "hamiltonian",
+                        "--t-final", "1", "--step", "0.01", "--trace",
+                        str(trace), "--json",
+                        json.dumps({"A": SIGMA3, "psi0": psi0}))
+        assert code == 0
+        rows = [line.split(",") for line in trace.read_text().splitlines()]
+        outs.append((json.loads(out), [r[:2] for r in rows]))
+        samples.append(expectation_trace_samples(
+            np.diag([1.0, -1.0]), state_from_dict(psi0), 1.0, 0.01))
+    (want, want_cols), (got, got_cols) = outs
+    assert got_cols == want_cols  # the t and e_A columns of the trace
+    assert got["e_A_drift"] == want["e_A_drift"]
+    assert got["norm_drift"] == math.ldexp(want["norm_drift"], exp)
+    (want_s, want_dn, want_de), (got_s, got_dn, got_de) = samples
+    assert np.array_equal(got_s[:, :2], want_s[:, :2])
+    assert np.array_equal(got_s[:, 2], np.ldexp(want_s[:, 2], exp))
+    assert (got_dn, got_de) == (math.ldexp(want_dn, exp), want_de)
 
 
 def test_flow_sample_grid_capped(capsys):
@@ -551,6 +573,47 @@ def test_numeric_failure_exit_three(capsys, monkeypatch):
     monkeypatch.setattr(cli, "certify_density", boom)
     code, _ = run(capsys, "classify", "--json", op_json(np.eye(2) / 2))
     assert code == 3
+
+
+def _geomstates_exceptions():
+    """Every exception class defined in a geomstates module."""
+    found = {}
+    for info in pkgutil.iter_modules(geomstates.__path__):
+        module = importlib.import_module(f"geomstates.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__):
+                found[obj.__qualname__] = obj
+    return [found[name] for name in sorted(found)]
+
+
+GEOMSTATES_EXCEPTIONS = _geomstates_exceptions()
+
+
+def test_geomstates_exceptions_are_value_or_arithmetic_errors():
+    assert {"DimensionError", "UsageError", "ZeroVectorError"} <= {
+        cls.__name__ for cls in GEOMSTATES_EXCEPTIONS}
+    for cls in GEOMSTATES_EXCEPTIONS:
+        assert issubclass(cls, (ValueError, ArithmeticError)), cls
+
+
+@pytest.mark.parametrize("exc", [*GEOMSTATES_EXCEPTIONS, ValueError,
+                                 ArithmeticError, FloatingPointError,
+                                 OverflowError, np.linalg.LinAlgError],
+                         ids=lambda cls: cls.__name__)
+def test_exit_policy(capsys, monkeypatch, exc):
+    # a refused input is exit 2, a numeric failure exit 3, each with one line
+    # on stderr; LinAlgError is a ValueError and still a numeric failure
+    def boom(*args, **kwargs):
+        raise exc("refused")
+
+    monkeypatch.setattr(cli, "structure_constants", boom)
+    code = cli.main(["constants", "--n", "3"])
+    captured = capsys.readouterr()
+    numeric = issubclass(exc, (ArithmeticError, np.linalg.LinAlgError))
+    assert code == (3 if numeric else 2) and captured.out == ""
+    prefix = "numeric failure: " if numeric else "error: "
+    assert captured.err == prefix + "refused\n"
 
 
 def test_decompose_bloch_center(capsys):

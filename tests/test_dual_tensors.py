@@ -395,3 +395,14 @@ def test_pushforward_commuting_real(rng):
 def test_pairing_scale_is_frozen_at_one():
     assert PAIRING_SCALE == 1.0
     assert abs(calibrate_pairing_scale() - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fn", [from_dual, distributions_at, lambda_at,
+                                riemann_jordan_at])
+def test_non_finite_point_refused(fn, bad):
+    # a NaN point once read as the origin: dims (0, 0, 0, 0) and rank 0
+    with pytest.raises(ValueError, match="finite"):
+        fn(np.array([bad, 0.0, 0.0, 0.0]), B2)
+    with pytest.raises(ValueError, match="finite"):
+        fn(np.array([0.5, 0.0, bad, 0.0]), B2)

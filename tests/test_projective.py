@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geomstates import (
@@ -204,6 +204,14 @@ def _times_two_to(psi, e):
     return RealifiedState(np.ldexp(psi.q, e), np.ldexp(psi.p, e))
 
 
+def _assume_exact(x, e):
+    """x * 2**e, drawn only where it scales back to x bit for bit: an entry
+    that goes subnormal loses bits, and the maps then differ in them."""
+    y = np.ldexp(x, e)
+    assume(np.array_equal(np.ldexp(y, -e), x))
+    return y
+
+
 SCALE_DRAWS = dict(
     n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(["random", "sparse", "basis"]),
@@ -218,7 +226,7 @@ def test_ray_maps_bit_identical_at_any_scale(n, seed, kind, phase, e):
     # and overflows above about 2**512.
     rng = np.random.default_rng(seed)
     psi = _state_of_kind(rng, n, kind, phase)
-    big = _times_two_to(psi, e)
+    big = RealifiedState(_assume_exact(psi.q, e), _assume_exact(psi.p, e))
     a = random_hermitian(rng, n)
     assert np.array_equal(momentum_map(big).op, momentum_map(psi).op)
     assert expectation(a, big) == expectation(a, psi)
@@ -237,8 +245,9 @@ def test_ray_tensors_bit_identical_when_psi_v_w_scale_together(
     psi = _state_of_kind(rng, n, kind, phase)
     v, w = (tangent(psi, rng.normal(size=n) + 1j * rng.normal(size=n))
             for _ in range(2))
-    big = _times_two_to(psi, e)
-    bv, bw = (TangentVector(big, np.ldexp(t.components, e)) for t in (v, w))
+    big = RealifiedState(_assume_exact(psi.q, e), _assume_exact(psi.p, e))
+    bv, bw = (TangentVector(big, _assume_exact(t.components, e))
+              for t in (v, w))
     assert connection_form(big, bv) == connection_form(psi, v)
     assert projected_hermitian(big, bv, bw) == projected_hermitian(psi, v, w)
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geomstates import (
@@ -22,6 +22,7 @@ from geomstates import (
 )
 from geomstates.realified import (
     InvalidStartError,
+    ZeroVectorError,
     _realified_operator,
     expectation_trace_samples,
 )
@@ -313,6 +314,60 @@ def test_flow_drift_is_round_off(rng, n):
     assert norm_drift <= bound and e_drift <= bound
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       e=st.integers(-600, 600), t_final=st.floats(-2.0, 2.0))
+def test_hamiltonian_samples_at_any_scale(n, seed, e, t_final):
+    # the flow runs from psi0 scaled exactly by a power of two, so psi0 * 2**e
+    # has the e_A samples of psi0 bit for bit, and 2**e times its norms
+    rng = np.random.default_rng(seed)
+    a, psi = random_hermitian(rng, n), random_state(rng, n)
+    q, p = np.ldexp(psi.q, e), np.ldexp(psi.p, e)
+    assume(np.array_equal(np.ldexp(q, -e), psi.q)
+           and np.array_equal(np.ldexp(p, -e), psi.p))
+    want, want_dn, want_de = expectation_trace_samples(a, psi, t_final, 0.05)
+    got, got_dn, got_de = expectation_trace_samples(
+        a, RealifiedState(q, p), t_final, 0.05)
+    assert np.array_equal(got[:, :2], want[:, :2])
+    assert np.array_equal(got[:, 2], np.ldexp(want[:, 2], e))
+    assert got_dn == np.ldexp(want_dn, e) and got_de == want_de
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(step=0.0), dict(step=-1e-3), dict(step=np.nan), dict(step=np.inf),
+    dict(t_final=np.nan), dict(t_final=np.inf), dict(t_final=-np.inf),
+])
+def test_hamiltonian_flow_refuses_bad_steps(kwargs):
+    args = dict(t_final=1.0, step=1e-3) | kwargs
+    with pytest.raises(ValueError):
+        flow_hamiltonian(np.eye(2), RealifiedState([1, 0], [0, 0]), **args)
+
+
+def test_hamiltonian_flow_runs_backward_in_time():
+    # a negative t_final is allowed; it gives a grid of one interval
+    times, z = flow_hamiltonian(np.diag([1.0, -1.0]),
+                                RealifiedState([1, 0], [0, 0]), -1.0, 0.5)
+    assert np.array_equal(times, [0.0, -1.0])
+    assert np.allclose(z[-1], [np.exp(-1j), 0])
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0, np.nan, np.inf])
+def test_eigensolve_refuses_bad_steps(step):
+    with pytest.raises(ValueError):
+        critical_point_eigensolve(np.diag([2.0, -1.0]),
+                                  RealifiedState([0.6, 0.8], [0, 0]), step=step)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_state_refuses_non_finite_entries(bad):
+    with pytest.raises(ValueError):
+        RealifiedState([bad, 1.0], [0.0, 0.0])
+    with pytest.raises(ValueError):
+        RealifiedState([1.0, 0.0], [0.0, bad])
+    with pytest.raises(ValueError):
+        RealifiedState.from_complex([1.0, complex(0.0, bad)])
+
+
 def _spectrum(rng, n, kind):
     if kind == "gapped":   # extremes 0.3 away from their neighbours
         return np.concatenate([[-1.0, 1.0], rng.uniform(-0.7, 0.7, n - 2)])
@@ -464,12 +519,15 @@ def test_eigensolve_huge_step_unused_at_an_eigenvector():
 def test_eigensolve_stops_at_a_non_finite_residual():
     # step * ||A|| overflows to inf, so the first step makes the iterate
     # NaN; the solver stops there instead of running max_iter more steps
+    # and returns the last finite iterate, the start, with its eigenvalue
     trace = []
     with np.errstate(all="ignore"):
-        _, _, conv = critical_point_eigensolve(
+        e, psi, conv = critical_point_eigensolve(
             np.diag([2.0, -1.0]), RealifiedState([0.6, 0.8], [0, 0]),
             step=1e308, trace=trace)
     assert not conv and len(trace) <= 2
+    assert np.isfinite(psi.q).all() and np.isfinite(psi.p).all()
+    assert np.isfinite(e) and e == trace[0][1]
 
 
 @pytest.mark.parametrize("mode", ["ascent", "descent"])
@@ -503,6 +561,12 @@ def test_flows_refuse_a_start_of_another_dimension(rng, flow):
 def test_eigensolve_zero_start_rejected():
     with pytest.raises(InvalidStartError):
         critical_point_eigensolve(np.eye(2), RealifiedState([0, 0], [0, 0]))
+
+
+def test_hamiltonian_samples_refuse_a_zero_start():
+    with pytest.raises(ZeroVectorError):
+        expectation_trace_samples(np.eye(2), RealifiedState([0, 0], [0, 0]),
+                                  1.0)
 
 
 def test_eigensolve_reports_non_convergence(rng):
