@@ -45,9 +45,6 @@ MAX_BALLGRID_RESOLUTION = 101
 # C and d are two dense real (n^2)^3 arrays, read off one complex one; 12
 # gives about 48 MB for the pair (the n=20 pair alone would be 1 GB).
 MAX_CONSTANTS_N = 12
-# A hamiltonian flow holds a few (T+1, n) complex sample arrays; at 1 M
-# samples and n = 12 each is about 190 MB.
-MAX_FLOW_SAMPLES = 1_000_000
 
 
 class UsageError(ValueError):
@@ -110,7 +107,7 @@ def _write(path, text: str) -> None:
         raise UsageError(f"cannot write: {exc}") from exc
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> str:
     op = _read_payload(args, serialize.operator_from_dict, "operator")
     result = certify_density(op, tol_psd=args.tol)
     if isinstance(result, Rejection):
@@ -129,17 +126,14 @@ def cmd_classify(args) -> int:
             "orbit_dim": orbit_dimension(result),
             "face_dim": face_of(result).dimension,
         }
-    _write(args.output, serialize.dumps(report))
-    return 0
+    return serialize.dumps(report)
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> str:
     op = _read_payload(args, serialize.operator_from_dict, "operator")
     rho = certify_density(op, tol_psd=args.tol)
     if isinstance(rho, Rejection):
-        _write(args.output, serialize.dumps(
-            {"density": False, "violated": rho.violated}))
-        return 0
+        return serialize.dumps({"density": False, "violated": rho.violated})
     if args.mode == "bloch":
         dec = bloch_decompose_along(rho, args.direction)
     else:
@@ -151,11 +145,10 @@ def cmd_decompose(args) -> int:
         "components": [serialize.operator_to_dict(c.op) for c in dec.components],
         "residual": residual,
     }
-    _write(args.output, serialize.dumps(report))
-    return 0
+    return serialize.dumps(report)
 
 
-def cmd_tensors(args) -> int:
+def cmd_tensors(args) -> str:
     n, y = _read_payload(args, serialize.dual_from_dict, "dual-vector")
     basis = gellmann_basis(n)
     if args.which == "distributions":
@@ -165,31 +158,19 @@ def cmd_tensors(args) -> int:
         t = fn(y, basis)
         report = serialize.tensor_to_dict(t)
         report["rank"] = t.rank()
-    _write(args.output, serialize.dumps(report))
-    return 0
+    return serialize.dumps(report)
 
 
-def cmd_constants(args) -> int:
+def cmd_constants(args) -> str:
     if args.n > MAX_CONSTANTS_N:
         raise UsageError(f"dimension must be <= {MAX_CONSTANTS_N}")
     sc = structure_constants(gellmann_basis(args.n))
-    _write(args.output, "\n".join(serialize.constants_csv_rows(sc)) + "\n")
-    return 0
+    return "\n".join(serialize.constants_csv_rows(sc)) + "\n"
 
 
-def cmd_flow(args) -> int:
-    if args.step is not None and not (math.isfinite(args.step)
-                                      and args.step > 0):
-        raise UsageError("--step must be finite and > 0")
-    # a Hamiltonian grid step; the eigensolver picks its own when None
-    grid_step = 1e-3 if args.step is None else args.step
+def cmd_flow(args) -> str:
     if not (math.isfinite(args.t_final) and args.t_final >= 0):
         raise UsageError("--t-final must be finite and >= 0")
-    # round(t_final / step) + 1 samples, refused before anything is allocated
-    if (args.mode == "hamiltonian"
-            and args.t_final / grid_step >= MAX_FLOW_SAMPLES - 0.5):
-        raise UsageError(f"--t-final / --step must give at most "
-                         f"{MAX_FLOW_SAMPLES} samples")
     if args.max_iter < 0:
         raise UsageError("--max-iter must be >= 0")
 
@@ -207,7 +188,7 @@ def cmd_flow(args) -> int:
 
     if args.mode == "hamiltonian":
         samples, drift_norm, drift_ea = expectation_trace_samples(
-            op, psi0, args.t_final, grid_step)
+            op, psi0, args.t_final, args.step)
         if args.trace:
             _write(args.trace, serialize.trace_csv(samples.tolist(),
                                                    header="t,e_A,norm"))
@@ -231,11 +212,10 @@ def cmd_flow(args) -> int:
             "eigenvalue": e,
             "state": serialize.state_to_dict(psi),
         }
-    _write(args.output, serialize.dumps(report))
-    return 0
+    return serialize.dumps(report)
 
 
-def cmd_ballgrid(args) -> int:
+def cmd_ballgrid(args) -> str:
     r = args.resolution
     if r < 2:
         raise UsageError("resolution must be >= 2")
@@ -252,8 +232,7 @@ def cmd_ballgrid(args) -> int:
     lines = ["y1,y2,y3,is_density,rank"]
     lines += [f"{c1}{c2}{c3}{flags[next(ranks)]}"
               for c1 in labels for c2 in labels for c3 in labels]
-    _write(args.output, "\n".join(lines) + "\n")
-    return 0
+    return "\n".join(lines) + "\n"
 
 
 @functools.lru_cache(maxsize=None)
@@ -321,9 +300,10 @@ def main(argv=None) -> int:
         # An overflow or an invalid operation is a numeric failure, never a
         # warning followed by inf or NaN in the output.
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            code = args.func(args)
+            text = args.func(args)
+        _write(args.output, text)
         sys.stdout.flush()  # meet a closed pipe here, not at exit
-        return code
+        return 0
     except SystemExit:  # --help, after printing the help text
         return 0
     except BrokenPipeError:  # the reader stopped early; drop the rest

@@ -22,6 +22,10 @@ import numpy as np
 
 from .basis import DimensionError, check_hermitian
 
+# A hamiltonian flow holds a few (T+1, n) complex sample arrays; at 1 M
+# samples and n = 12 each is about 190 MB.
+MAX_FLOW_SAMPLES = 1_000_000
+
 
 class ZeroVectorError(ValueError):
     """A nonzero vector was required."""
@@ -183,19 +187,26 @@ def hamiltonian_vf(a: np.ndarray, psi: RealifiedState) -> TangentVector:
 
 
 def flow_hamiltonian(a: np.ndarray, psi0: RealifiedState, t_final: float,
-                     step: float = 1e-3):
+                     step: float | None = None):
     """The Hamiltonian flow z(t) = exp(itA) z0 of f_A, sampled on a grid.
 
     The propagator is exact: with A = V diag(w) V^dagger, one eigh gives
-    z(t) = V diag(exp(itw)) V^dagger z0, so step only sets the sampling
-    grid of n_steps = max(1, round(t_final / step)) equal intervals.
+    z(t) = V diag(exp(itw)) V^dagger z0, so step (default 1e-3) only sets
+    the sampling grid of n_steps = max(1, round(t_final / step)) equal
+    intervals.  A grid of more than MAX_FLOW_SAMPLES samples is refused
+    before anything is allocated.
 
     Returns (times, z): times of shape (T+1,) and the complex samples z of
     shape (T+1, n), endpoints included.
     """
     a = _operator_on(a, psi0)
+    step = 1e-3 if step is None else step
     if not (math.isfinite(t_final) and math.isfinite(step) and step > 0):
         raise ValueError("need a finite t_final and a finite step > 0")
+    # n_steps + 1 samples; an inf ratio is refused here, not by int()
+    if not t_final / step < MAX_FLOW_SAMPLES - 0.5:
+        raise ValueError(f"t_final / step must give at most "
+                         f"{MAX_FLOW_SAMPLES} samples")
     n_steps = max(1, int(round(t_final / step)))
     times = np.arange(n_steps + 1) * (t_final / n_steps)
     w, v = np.linalg.eigh(a)
@@ -204,7 +215,7 @@ def flow_hamiltonian(a: np.ndarray, psi0: RealifiedState, t_final: float,
 
 
 def expectation_trace_samples(a: np.ndarray, psi0: RealifiedState,
-                              t_final: float, step: float = 1e-3):
+                              t_final: float, step: float | None = None):
     """Hamiltonian flow with per-sample (t, e_A, norm) rows and the
     conservation drifts of both quantities.
 
@@ -274,6 +285,8 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
     x = psi0.unit()
     if mode not in ("ascent", "descent"):
         raise ValueError(f"unknown mode {mode!r}")
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     w = np.linalg.eigvalsh(a)
     norm_a = max(-w[0], w[-1])
     k = math.frexp(norm_a)[1]

@@ -110,15 +110,18 @@ def certify_densities(stack: np.ndarray, tol_psd: float = TOL_PSD,
 
     A matrix is accepted iff Tr = 1 (within 1e-10) and its spectrum is
     >= -tol_psd; otherwise violated names the first failed test, "trace" or
-    "negative eigenvalue".  Raises HermiticityError if any matrix is not
-    Hermitian.  For n=3 the explicit principal-minor inequalities are
-    evaluated as a cross-check; a disagreement with the spectral criterion
-    raises ArithmeticError, since the two are mathematically equivalent.
+    "negative eigenvalue".  Raises ValueError unless tol_psd is finite and
+    >= 0, and HermiticityError if any matrix is not Hermitian.  For n=3 the
+    explicit principal-minor inequalities are evaluated as a cross-check; a
+    disagreement with the spectral criterion raises ArithmeticError, since
+    the two are mathematically equivalent.
 
     An accepted matrix has Tr = 1, so a positive largest eigenvalue and a
     rank >= 1: accepted is rank > 0.  With vectors=False the spectrum comes
     from eigvalsh and eigvecs is None; the decisions are the same.
     """
+    if not 0.0 <= tol_psd < np.inf:
+        raise ValueError("tol_psd must be finite and >= 0")
     a = check_hermitian(stack)
     tr = np.trace(a, axis1=-2, axis2=-1).real
     if vectors:

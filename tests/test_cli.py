@@ -20,6 +20,7 @@ from geomstates import (
     cli,
     gellmann_basis,
     qubit_from_bloch,
+    realified,
     to_dual,
 )
 from geomstates.serialize import (
@@ -100,6 +101,39 @@ def test_classify_output_file(tmp_path, capsys):
                   "classify", "--json", op_json(np.eye(2) / 2))
     assert code == 0
     assert json.loads(dest.read_text())["rank"] == 2
+
+
+def _writer_cases():
+    rng = np.random.default_rng(16)
+    m = random_hermitian(rng, 3)
+    rho = m @ m / np.trace(m @ m).real
+    y = {"dim": 3, "y": to_dual(rho, gellmann_basis(3)).tolist()}
+    flow = json.dumps({"A": operator_to_dict(random_hermitian(rng, 3)),
+                       "psi0": state_to_dict(random_state(rng, 3))})
+    return {
+        "classify": ("classify", "--json", op_json(rho)),
+        "decompose": ("decompose", "--json", op_json(rho)),
+        "tensors": ("tensors", "--which", "lambda", "--json", json.dumps(y)),
+        "constants": ("constants", "--n", "3"),
+        "flow-hamiltonian": ("flow", "--mode", "hamiltonian", "--t-final",
+                             "1", "--step", "0.1", "--json", flow),
+        "flow-eigensolve": ("flow", "--mode", "gradient-eigensolve",
+                            "--json", flow),
+        "ballgrid": ("ballgrid", "--resolution", "5"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_writer_cases()))
+def test_output_file_holds_stdout_bytes(tmp_path, capsys, case):
+    # main is the one writer: --output gets the text that stdout gets, less
+    # the newline stdout adds to a text that lacks one
+    argv = _writer_cases()[case]
+    dest = tmp_path / "out"
+    code, out = run(capsys, *argv)
+    assert code == 0 and out.endswith("\n")
+    assert run(capsys, "--output", str(dest), *argv) == (0, "")
+    text = dest.read_bytes().decode()
+    assert out == text + ("" if text.endswith("\n") else "\n")
 
 
 def assert_usage_error(capsys, *argv):
@@ -268,7 +302,7 @@ def test_flow_hamiltonian_psi0_beyond_square_range(capsys, tmp_path, q):
 def test_flow_sample_grid_capped(capsys):
     # round(t_final / step) + 1 samples; refused before anything is allocated
     payload = json.dumps({"A": SIGMA3})
-    for t_final in (str(cli.MAX_FLOW_SAMPLES), "1e300"):
+    for t_final in (str(realified.MAX_FLOW_SAMPLES), "1e300"):
         assert_usage_error(capsys, "flow", "--mode", "hamiltonian",
                            "--t-final", t_final, "--step", "1",
                            "--json", payload)

@@ -343,6 +343,35 @@ def test_hamiltonian_flow_refuses_bad_steps(kwargs):
         flow_hamiltonian(np.eye(2), RealifiedState([1, 0], [0, 0]), **args)
 
 
+def test_hamiltonian_default_grid_is_step_1e3(rng):
+    a, psi0 = random_hermitian(rng, 3), random_state(rng, 3)
+    for flow in (flow_hamiltonian, expectation_trace_samples):
+        got, want = flow(a, psi0, 2.0), flow(a, psi0, 2.0, step=1e-3)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+class _Built(Exception):
+    """np.arange was reached: the grid passed its cap."""
+
+
+@pytest.mark.parametrize("t_final, step, refused", [
+    (1e6, 1.0, True), (999999.5, 1.0, True), (1e300, 1e-300, True),
+    (999999.4, 1.0, False),  # round(...) + 1 = MAX_FLOW_SAMPLES samples
+])
+def test_hamiltonian_grid_capped_before_allocation(monkeypatch, t_final, step,
+                                                   refused):
+    def built(*args, **kwargs):
+        raise _Built
+
+    monkeypatch.setattr(np, "arange", built)
+    monkeypatch.setattr(np.linalg, "eigh", built)
+    psi0 = RealifiedState([0.6, 0.8], [0, 0])
+    for flow in (flow_hamiltonian, expectation_trace_samples):
+        with pytest.raises(ValueError if refused else _Built):
+            flow(np.diag([1.0, -1.0]), psi0, t_final, step)
+
+
 def test_hamiltonian_flow_runs_backward_in_time():
     # a negative t_final is allowed; it gives a grid of one interval
     times, z = flow_hamiltonian(np.diag([1.0, -1.0]),
@@ -567,6 +596,16 @@ def test_hamiltonian_samples_refuse_a_zero_start():
     with pytest.raises(ZeroVectorError):
         expectation_trace_samples(np.eye(2), RealifiedState([0, 0], [0, 0]),
                                   1.0)
+
+
+def test_eigensolve_refuses_negative_max_iter():
+    a, psi0 = np.diag([2.0, -1.0]), RealifiedState([0.6, 0.8], [0, 0])
+    with pytest.raises(ValueError, match="max_iter"):
+        critical_point_eigensolve(a, psi0, max_iter=-1)
+    # max_iter = 0 evaluates the start: e_A = 2 * 0.36 - 0.64
+    e, psi, conv = critical_point_eigensolve(a, psi0, max_iter=0)
+    assert e == pytest.approx(0.08) and not conv
+    assert np.array_equal(psi.q, psi0.q)
 
 
 def test_eigensolve_reports_non_convergence(rng):

@@ -176,6 +176,15 @@ def test_certify_densities_keeps_leading_shape():
     assert cert.spectrum.shape == (2, 3, 2)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1e-12])
+def test_certify_refuses_a_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tol_psd"):
+        certify_densities(np.eye(2)[None] / 2, tol_psd=tol)
+    with pytest.raises(ValueError, match="tol_psd"):
+        certify_density(np.eye(2) / 2, tol_psd=tol)
+    assert certify_densities(np.eye(2)[None] / 2, tol_psd=0.0).accepted.all()
+
+
 def test_certified_spectrum_matches_oracle_bitwise(rng):
     states = [random_density(rng, n, rank)
               for n in (2, 3, 4, 8) for rank in (1, n)]
