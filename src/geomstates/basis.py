@@ -24,6 +24,9 @@ import numpy as np
 
 TOL_HERM = 1e-10
 TOL_RANK = 1e-9
+# A basis is one (n^2, n, n) complex array of 16 n^4 bytes, 16 MB at n = 32;
+# there `tensors --which distributions` peaks at about 340 MB RSS.
+MAX_BASIS_N = 32
 
 
 class DimensionError(ValueError):
@@ -38,15 +41,19 @@ class BasisError(ValueError):
     """Basis violates its orthogonality/normalization invariants."""
 
 
-def check_hermitian(a: np.ndarray) -> np.ndarray:
+def check_hermitian(a: np.ndarray, n: int | None = None) -> np.ndarray:
     """Validate Hermiticity of a square complex matrix, or of every matrix in
-    a stack of shape (..., n, n), and return it as a complex ndarray.
+    a stack of shape (..., n, n), and return it as a complex ndarray; given n,
+    it must be one n x n matrix, an operator on the space of dimension n.
 
     The tolerance TOL_HERM is absolute after scaling each matrix by
     max(max|entry|, 1).  Raises if any matrix fails or any entry is NaN or
     infinite.
     """
     a = np.asarray(a, dtype=complex)
+    if n is not None and a.shape != (n, n):
+        raise DimensionError(
+            f"expected an operator of shape ({n}, {n}), got {a.shape}")
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     mag = np.abs(a)
@@ -60,6 +67,16 @@ def check_hermitian(a: np.ndarray) -> np.ndarray:
         if (skew.max(axis=(-2, -1)) > TOL_HERM * scale).any():
             raise HermiticityError("matrix is not Hermitian within tolerance")
     return a
+
+
+def exact_scale(x):
+    """(x * 2**-k, k) for a real or complex array or scalar x, k the binary
+    exponent of max|x| (0 for x = 0); exact where the result is normal."""
+    x = np.asarray(x)
+    k = math.frexp(np.abs(x).max(initial=0.0))[1]
+    if np.iscomplexobj(x):
+        return np.ldexp(x.real, -k) + 1j * np.ldexp(x.imag, -k), k
+    return np.ldexp(x, -k), k
 
 
 @dataclass(frozen=True)
@@ -132,10 +149,13 @@ def gellmann_basis(n: int) -> OrthogonalBasis:
     """Orthogonal Hermitian basis of the n x n matrices, identity first.
 
     n=2 and n=3 return the fixed matrices above; larger n uses the
-    generalized Gell-Mann construction.  Built once per n.
+    generalized Gell-Mann construction.  Built once per n; n above
+    MAX_BASIS_N is refused before anything is allocated.
     """
     if n < 2:
         raise DimensionError(f"dimension must be >= 2, got {n}")
+    if n > MAX_BASIS_N:
+        raise DimensionError(f"dimension must be <= {MAX_BASIS_N}, got {n}")
     if n == 2:
         return OrthogonalBasis(2, _SIGMA)
     if n == 3:
@@ -230,9 +250,7 @@ def structure_constants(basis: OrthogonalBasis) -> StructureConstants:
 
 def to_dual(a: np.ndarray, basis: OrthogonalBasis) -> np.ndarray:
     """Real coordinates y[mu] = Tr(b_mu A) / 2 of a Hermitian matrix."""
-    a = check_hermitian(a)
-    if a.shape[0] != basis.dim:
-        raise DimensionError("operator and basis dimensions differ")
+    a = check_hermitian(a, basis.dim)
     return np.einsum("aij,ji->a", basis.elements, a).real / 2.0
 
 

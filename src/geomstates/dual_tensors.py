@@ -14,7 +14,6 @@ import numpy as np
 
 from .basis import (
     TOL_RANK,
-    DimensionError,
     OrthogonalBasis,
     check_hermitian,
     eigenpair_masks,
@@ -94,18 +93,14 @@ def riemann_jordan_at(y: np.ndarray, basis: OrthogonalBasis) -> TensorAtPoint:
 def jtilde_endo(xi: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Hamiltonian direction at xi generated by A: (1/i)[A, xi]."""
     xi = check_hermitian(xi)
-    a = check_hermitian(a)
-    if xi.shape != a.shape:
-        raise DimensionError("operand dimensions differ")
+    a = check_hermitian(a, len(xi))
     return -1j * (a @ xi - xi @ a)
 
 
 def r_endo(xi: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Gradient direction at xi generated by A: [A, xi]_+."""
     xi = check_hermitian(xi)
-    a = check_hermitian(a)
-    if xi.shape != a.shape:
-        raise DimensionError("operand dimensions differ")
+    a = check_hermitian(a, len(xi))
     return a @ xi + xi @ a
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import DimensionError, check_hermitian
-from .realified import RealifiedState, TangentVector, _complex, _operator_on
+from .realified import RealifiedState, TangentVector, _complex
 from .realified import ZeroVectorError  # noqa: F401  raised by unit()
 
 TOL_PURE = 1e-10
@@ -67,7 +67,7 @@ def momentum_map(psi: RealifiedState) -> PureDensity:
 
 def expectation(a: np.ndarray, psi: RealifiedState) -> float:
     """e_A(psi) = <psi, A psi> / <psi, psi>; scale invariant."""
-    a = _operator_on(a, psi)
+    a = check_hermitian(a, psi.dim)
     u = _complex(psi.unit())
     return float((u.conj() @ (a @ u)).real)
 
@@ -95,8 +95,9 @@ def projected_hermitian(psi: RealifiedState, v: TangentVector,
     u = _complex(psi.unit())
     vc = v.to_complex()
     wc = w.to_complex()
+    nrm = psi.norm()  # nrm * nrm scales exactly with psi; pow(nrm, 2) may not
     return complex(vc.conj() @ wc - (vc.conj() @ u) * (u.conj() @ wc)) / (
-        psi.norm() ** 2)
+        nrm * nrm)
 
 
 def transition_probability(rho1: PureDensity, rho2: PureDensity) -> float:

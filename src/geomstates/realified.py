@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DimensionError, check_hermitian
+from .basis import DimensionError, check_hermitian, exact_scale
 
 # A hamiltonian flow holds a few (T+1, n) complex sample arrays; at 1 M
 # samples and n = 12 each is about 190 MB.
@@ -62,11 +62,9 @@ class RealifiedState:
         return cls(z.real.copy(), z.imag.copy())
 
     def _scaled(self):
-        """(q, p) times 2**-k, and k: the exact scaling that puts the largest
-        |entry| in [0.5, 1), so the sum of squares is 0 only for psi = 0."""
-        x = np.concatenate([self.q, self.p])
-        k = math.frexp(np.abs(x).max(initial=0.0))[1]
-        return np.ldexp(x, -k), k
+        """basis.exact_scale of (q, p) as one array: the sum of squares of
+        the scaled entries is 0 only for psi = 0."""
+        return exact_scale(np.concatenate([self.q, self.p]))
 
     def norm(self) -> float:
         """|psi|; OverflowError when it is beyond the float range."""
@@ -142,17 +140,9 @@ def hermitian_split(psi1: RealifiedState, psi2: RealifiedState):
     return g_val, w_val
 
 
-def _operator_on(a: np.ndarray, psi: RealifiedState) -> np.ndarray:
-    """a as a checked Hermitian matrix that acts on psi's space."""
-    a = check_hermitian(a)
-    if a.shape[0] != psi.dim:
-        raise DimensionError("operator and state dimensions differ")
-    return a
-
-
 def quadratic_function(a: np.ndarray, psi: RealifiedState) -> float:
     """f_A(psi) = <psi, A psi> / 2 (real for Hermitian A)."""
-    a = _operator_on(a, psi)
+    a = check_hermitian(a, psi.dim)
     z = psi.to_complex()
     return float((z.conj() @ (a @ z)).real) / 2.0
 
@@ -161,7 +151,8 @@ def star_product(a: np.ndarray, b: np.ndarray, psi: RealifiedState) -> complex:
     """(G + i Omega)(df_A, df_B) at psi: <A psi, B psi>, as grad f_A is A psi
     and g, w are Re, Im <.,.>.  Equals <psi, AB psi>."""
     z = psi.to_complex()
-    return complex(np.vdot(_operator_on(a, psi) @ z, _operator_on(b, psi) @ z))
+    a, b = check_hermitian(a, psi.dim), check_hermitian(b, psi.dim)
+    return complex(np.vdot(a @ z, b @ z))
 
 
 def bracket_g(a: np.ndarray, b: np.ndarray, psi: RealifiedState) -> float:
@@ -176,13 +167,13 @@ def bracket_omega(a: np.ndarray, b: np.ndarray, psi: RealifiedState) -> float:
 
 def gradient_vf(a: np.ndarray, psi: RealifiedState) -> TangentVector:
     """Gradient vector field of f_A at psi: the realification of A psi."""
-    a = _operator_on(a, psi)
+    a = check_hermitian(a, psi.dim)
     return TangentVector(psi, _realify(a @ psi.to_complex()))
 
 
 def hamiltonian_vf(a: np.ndarray, psi: RealifiedState) -> TangentVector:
     """Hamiltonian vector field of f_A at psi: realification of i A psi."""
-    a = _operator_on(a, psi)
+    a = check_hermitian(a, psi.dim)
     return TangentVector(psi, _realify(1j * (a @ psi.to_complex())))
 
 
@@ -199,7 +190,7 @@ def flow_hamiltonian(a: np.ndarray, psi0: RealifiedState, t_final: float,
     Returns (times, z): times of shape (T+1,) and the complex samples z of
     shape (T+1, n), endpoints included.
     """
-    a = _operator_on(a, psi0)
+    a = check_hermitian(a, psi0.dim)
     step = 1e-3 if step is None else step
     if not (math.isfinite(t_final) and math.isfinite(step) and step > 0):
         raise ValueError("need a finite t_final and a finite step > 0")
@@ -281,16 +272,14 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
 
     Returns (eigenvalue, state, converged).
     """
-    a = _operator_on(a, psi0)
+    a = check_hermitian(a, psi0.dim)
     x = psi0.unit()
     if mode not in ("ascent", "descent"):
         raise ValueError(f"unknown mode {mode!r}")
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
     w = np.linalg.eigvalsh(a)
-    norm_a = max(-w[0], w[-1])
-    k = math.frexp(norm_a)[1]
-    norm_a = math.ldexp(norm_a, -k)  # in [0.5, 1), or 0 for A = 0
+    norm_a, k = exact_scale(max(-w[0], w[-1]))  # in [0.5, 1), or 0 for A = 0
     default_step = 0.1 / max(norm_a, 1e-300)
     if step is None:
         step = default_step

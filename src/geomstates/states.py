@@ -13,6 +13,7 @@ from .basis import (
     DimensionError,
     check_hermitian,
     eigenpair_masks,
+    exact_scale,
     gellmann_basis,
     numerical_rank,
     structure_constants,
@@ -195,9 +196,10 @@ def gl_act_cone(t: np.ndarray, xi: np.ndarray) -> np.ndarray:
 def gl_act_states(t: np.ndarray, rho: DensityState) -> DensityState:
     """Normalized GL action (T, rho) -> T rho T^dagger / Tr(T rho T^dagger).
 
-    Preserves the rank stratum.
+    Preserves the rank stratum.  T acts through basis.exact_scale, so T * 2**e
+    gives the same result and the trace test reads relative to max|T_ij|^2.
     """
-    out = gl_act_cone(t, rho.op)
+    out = gl_act_cone(exact_scale(t)[0], rho.op)
     tr = np.trace(out).real
     if tr < 1e-14:
         raise SingularTransformError("image trace vanished")
@@ -292,17 +294,18 @@ def bloch_decompose_along(rho: DensityState,
     The line through the state's ball point in the given direction meets the
     pure-state sphere of radius 1/2 in two points; they are the components
     and the weights are the unique convex coefficients.  A tangency (pure
-    state, tangent direction) collapses to a single term.
+    state, tangent direction) collapses to a single term.  d is scaled by
+    basis.exact_scale before it is normalized, so d * 2**e gives the same line.
     """
     if rho.dim != 2:
         raise DimensionError("Bloch decomposition requires a 2-level state")
     d = np.asarray(direction, dtype=float)
     if d.shape != (3,) or not np.isfinite(d).all():
         raise DimensionError("direction must be a finite 3-vector")
-    nd = np.linalg.norm(d)
-    if nd < 1e-12:
+    d = exact_scale(d)[0]
+    if not d.any():
         raise ValueError("direction must be nonzero")
-    d = d / nd
+    d = d / np.linalg.norm(d)
     v = qubit_bloch_vector(rho)
     vd = float(v @ d)
     disc = vd * vd - float(v @ v) + 0.25

@@ -10,15 +10,26 @@ from geomstates import (
     DimensionError,
     HermiticityError,
     OrthogonalBasis,
+    RealifiedState,
     certify_densities,
     check_hermitian,
+    critical_point_eigensolve,
+    expectation,
+    flow_hamiltonian,
     from_dual,
     gellmann_basis,
+    gradient_vf,
+    hamiltonian_vf,
+    jtilde_endo,
+    quadratic_function,
+    r_endo,
     spectral_oracle,
+    star_product,
     structure_constants,
     to_dual,
 )
-from geomstates.basis import TOL_RANK, numerical_rank
+from geomstates.basis import MAX_BASIS_N, TOL_RANK, exact_scale, numerical_rank
+from geomstates.realified import expectation_trace_samples
 from geomstates.qutrit_tables import full_c_table, full_d_table
 
 from conftest import operator_of_kind, random_hermitian
@@ -363,3 +374,71 @@ def test_check_hermitian_rejects_non_finite(bad):
         check_hermitian(a)
     with pytest.raises(HermiticityError, match="non-finite"):
         check_hermitian(np.stack([np.eye(2), a]))
+
+
+# Every caller that knows the dimension n of its space passes it to
+# check_hermitian: one rule, one message.
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda a, psi: to_dual(a, gellmann_basis(2)), id="to_dual"),
+    pytest.param(lambda a, psi: jtilde_endo(np.eye(2), a), id="jtilde_endo"),
+    pytest.param(lambda a, psi: r_endo(np.eye(2), a), id="r_endo"),
+    pytest.param(quadratic_function, id="quadratic_function"),
+    pytest.param(lambda a, psi: star_product(a, np.eye(2), psi),
+                 id="star_product_a"),
+    pytest.param(lambda a, psi: star_product(np.eye(2), a, psi),
+                 id="star_product_b"),
+    pytest.param(gradient_vf, id="gradient_vf"),
+    pytest.param(hamiltonian_vf, id="hamiltonian_vf"),
+    pytest.param(expectation, id="expectation"),
+    pytest.param(lambda a, psi: flow_hamiltonian(a, psi, 1.0),
+                 id="flow_hamiltonian"),
+    pytest.param(lambda a, psi: expectation_trace_samples(a, psi, 1.0),
+                 id="expectation_trace_samples"),
+    pytest.param(critical_point_eigensolve, id="critical_point_eigensolve"),
+])
+def test_operator_on_another_space_refused(call):
+    psi = RealifiedState([0.6, 0.8], [0.0, 0.0])
+    with pytest.raises(DimensionError, match=r"^expected an operator of "
+                       r"shape \(2, 2\), got \(3, 3\)$"):
+        call(np.eye(3), psi)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: check_hermitian(np.stack([np.eye(2)] * 2), 2),
+                 DimensionError, r"got \(2, 2, 2\)$", id="stack-for-operator"),
+    pytest.param(lambda: from_dual(np.zeros(3), gellmann_basis(2)),
+                 DimensionError, "expected 4 coordinates", id="from_dual"),
+    pytest.param(lambda: OrthogonalBasis(2, np.zeros((3, 2, 2))), BasisError,
+                 "need 4 elements", id="basis-shape"),
+    # refused before the (n^2, n, n) array is allocated
+    pytest.param(lambda: gellmann_basis(MAX_BASIS_N + 1), DimensionError,
+                 f"must be <= {MAX_BASIS_N}, got {MAX_BASIS_N + 1}$",
+                 id="basis-cap"),
+    pytest.param(lambda: gellmann_basis(10**6), DimensionError,
+                 f"must be <= {MAX_BASIS_N}", id="basis-far-above-cap"),
+])
+def test_basis_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("x, k", [
+    (np.array([3.0, -0.25, 0.0]), 2),
+    (np.array([[0.6, -1e-300], [7.0, 1.0]]), 3),
+    (np.array([3 + 4j, -1e-3j]), 3),  # |3 + 4i| = 5
+    (np.float64(5e-324), -1073),
+    (1.7e308, 1024),
+    (-0.75, 0),
+    (np.zeros(4), 0),
+    (np.zeros(2, dtype=complex), 0),
+])
+def test_exact_scale(x, k):
+    out, got = exact_scale(x)
+    assert got == k
+    out = np.asarray(out)
+    assert out.dtype == np.asarray(x).dtype
+    m = np.abs(out).max()
+    assert m == 0.0 or 0.5 <= m < 1.0
+    # exact: scaling back by 2**k gives x bit for bit
+    assert np.array_equal(np.ldexp(out.real, k), np.real(x))
+    assert np.array_equal(np.ldexp(out.imag, k), np.imag(x))

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import geomstates
 from geomstates import (
+    basis,
     certify_density,
     cli,
     gellmann_basis,
@@ -684,6 +685,39 @@ def test_decompose_bloch_requires_direction_and_qubit(capsys):
     code, _ = run(capsys, "decompose", "--json", op_json(np.eye(3) / 3),
                   "--mode", "bloch", "--direction", "0,0,1")
     assert code == 2
+
+
+@pytest.mark.parametrize("direction", ["0,0,1e-13", "0,0,1e200",
+                                       "0,0,5e-324"])
+def test_decompose_bloch_direction_at_any_scale(capsys, direction):
+    # the line does not depend on the length of its direction
+    argv = ("decompose", "--json", op_json(qubit_from_bloch(0.1, -0.2, 0.15)),
+            "--mode", "bloch", "--direction")
+    want = run(capsys, *argv, "0,0,1")
+    assert want[0] == 0
+    assert run(capsys, *argv, direction) == want
+
+
+def test_decompose_bloch_direction_near_the_float_limit(capsys):
+    # its norm, 1.4e308, would overflow; the scaled direction's does not
+    code, out = run(capsys, "decompose", "--json",
+                    op_json(qubit_from_bloch(0.1, -0.2, 0.15)), "--mode",
+                    "bloch", "--direction", "1e308,1e308,0")
+    assert code == 0 and json.loads(out)["residual"] < 1e-12
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify",), ("tensors", "--which", "lambda"),
+    ("tensors", "--which", "R"), ("tensors", "--which", "distributions"),
+])
+def test_basis_dimension_above_the_cap_refused(capsys, argv):
+    # refused before the (n^2, n, n) basis array is allocated
+    n = basis.MAX_BASIS_N + 1
+    if argv[0] == "classify":
+        payload = op_json(np.eye(n) / n)
+    else:
+        payload = json.dumps({"dim": n, "y": [0.0] * (n * n)})
+    assert_usage_error(capsys, *argv, "--json", payload)
 
 
 def test_decompose_rejection_is_exit_zero(capsys):

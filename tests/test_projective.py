@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geomstates import (
+    DimensionError,
     PureDensity,
     Ray,
     RealifiedState,
@@ -332,3 +333,27 @@ def test_one_zero_vector_error():
 def test_every_entry_point_refuses_the_zero_vector(call):
     with pytest.raises(ZeroVectorError):
         call(RealifiedState([0.0, -0.0], [0.0, 0.0]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: transition_probability(
+        PureDensity(np.diag([1.0, 0.0])), PureDensity(np.diag([1.0, 0, 0]))),
+        DimensionError, "state dimensions differ",
+        id="transition-dims"),
+    pytest.param(lambda: PureDensity(np.diag([2.0, 0.0])), NotExtremalError,
+                 "trace must be 1", id="pure-trace"),
+])
+def test_projective_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_projected_hermitian_squares_the_norm_exactly():
+    # pow(x, 2) rounds x = 4.638819309046799 and x * 2**-150 apart (21.51...42
+    # against 21.51...416 after rescaling); x * x rounds both alike
+    x = 4.638819309046799
+    psi = RealifiedState([x, 0.0], [0.0, 0.0])
+    v = TangentVector(psi, [0.0, 1.0, 0.0, 0.0])
+    big = _times_two_to(psi, -150)
+    bv = TangentVector(big, np.ldexp(v.components, -150))
+    assert projected_hermitian(big, bv, bv) == projected_hermitian(psi, v, v)

@@ -618,3 +618,20 @@ def test_tangent_vector_rejects_non_finite(rng):
     psi = random_state(rng, 2)
     with pytest.raises(ValueError):
         TangentVector(psi, np.array([np.inf, 0, 0, 0]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: critical_point_eigensolve(
+        np.eye(2), RealifiedState([1.0, 0.0], [0.0, 0.0]), mode="sideways"),
+        ValueError, "unknown mode 'sideways'", id="eigensolve-mode"),
+    pytest.param(lambda: RealifiedState([1.0, 0.0], [0.0]), DimensionError,
+                 "equal-length 1-d", id="state-lengths"),
+    pytest.param(lambda: RealifiedState(np.eye(2), np.eye(2)), DimensionError,
+                 "equal-length 1-d", id="state-2d"),
+    pytest.param(lambda: TangentVector(RealifiedState([1.0, 0.0], [0.0, 0.0]),
+                                       np.zeros(3)),
+                 DimensionError, "need 2n components", id="tangent-length"),
+])
+def test_realified_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geomstates import (
@@ -669,3 +669,95 @@ def test_tangency_names_the_first_bad_sample():
         tangency_check([(0, pure), (1, not_a_state), (2, mixed)], 1)
     with pytest.raises(InvalidCurveError, match="not a state: trace$"):
         tangency_check([(0, pure), (1, pure), (2, 2 * pure)], 1)
+
+
+# -- scale: T and d act only through basis.exact_scale ---------------------
+
+def _times_two_to(x, e):
+    """x * 2**e, entry by entry, for real or complex x."""
+    if np.iscomplexobj(x):
+        return np.ldexp(x.real, e) + 1j * np.ldexp(x.imag, e)
+    return np.ldexp(x, e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       e=st.integers(-600, 600))
+def test_gl_act_states_bit_identical_at_any_scale(n, seed, e):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, n, rank=int(rng.integers(1, n + 1)))
+    t = random_invertible(rng, n)
+    scaled = _times_two_to(t, e)
+    assume(np.array_equal(_times_two_to(scaled, -e), t))  # an exact scaling
+    want, got = gl_act_states(t, rho), gl_act_states(scaled, rho)
+    assert np.array_equal(got.op, want.op)
+    assert np.array_equal(got.spectrum, want.spectrum)
+    assert got.rank == want.rank == rho.rank
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), e=st.integers(-600, 600),
+       zero=st.lists(st.booleans(), min_size=3, max_size=3))
+def test_bloch_line_bit_identical_at_any_direction_scale(seed, e, zero):
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=3)
+    rho = require_density(qubit_from_bloch(
+        *(y / np.linalg.norm(y) * rng.uniform(0.0, 0.5))))
+    d = np.where(zero, 0.0, rng.normal(size=3))
+    assume(d.any())
+    scaled = _times_two_to(d, e)
+    assume(np.array_equal(_times_two_to(scaled, -e), d))  # an exact scaling
+    want, got = (bloch_decompose_along(rho, x) for x in (d, scaled))
+    assert np.array_equal(got.weights, want.weights)
+    assert len(got.components) == len(want.components)
+    for c_got, c_want in zip(got.components, want.components):
+        assert np.array_equal(c_got.op, c_want.op)
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e-100, 1e160])
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_gl_act_states_scalar_transform_at_any_scale(rng, n, c):
+    # c I acts as the identity on normalized states; once it ran out of the
+    # float range (1e160 squared) or under the trace test (1e-8 squared)
+    eps = np.finfo(float).eps
+    for rank in (1, n):
+        rho = random_density(rng, n, rank)
+        out = gl_act_states(c * np.eye(n), rho)
+        assert np.abs(out.op - rho.op).max() <= 4 * n * eps
+        assert out.rank == rho.rank
+
+
+# -- refusals ----------------------------------------------------------------
+
+_PURE = np.diag([1.0, 0.0]).astype(complex)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: require_density(np.diag([1.2, -0.2])), ValueError,
+                 r"^not a density state: negative eigenvalue \(min eigenvalue",
+                 id="require_density"),
+    pytest.param(lambda: tangency_check([(0, _PURE), (1, _PURE)], 1),
+                 InvalidCurveError, "need at least 3 samples",
+                 id="tangency-two-samples"),
+    pytest.param(lambda: tangency_check([(0, _PURE), (1, _PURE),
+                                         (3, _PURE)], 1),
+                 InvalidCurveError, "uniformly spaced",
+                 id="tangency-uneven-times"),
+    # the ball point (0, 0, 0.55), admitted at tol 0.1, lies outside the
+    # sphere, and the line along y1 misses it
+    pytest.param(lambda: bloch_decompose_along(
+        certify_density(np.diag([1.05, -0.05]), tol_psd=0.1), [1, 0, 0]),
+        ValueError, "line misses the pure-state sphere", id="bloch-miss"),
+    # T scales to diag(0.5, 5e-12), whose image of |1><1| has trace 2.5e-23
+    pytest.param(lambda: gl_act_states(
+        np.diag([1.0, 1e-11]), require_density(np.diag([0.0, 1.0]))),
+        SingularTransformError, "image trace vanished", id="gl-trace"),
+    pytest.param(lambda: gl_act_cone(np.eye(3), np.eye(2)), DimensionError,
+                 "transform and operand dimensions differ", id="gl-cone-dims"),
+    pytest.param(lambda: face_contains(face_of(require_density(_PURE)),
+                                       require_density(_PURE), mode="span"),
+                 ValueError, "unknown mode 'span'", id="face-mode"),
+])
+def test_states_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
