@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,9 @@ TOL_RANK = 1e-9
 # A basis is one (n^2, n, n) complex array of 16 n^4 bytes, 16 MB at n = 32;
 # there `tensors --which distributions` peaks at about 340 MB RSS.
 MAX_BASIS_N = 32
+# C and d are two dense real (n^2)^3 arrays, read off one complex one; 12
+# gives about 48 MB for the pair (the n=20 pair alone would be 1 GB).
+MAX_CONSTANTS_N = 12
 
 
 class DimensionError(ValueError):
@@ -194,7 +197,6 @@ class StructureConstants:
     dim: int
     c: np.ndarray  # (n^2, n^2, n^2) real
     d: np.ndarray  # (n^2, n^2, n^2) real
-    basis: OrthogonalBasis = field(repr=False)
 
     @property
     def d_traceless(self) -> np.ndarray:
@@ -235,9 +237,11 @@ def structure_constants(basis: OrthogonalBasis) -> StructureConstants:
     """C and d for an orthogonal basis: the parts (T -+ T[b, a, c]) / 4 of
     T[a, b, c] = Tr(b_a b_b b_c).  For Hermitian b, Tr(XYZ)* = Tr(ZYX) =
     Tr(YXZ), so T[b, a, c] = conj(T[a, b, c]) and they are Im T / 2 and
-    Re T / 2 (less the b_0 delta term)."""
-    basis.verify()
+    Re T / 2 (less the b_0 delta term).  Refuses n > MAX_CONSTANTS_N first."""
     n = basis.dim
+    if n > MAX_CONSTANTS_N:
+        raise DimensionError(f"dimension must be <= {MAX_CONSTANTS_N}")
+    basis.verify()
     stack = basis.elements
     # T[a, b, c] = Tr(b_a b_b b_c) = Tr(b_c b_a b_b) by cyclicity.
     triple = triple_traces(stack, stack).transpose(1, 2, 0)
@@ -245,7 +249,7 @@ def structure_constants(basis: OrthogonalBasis) -> StructureConstants:
     d = triple.real / 2.0
     m = n * n
     d[np.arange(m), np.arange(m), 0] -= np.sqrt(2.0 / n)
-    return StructureConstants(n, c, d, basis)
+    return StructureConstants(n, c, d)
 
 
 def to_dual(a: np.ndarray, basis: OrthogonalBasis) -> np.ndarray:

@@ -28,6 +28,7 @@ from .realified import (
     expectation_trace_samples,
 )
 from .states import (
+    TOL_PSD,
     Rejection,
     certify_densities,
     certify_density,
@@ -42,9 +43,6 @@ from .states import (
 DEFAULT_SEED = 12345
 # r^3 rows are held in memory; 101 gives about 1.03 M points.
 MAX_BALLGRID_RESOLUTION = 101
-# C and d are two dense real (n^2)^3 arrays, read off one complex one; 12
-# gives about 48 MB for the pair (the n=20 pair alone would be 1 GB).
-MAX_CONSTANTS_N = 12
 
 
 class UsageError(ValueError):
@@ -155,15 +153,11 @@ def cmd_tensors(args) -> str:
         report = serialize.distributions_to_dict(distributions_at(y, basis))
     else:
         fn = lambda_at if args.which == "lambda" else riemann_jordan_at
-        t = fn(y, basis)
-        report = serialize.tensor_to_dict(t)
-        report["rank"] = t.rank()
+        report = serialize.tensor_to_dict(fn(y, basis))
     return serialize.dumps(report)
 
 
 def cmd_constants(args) -> str:
-    if args.n > MAX_CONSTANTS_N:
-        raise UsageError(f"dimension must be <= {MAX_CONSTANTS_N}")
     sc = structure_constants(gellmann_basis(args.n))
     return "\n".join(serialize.constants_csv_rows(sc)) + "\n"
 
@@ -244,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", help="output path (default: stdout)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help="seed for any randomized defaults")
-    parser.add_argument("--tol", type=float, default=1e-10,
+    parser.add_argument("--tol", type=float, default=TOL_PSD,
                         help="positivity tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
 

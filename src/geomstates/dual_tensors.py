@@ -17,6 +17,7 @@ from .basis import (
     OrthogonalBasis,
     check_hermitian,
     eigenpair_masks,
+    exact_scale,
     from_dual,
     pair_indices,
     triple_traces,
@@ -117,7 +118,7 @@ def distributions_at(y: np.ndarray,
     and union.  D_0 is cross-checked in dimension against the span of
     (1/i)[A, xi^2]: the pairs with |w_i^2 - w_j^2|, the product of
     |w_i - w_j| and |w_i + w_j|, above TOL_RANK * max|w| times the larger
-    factor, |w_i| + |w_j|.
+    factor, |w_i| + |w_j|, with w read through basis.exact_scale.
     """
     y = np.asarray(y, dtype=float)
     w, v = np.linalg.eigh(from_dual(y, basis))
@@ -129,6 +130,7 @@ def distributions_at(y: np.ndarray,
                           axis=1)
     in_l, in_r = eigenpair_masks(w)
     dim0 = int((in_l & in_r).sum())
+    w = exact_scale(w)[0]  # both sides scale as w^2: no square under/overflows
     cut = TOL_RANK * np.abs(w).max() * (np.abs(w[i]) + np.abs(w[j]))
     dim0_direct = 2 * int((np.abs(w[i] ** 2 - w[j] ** 2) > cut).sum())
     if dim0 != dim0_direct:

@@ -13,7 +13,7 @@ import numbers
 
 import numpy as np
 
-from .basis import StructureConstants, check_hermitian
+from .basis import StructureConstants
 from .dual_tensors import DistributionReport, TensorAtPoint
 from .qutrit_tables import full_c_table, full_d_table
 from .realified import RealifiedState
@@ -32,7 +32,7 @@ def csv_float(x: float) -> str:
 # -- Hermitian operators ------------------------------------------------
 
 def operator_to_dict(a: np.ndarray) -> dict:
-    a = check_hermitian(a)
+    a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a single matrix, got shape {a.shape}")
     return {
@@ -56,13 +56,16 @@ def _dim(d: dict) -> int:
 
 
 def operator_from_dict(d: dict) -> np.ndarray:
+    """The payload's (n, n) array, unchecked: its first reader judges it."""
     n = _dim(d)
     # each part on its own: numpy would broadcast a scalar or a row
     re, im = (np.array(d[key], dtype=float) for key in ("re", "im"))
     for a in (re, im):
         if a.shape != (n, n):
             raise ValueError(f"operator payload shape {a.shape} != ({n}, {n})")
-    return check_hermitian(re + 1j * im)
+    a = re.astype(complex)  # by assignment: no 0 * inf from re + 1j * im
+    a.imag = im
+    return a
 
 
 # -- Dual vectors -------------------------------------------------------
@@ -72,9 +75,7 @@ def dual_from_dict(d: dict):
     y = np.array(d["y"], dtype=float, ndmin=1)  # a scalar is one coordinate
     if y.shape != (n * n,):
         raise ValueError(f"dual payload length {y.shape[0]} != {n * n}")
-    if not np.isfinite(y).all():
-        raise ValueError("dual payload has non-finite entries")
-    return n, y
+    return n, y  # from_dual refuses non-finite coordinates
 
 
 # -- Realified states ---------------------------------------------------
@@ -103,6 +104,7 @@ def tensor_to_dict(t: TensorAtPoint) -> dict:
         "y": t.point.tolist(),
         "kind": t.kind,
         "matrix": t.matrix.tolist(),
+        "rank": t.rank(),
     }
 
 

@@ -236,15 +236,13 @@ def face_contains(face: FaceDescriptor, candidate: DensityState,
     mode "kernel": the literal reversed inclusion Ker(candidate) contained
     in Ker(base), exposed so tests can demonstrate it fails the axioms.
     """
-    p = face.projector()
-    n = p.shape[0]
     if mode == "image":
-        off = (np.eye(n) - p) @ candidate.op
-        return bool(np.abs(off).max() <= 1e-9)
-    if mode == "kernel":
-        off = (np.eye(n) - face_of(candidate).projector()) @ face.base.op
-        return bool(np.abs(off).max() <= 1e-9)
-    raise ValueError(f"unknown mode {mode!r}")
+        p, x = face.projector(), candidate.op
+    elif mode == "kernel":
+        p, x = face_of(candidate).projector(), face.base.op
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return bool(np.abs((np.eye(len(p)) - p) @ x).max() <= 1e-9)
 
 
 @dataclass(frozen=True)
@@ -283,7 +281,7 @@ def qubit_from_bloch(y1, y2, y3) -> np.ndarray:
 def qubit_bloch_vector(rho: DensityState) -> np.ndarray:
     """Ball coordinates (y1, y2, y3) of a qubit state."""
     if rho.dim != 2:
-        raise DimensionError("only defined for 2-level states")
+        raise DimensionError("Bloch coordinates need a 2-level state")
     return to_dual(rho.op, gellmann_basis(2))[1:]
 
 
@@ -297,8 +295,7 @@ def bloch_decompose_along(rho: DensityState,
     state, tangent direction) collapses to a single term.  d is scaled by
     basis.exact_scale before it is normalized, so d * 2**e gives the same line.
     """
-    if rho.dim != 2:
-        raise DimensionError("Bloch decomposition requires a 2-level state")
+    v = qubit_bloch_vector(rho)
     d = np.asarray(direction, dtype=float)
     if d.shape != (3,) or not np.isfinite(d).all():
         raise DimensionError("direction must be a finite 3-vector")
@@ -306,7 +303,6 @@ def bloch_decompose_along(rho: DensityState,
     if not d.any():
         raise ValueError("direction must be nonzero")
     d = d / np.linalg.norm(d)
-    v = qubit_bloch_vector(rho)
     vd = float(v @ d)
     disc = vd * vd - float(v @ v) + 0.25
     if disc < -1e-12:

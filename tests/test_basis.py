@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,13 @@ from geomstates import (
     structure_constants,
     to_dual,
 )
-from geomstates.basis import MAX_BASIS_N, TOL_RANK, exact_scale, numerical_rank
+from geomstates.basis import (
+    MAX_BASIS_N,
+    MAX_CONSTANTS_N,
+    TOL_RANK,
+    exact_scale,
+    numerical_rank,
+)
 from geomstates.realified import expectation_trace_samples
 from geomstates.qutrit_tables import full_c_table, full_d_table
 
@@ -289,6 +296,24 @@ def test_structure_constants_rejects_non_orthogonal_basis():
         structure_constants(bad)
 
 
+def test_structure_constants_cap_refused_before_verify(monkeypatch):
+    big = gellmann_basis(MAX_CONSTANTS_N + 1)
+
+    def verify(self):
+        raise AssertionError("verify ran")
+
+    monkeypatch.setattr(OrthogonalBasis, "verify", verify)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError,
+                           match=f"^dimension must be <= {MAX_CONSTANTS_N}$"):
+            structure_constants(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_to_dual_identity():
     y = to_dual(np.eye(2), gellmann_basis(2))
     assert np.allclose(y, [1, 0, 0, 0], atol=1e-14)
@@ -410,6 +435,10 @@ def test_operator_on_another_space_refused(call):
                  DimensionError, "expected 4 coordinates", id="from_dual"),
     pytest.param(lambda: OrthogonalBasis(2, np.zeros((3, 2, 2))), BasisError,
                  "need 4 elements", id="basis-shape"),
+    # trace-orthonormal, with the identity last
+    pytest.param(lambda: OrthogonalBasis(
+        2, gellmann_basis(2).elements[::-1]).verify(), BasisError,
+        r"element 0 must be sqrt\(2/n\) \* identity", id="basis-element-0"),
     # refused before the (n^2, n, n) array is allocated
     pytest.param(lambda: gellmann_basis(MAX_BASIS_N + 1), DimensionError,
                  f"must be <= {MAX_BASIS_N}, got {MAX_BASIS_N + 1}$",

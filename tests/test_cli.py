@@ -184,7 +184,7 @@ def test_usage_errors_exit_two(capsys):
                            "--direction", direction)
     # refused before C and d are allocated; never run an oversize case
     assert_usage_error(capsys, "constants", "--n",
-                       str(cli.MAX_CONSTANTS_N + 1))
+                       str(basis.MAX_CONSTANTS_N + 1))
     # argparse's own errors; it drops the "--" of "--opt=--" and would
     # store [] unparsed
     for argv in (("--tol", "abc", "classify", "--json", "{}"),
@@ -508,7 +508,7 @@ def _int_option_text(low, high, valid_high):
 
 
 # A valid n stays <= 6 and a valid resolution <= 9 to keep the test quick.
-_INT_OPTIONS = {"constants": ("--n", cli.MAX_CONSTANTS_N, 6),
+_INT_OPTIONS = {"constants": ("--n", basis.MAX_CONSTANTS_N, 6),
                 "ballgrid": ("--resolution", cli.MAX_BALLGRID_RESOLUTION, 9)}
 
 
@@ -575,7 +575,8 @@ def test_non_hermitian_payload_exit_two(capsys):
 
 
 @pytest.mark.parametrize("re00, im01", [("NaN", "0"), ("Infinity", "0"),
-                                        ("-Infinity", "0"), ("0.5", "NaN")])
+                                        ("-Infinity", "0"), ("0.5", "NaN"),
+                                        ("0.5", "Infinity")])
 def test_non_finite_payload_exit_two(capsys, re00, im01):
     payload = (f'{{"dim": 2, "re": [[{re00}, 0], [0, 0.5]],'
                f' "im": [[0, {im01}], [0, 0]]}}')
@@ -584,8 +585,7 @@ def test_non_finite_payload_exit_two(capsys, re00, im01):
         code = cli.main(["classify", "--json", payload])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == "error: bad operator payload: " \
-        "matrix has non-finite entries\n"
+    assert captured.err == "error: matrix has non-finite entries\n"
 
 
 def test_classify_rejection_details_are_plain_floats(capsys):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geomstates import (
@@ -23,6 +23,7 @@ from geomstates.states import certify_density, orbit_dimension
 from conftest import (
     BRACKET_DRAWS,
     bracket_sample,
+    operator_of_kind,
     random_hermitian,
     random_state,
 )
@@ -184,6 +185,21 @@ def test_distributions_where_xi_squared_is_scalar(rng):
             y = np.zeros(n * n)
             y[0] = c
             assert distributions_at(y, basis).dims == (0, n * n, 0, n * n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 3, 4, 6]), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["degenerate", "rank-deficient"]),
+       e=st.integers(-1000, 1000))
+def test_distributions_dims_at_any_exact_scale(n, seed, kind, e):
+    # The four distributions at xi and c xi (c > 0) are the same spaces.
+    basis = gellmann_basis(n)
+    y = to_dual(operator_of_kind(np.random.default_rng(seed), n, kind), basis)
+    scaled = np.ldexp(y, e)
+    assume(np.array_equal(np.ldexp(scaled, -e), y))  # exact scalings only
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert distributions_at(scaled, basis).dims == \
+            distributions_at(y, basis).dims
 
 
 @pytest.mark.parametrize("w", [[1.0, 1e-6, 0.0], [1.0, 3e-6, 1e-6],

@@ -9,7 +9,9 @@ from hypothesis.extra import numpy as hnp
 
 from geomstates import (
     StructureConstants,
+    certify_density,
     distributions_at,
+    from_dual,
     gellmann_basis,
     lambda_at,
     structure_constants,
@@ -39,9 +41,10 @@ def test_operator_round_trip(rng):
 
 
 def test_operator_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        operator_from_dict({"dim": 2, "re": [[0, 1], [0, 0]],
+    a = operator_from_dict({"dim": 2, "re": [[0, 1], [0, 0]],
                             "im": [[0, 0], [0, 0]]})
+    with pytest.raises(ValueError):
+        certify_density(a)
 
 
 def test_operator_rejects_shape_mismatch():
@@ -84,8 +87,9 @@ def test_payloads_reject_dim_that_is_not_an_integer(dim):
 
 
 def test_dual_rejects_non_finite():
-    with pytest.raises(ValueError, match="non-finite"):
-        dual_from_dict({"dim": 2, "y": [0.5, float("inf"), 0.0, 0.0]})
+    n, y = dual_from_dict({"dim": 2, "y": [0.5, float("inf"), 0.0, 0.0]})
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        from_dual(y, gellmann_basis(n))
 
 
 def test_state_round_trip(rng):
@@ -177,7 +181,7 @@ def test_constants_rows_qutrit_expected_values():
     assert not any(r.endswith(",mismatch") for r in rows)
     c = sc.c.copy()
     c[1, 2, 3] += 1e-9
-    rows = constants_csv_rows(StructureConstants(3, c, sc.d, sc.basis))
+    rows = constants_csv_rows(StructureConstants(3, c, sc.d))
     assert "1,2,3,1.000000001,0,mismatch" in rows
 
 

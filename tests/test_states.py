@@ -13,6 +13,7 @@ from geomstates import (
     distributions_at,
     face_contains,
     face_of,
+    from_dual,
     gellmann_basis,
     gl_act_cone,
     gl_act_states,
@@ -28,6 +29,7 @@ from geomstates import (
     weyl_reduce,
 )
 from geomstates.basis import TOL_RANK
+from geomstates import states
 from geomstates.states import (
     TOL_PSD,
     InvalidCurveError,
@@ -80,6 +82,17 @@ def test_qutrit_boundary_determinant_zero():
     # determinant of the explicit formula vanishes here
     det = third**3 + 2 * third**3 - 3 * third * third**2
     assert det == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("w, minors_pass, which", [
+    ([0.5, 0.3, 0.2], False, "a >= 0"), ([1.2, 0.0, -0.2], True, "passed")])
+def test_qutrit_criteria_disagreement_is_arithmetic_error(monkeypatch, w,
+                                                         minors_pass, which):
+    monkeypatch.setattr(states, "_qutrit_minor_conditions",
+                        lambda a, tol: np.full(a.shape[:-2] + (7,),
+                                               minors_pass))
+    with pytest.raises(ArithmeticError, match=f"minor check {which}$"):
+        certify_density(np.diag(w))
 
 
 def test_qutrit_minor_and_spectral_criteria_agree(rng):
@@ -213,6 +226,18 @@ def test_qubit_from_bloch_broadcasts():
         want = np.array([[0.5 + c, 0.1 + 1j * a], [0.1 - 1j * a, 0.5 - c]])
         assert np.array_equal(stack[i, j], want)
     assert qubit_from_bloch(0.0, 0.0, 0.5).shape == (2, 2)
+
+
+# A -0.0 coordinate is a +0.0 entry in from_dual's sum; the draws add +0.0.
+_COORD = st.floats(-1e300, 1e300, allow_nan=False).map(lambda x: x + 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(y=st.tuples(_COORD, _COORD, _COORD))
+def test_qubit_from_bloch_is_the_two_level_chart(y):
+    # both encode _SIGMA's order: y1 on [[0, i], [-i, 0]], y2 on sigma_x
+    want = from_dual([0.5, *y], gellmann_basis(2))
+    assert qubit_from_bloch(*y).tobytes() == want.tobytes()
 
 
 def test_ball_characterization_small_grid():
@@ -754,6 +779,14 @@ _PURE = np.diag([1.0, 0.0]).astype(complex)
         SingularTransformError, "image trace vanished", id="gl-trace"),
     pytest.param(lambda: gl_act_cone(np.eye(3), np.eye(2)), DimensionError,
                  "transform and operand dimensions differ", id="gl-cone-dims"),
+    pytest.param(lambda: qubit_bloch_vector(require_density(np.eye(3) / 3)),
+                 DimensionError, "^Bloch coordinates need a 2-level state$",
+                 id="bloch-vector-qutrit"),
+    pytest.param(lambda: bloch_decompose_along(
+        require_density(np.eye(3) / 3), [1, 0, 0]), DimensionError,
+        "^Bloch coordinates need a 2-level state$", id="bloch-line-qutrit"),
+    pytest.param(lambda: qutrit_pure_from_bloch(np.ones(3)), DimensionError,
+                 "need an 8-component vector", id="qutrit-bloch-shape"),
     pytest.param(lambda: face_contains(face_of(require_density(_PURE)),
                                        require_density(_PURE), mode="span"),
                  ValueError, "unknown mode 'span'", id="face-mode"),
