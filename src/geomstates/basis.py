@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ MAX_BASIS_N = 32
 # C and d are two dense real (n^2)^3 arrays, read off one complex one; 12
 # gives about 48 MB for the pair (the n=20 pair alone would be 1 GB).
 MAX_CONSTANTS_N = 12
+# Real and imaginary parts up to DBL_MAX / sqrt(2) keep |entry| finite.
+_PART_MAX = sys.float_info.max / math.sqrt(2.0)
 
 
 class DimensionError(ValueError):
@@ -51,7 +54,12 @@ def check_hermitian(a: np.ndarray, n: int | None = None) -> np.ndarray:
 
     The tolerance TOL_HERM is absolute after scaling each matrix by
     max(max|entry|, 1).  Raises if any matrix fails or any entry is NaN or
-    infinite.
+    infinite, or has a modulus that overflows.
+
+    An input equal to its conjugate transpose, with no real or imaginary
+    part above _PART_MAX, is accepted after that one equality pass: its
+    skew is exactly 0 and every modulus finite, so the scaled test below
+    could only accept it.  Any other input takes the scaled test.
     """
     a = np.asarray(a, dtype=complex)
     if n is not None and a.shape != (n, n):
@@ -59,10 +67,16 @@ def check_hermitian(a: np.ndarray, n: int | None = None) -> np.ndarray:
             f"expected an operator of shape ({n}, {n}), got {a.shape}")
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    ah = a.swapaxes(-2, -1).conj()
+    # NaN fails the equality and inf the bound, so both reach the test below.
+    if (a == ah).all():
+        parts = a.ravel().view(float)
+        if parts.max() <= _PART_MAX and parts.min() >= -_PART_MAX:
+            return a
     mag = np.abs(a)
     if not math.isfinite(mag.max()):
         raise HermiticityError("matrix has non-finite entries")
-    skew = np.abs(a - a.swapaxes(-2, -1).conj())
+    skew = np.abs(a - ah)
     # Each matrix's threshold TOL_HERM * max(max|entry|, 1) is at least
     # TOL_HERM: the per-matrix scales matter only if some skew is larger.
     if skew.max() > TOL_HERM:

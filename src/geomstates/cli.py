@@ -216,17 +216,19 @@ def cmd_ballgrid(args) -> str:
     if r > MAX_BALLGRID_RESOLUTION:
         raise UsageError(f"resolution must be <= {MAX_BALLGRID_RESOLUTION}")
     grid = np.linspace(-0.6, 0.6, r)
-    stack = qubit_from_bloch(*np.meshgrid(grid, grid, grid, indexing="ij"))
+    stack = qubit_from_bloch(grid[:, None, None], grid[None, :, None],
+                             grid[None, None, :])
     cert = certify_densities(stack.reshape(-1, 2, 2), tol_psd=args.tol,
                              vectors=False)
-    # one row per point in meshgrid order; is_density is rank > 0
+    # One row per point in (y1, y2, y3) order: a (y1, y2) prefix, then the
+    # tail for the point's y3 and rank; is_density is rank > 0.
     labels = [serialize.csv_float(v) + "," for v in grid]
-    flags = [f"{int(k > 0)},{k}" for k in range(3)]
-    ranks = iter(cert.rank.tolist())
-    lines = ["y1,y2,y3,is_density,rank"]
-    lines += [f"{c1}{c2}{c3}{flags[next(ranks)]}"
-              for c1 in labels for c2 in labels for c3 in labels]
-    return "\n".join(lines) + "\n"
+    tails = np.array([[c3 + f"{int(k > 0)},{k}" for k in range(3)]
+                      for c3 in labels], dtype=object)
+    rows = tails[np.arange(r), cert.rank.reshape(r * r, r)].tolist()
+    blocks = [p + ("\n" + p).join(row) for p, row in
+              zip((c1 + c2 for c1 in labels for c2 in labels), rows)]
+    return "y1,y2,y3,is_density,rank\n" + "\n".join(blocks) + "\n"
 
 
 @functools.lru_cache(maxsize=None)

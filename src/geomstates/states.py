@@ -133,20 +133,23 @@ def certify_densities(stack: np.ndarray, tol_psd: float = TOL_PSD,
     trace_ok = np.abs(tr - 1.0) <= 1e-10
     psd = w[..., -1] >= -tol_psd
     if a.shape[-1] == 3:
-        minors = _qutrit_minor_conditions(a, 10.0 * tol_psd)
-        # Eigenvalue margin comfortably outside the minor tolerance band
-        # must agree with the minor criterion.
-        clash = (trace_ok & (psd != minors.all(axis=-1))
-                 & (np.abs(w[..., -1]) > 100.0 * tol_psd))
-        if clash.any():
-            i = tuple(np.argwhere(clash)[0])
-            failed = ~minors[i]
-            which = (_MINOR_CONDITIONS[np.argmax(failed)] if failed.any()
-                     else "passed")
-            raise ArithmeticError(
-                "spectral and principal-minor positivity criteria disagree: "
-                f"min eigenvalue {float(w[i][-1])}, minor check {which}"
-            )
+        # An eigenvalue margin comfortably outside the minor tolerance band
+        # must agree with the minor criterion.  Only a trace-one matrix with
+        # such a margin can clash, so the minors wait for one.
+        decisive = trace_ok & (np.abs(w[..., -1]) > 100.0 * tol_psd)
+        if decisive.any():
+            minors = _qutrit_minor_conditions(a, 10.0 * tol_psd)
+            clash = decisive & (psd != minors.all(axis=-1))
+            if clash.any():
+                i = tuple(np.argwhere(clash)[0])
+                failed = ~minors[i]
+                which = (_MINOR_CONDITIONS[np.argmax(failed)] if failed.any()
+                         else "passed")
+                raise ArithmeticError(
+                    "spectral and principal-minor positivity criteria "
+                    f"disagree: min eigenvalue {float(w[i][-1])}, minor "
+                    f"check {which}"
+                )
     code = np.where(trace_ok, np.where(psd, 0, 2), 1).astype(np.int8)
     rank = numerical_rank(w) * (code == 0)
     return Certification(code, rank, w, v, tr)
@@ -269,8 +272,10 @@ def qubit_from_bloch(y1, y2, y3) -> np.ndarray:
     The coordinates broadcast against each other; array arguments give a
     stack of shape (..., 2, 2).
     """
-    y1, y2, y3 = np.broadcast_arrays(y1, y2, y3)
-    out = np.empty(y1.shape + (2, 2), dtype=complex)
+    y1, y2, y3 = np.asarray(y1), np.asarray(y2), np.asarray(y3)
+    # Each entry is computed on its operands' own shape, then broadcast.
+    shape = np.broadcast_shapes(y1.shape, y2.shape, y3.shape)
+    out = np.empty(shape + (2, 2), dtype=complex)
     out[..., 0, 0] = 0.5 + y3
     out[..., 0, 1] = y2 + 1j * y1
     out[..., 1, 0] = y2 - 1j * y1

@@ -1,4 +1,5 @@
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -32,6 +33,7 @@ from geomstates import (
 from geomstates.basis import (
     MAX_BASIS_N,
     MAX_CONSTANTS_N,
+    TOL_HERM,
     TOL_RANK,
     exact_scale,
     numerical_rank,
@@ -399,6 +401,89 @@ def test_check_hermitian_rejects_non_finite(bad):
         check_hermitian(a)
     with pytest.raises(HermiticityError, match="non-finite"):
         check_hermitian(np.stack([np.eye(2), a]))
+
+
+def _scaled_skew_rule(a):
+    """The reference rule: every input takes the finite test and the skew
+    test scaled per matrix, with check_hermitian's messages."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    mag = np.abs(a)
+    if not math.isfinite(mag.max()):
+        raise HermiticityError("matrix has non-finite entries")
+    skew = np.abs(a - a.swapaxes(-2, -1).conj())
+    if skew.max() > TOL_HERM:
+        scale = np.maximum(mag.max(axis=(-2, -1)), 1.0)
+        if (skew.max(axis=(-2, -1)) > TOL_HERM * scale).any():
+            raise HermiticityError("matrix is not Hermitian within tolerance")
+    return a
+
+
+# Entries written at (i, j), and conjugated at (j, i) when mirrored: NaN or
+# +-inf in a real or an imaginary part, and huge parts.  The modulus of
+# 1e308+1e308j is 1.41e308 and finite, that of 1.5e308+1.5e308j overflows,
+# and 1.5e308 is above DBL_MAX / sqrt(2) with a finite modulus.
+SPECIAL_ENTRIES = {
+    "nan-re": complex(np.nan, 0.0), "nan-im": complex(0.0, np.nan),
+    "inf-re": complex(np.inf, 0.0), "-inf-re": complex(-np.inf, 0.0),
+    "inf-im": complex(0.0, np.inf), "-inf-im": complex(0.0, -np.inf),
+    "1e308+1e308j": 1e308 + 1e308j, "1.5e308+1.5e308j": 1.5e308 + 1.5e308j,
+    "1.5e308": complex(1.5e308, 0.0),
+}
+# Besides those: exactly Hermitian, or skewed at 0.5 or 2 times the matrix's
+# own threshold TOL_HERM * max(max|a|, 1).
+HERMITICITY_KINDS = ["hermitian", "skew-0.5", "skew-2", *SPECIAL_ENTRIES]
+
+
+def _matrix_of_kind(rng, n, kind, exp, mirror):
+    a = 10.0 ** exp * random_hermitian(rng, n)
+    i, j = rng.choice(n, size=2, replace=False)
+    if kind.startswith("skew"):
+        a[i, j] += float(kind[5:]) * TOL_HERM * max(np.abs(a).max(), 1.0)
+    elif kind in SPECIAL_ENTRIES:
+        a[i, j] = SPECIAL_ENTRIES[kind]
+        if mirror:
+            a[j, i] = a[i, j].conjugate()
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(HERMITICITY_KINDS), max_size=4),
+       exp=st.integers(-3, 6), mirror=st.booleans(), single=st.booleans(),
+       layout=st.sampled_from(["contiguous", "transposed", "stack-stride",
+                               "column-stride"]))
+def test_check_hermitian_matches_the_scaled_skew_rule(n, seed, kinds, exp,
+                                                      mirror, single, layout):
+    """The exact-Hermitian pass decides every input as the scaled skew rule
+    does, with the same message, in the library and under the CLI's
+    errstate, for stacks (including empty ones) in any memory layout."""
+    rng = np.random.default_rng(seed)
+    stack = np.array([_matrix_of_kind(rng, n, k, exp, mirror) for k in kinds],
+                     dtype=complex).reshape(len(kinds), n, n)
+    if layout == "transposed":
+        stack = stack.swapaxes(-2, -1)
+    elif layout == "stack-stride":
+        stack = np.repeat(stack, 2, axis=0)[::2]
+    elif layout == "column-stride":
+        wide = np.zeros((len(kinds), n, 2 * n), dtype=complex)
+        wide[..., ::2] = stack
+        stack = wide[..., ::2]
+    if single and kinds:
+        stack = stack[0]
+
+    def outcome(rule):
+        try:
+            out = rule(stack)
+        except (ValueError, ArithmeticError) as exc:
+            return type(exc), str(exc)
+        return out.shape, out.tobytes()
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert outcome(check_hermitian) == outcome(_scaled_skew_rule)
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        assert outcome(check_hermitian) == outcome(_scaled_skew_rule)
 
 
 # Every caller that knows the dimension n of its space passes it to

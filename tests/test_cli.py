@@ -601,6 +601,17 @@ def test_classify_rejection_details_are_plain_floats(capsys):
     assert "np." not in out
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_classify_huge_trace_rejection_is_the_same_at_every_n(capsys, n):
+    # At n = 3 the principal minors of diag(1e103, ...) overflow; they are
+    # evaluated only for a trace-one matrix, so this is a trace rejection
+    # at every n, not a numeric failure.
+    code, out = run(capsys, "classify", "--json", op_json(1e103 * np.eye(n)))
+    assert code == 0
+    assert json.loads(out) == {"density": False, "violated": "trace",
+                               "detail": f"Tr = {n * 1e103!r}, expected 1"}
+
+
 def test_numeric_failure_exit_three(capsys, monkeypatch):
     def boom(op, tol_psd):
         raise ArithmeticError("criteria disagree")
@@ -1020,16 +1031,20 @@ def test_ballgrid_bytes_pinned(capsys, resolution):
 
 @pytest.mark.parametrize("tol", ["0", "1e-10", "0.05"])
 def test_ballgrid_matches_per_point_certification(capsys, tol):
-    code, out = run(capsys, "--tol", tol, "ballgrid", "--resolution", "7")
-    assert code == 0
-    lines = out.splitlines()
-    grid = np.linspace(-0.6, 0.6, 7)
-    points = [(a, b, c) for a in grid for b in grid for c in grid]
-    assert len(lines) == 1 + len(points)
-    for line, y in zip(lines[1:], points):
-        ref = certify_density(qubit_from_bloch(*y), tol_psd=float(tol))
-        want = (1, ref.rank) if ref else (0, 0)
-        assert line.split(",")[3:] == [str(v) for v in want]
+    # Resolution 2 is the smallest grid, and 6 a grid with no zero label.
+    for resolution in (2, 6, 7):
+        code, out = run(capsys, "--tol", tol, "ballgrid", "--resolution",
+                        str(resolution))
+        assert code == 0
+        lines = out.splitlines()
+        grid = np.linspace(-0.6, 0.6, resolution)
+        points = [(a, b, c) for a in grid for b in grid for c in grid]
+        assert len(lines) == 1 + len(points)
+        for line, y in zip(lines[1:], points):
+            ref = certify_density(qubit_from_bloch(*y), tol_psd=float(tol))
+            want = (1, ref.rank) if ref else (0, 0)
+            assert line.split(",") == [csv_float(v) for v in y] + [
+                str(v) for v in want]
 
 
 def test_ballgrid_determinism(capsys):

@@ -93,6 +93,32 @@ def test_qutrit_criteria_disagreement_is_arithmetic_error(monkeypatch, w,
                                                minors_pass))
     with pytest.raises(ArithmeticError, match=f"minor check {which}$"):
         certify_density(np.diag(w))
+    # In a stack, a rank-deficient state (minimum eigenvalue 0, inside the
+    # band where the criteria may differ) cannot clash; the error names the
+    # decisive matrix's minimum eigenvalue.
+    stack = np.stack([np.diag([0.5, 0.5, 0.0]), np.diag(w)])
+    lam = float(np.linalg.eigvalsh(stack[1])[0])
+    with pytest.raises(ArithmeticError,
+                       match=f"min eigenvalue {lam}, minor check {which}$"):
+        certify_densities(stack, vectors=False)
+
+
+def test_qutrit_minors_wait_for_a_decisive_matrix(monkeypatch):
+    """The minors are evaluated only for a stack holding a trace-one matrix
+    whose minimum eigenvalue is outside 100 * tol_psd."""
+    calls = []
+    minors = states._qutrit_minor_conditions
+    monkeypatch.setattr(states, "_qutrit_minor_conditions",
+                        lambda a, tol: calls.append(len(a)) or minors(a, tol))
+    # A rank-deficient state, a trace-one matrix whose minimum eigenvalue
+    # -5e-9 is inside 100 * tol_psd = 1e-8, and a matrix of trace 2.8.
+    undecided = np.stack([np.diag([0.5, 0.5, 0.0]),
+                          np.diag([0.5, 0.5 + 5e-9, -5e-9]),
+                          np.diag([2.0, 0.5, 0.3])])
+    assert certify_densities(undecided).code.tolist() == [0, 2, 1]
+    assert calls == []
+    certify_densities(np.concatenate([undecided, [np.diag([0.5, 0.3, 0.2])]]))
+    assert calls == [4]
 
 
 def test_qutrit_minor_and_spectral_criteria_agree(rng):
