@@ -86,7 +86,8 @@ _VIOLATIONS = np.array(["", "trace", "negative eigenvalue"])
 
 @dataclass(frozen=True)
 class Certification:
-    """Per-matrix results of certify_densities over a stack (..., n, n)."""
+    """Per-matrix results of certify_densities over a stack (..., n, n);
+    (...) may be (), one matrix, and then each field has no leading axes."""
 
     code: np.ndarray  # (...) int8: 0 certified, 1 trace, 2 negative eigenvalue
     rank: np.ndarray  # (...) int, 0 exactly where rejected
@@ -107,7 +108,8 @@ class Certification:
 
 def certify_densities(stack: np.ndarray, tol_psd: float = TOL_PSD,
                       vectors: bool = True) -> Certification:
-    """Certify every matrix of a stack (..., n, n) as a density state.
+    """Certify every matrix of a stack (..., n, n) as a density state; (...)
+    may be (), one matrix, which is how certify_density calls it.
 
     A matrix is accepted iff Tr = 1 (within 1e-10) and its spectrum is
     >= -tol_psd; otherwise violated names the first failed test, "trace" or
@@ -156,23 +158,22 @@ def certify_densities(stack: np.ndarray, tol_psd: float = TOL_PSD,
 
 
 def certify_density(a: np.ndarray, tol_psd: float = TOL_PSD):
-    """Certify one Hermitian matrix as a density state (see
-    certify_densities).
+    """Certify one Hermitian matrix as a density state: certify_densities
+    at shape (n, n).
 
     Returns a DensityState on acceptance, a Rejection otherwise.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    cert = certify_densities(a[None], tol_psd)
-    violated = str(_VIOLATIONS[cert.code[0]])
+    cert = certify_densities(a, tol_psd)
+    violated = str(cert.violated)
     if violated == "trace":
-        return Rejection("trace", f"Tr = {float(cert.trace[0])!r}, expected 1")
+        return Rejection("trace", f"Tr = {float(cert.trace)!r}, expected 1")
     if violated:
         return Rejection(violated,
-                         f"min eigenvalue = {float(cert.spectrum[0, -1])!r}")
-    return DensityState(a, int(cert.rank[0]), cert.spectrum[0],
-                        cert.eigvecs[0])
+                         f"min eigenvalue = {float(cert.spectrum[-1])!r}")
+    return DensityState(a, int(cert.rank), cert.spectrum, cert.eigvecs)
 
 
 def require_density(a: np.ndarray) -> DensityState:
@@ -186,11 +187,15 @@ def gl_act_cone(t: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Action (T, xi) -> T xi T^dagger of the general linear group on the cone.
 
     Preserves the signature (number of positive/negative eigenvalues) of xi.
+    Raises ValueError for a non-finite T, SingularTransformError for an
+    ill-conditioned one.
     """
     t = np.asarray(t, dtype=complex)
     xi = check_hermitian(xi)
     if t.shape != xi.shape:
         raise DimensionError("transform and operand dimensions differ")
+    if not np.isfinite(t).all():
+        raise ValueError("transform entries must be finite")
     if np.linalg.cond(t) > 1e12:
         raise SingularTransformError("transform is singular or ill-conditioned")
     return t @ xi @ t.conj().T
@@ -274,7 +279,7 @@ def qubit_from_bloch(y1, y2, y3) -> np.ndarray:
     """
     y1, y2, y3 = np.asarray(y1), np.asarray(y2), np.asarray(y3)
     # Each entry is computed on its operands' own shape, then broadcast.
-    shape = np.broadcast_shapes(y1.shape, y2.shape, y3.shape)
+    shape = np.broadcast(y1, y2, y3).shape
     out = np.empty(shape + (2, 2), dtype=complex)
     out[..., 0, 0] = 0.5 + y3
     out[..., 0, 1] = y2 + 1j * y1
@@ -406,8 +411,13 @@ def tangency_check(samples, k: int) -> TangencyReport:
     if len(samples) < 3:
         raise InvalidCurveError("need at least 3 samples")
     ts = np.array([t for t, _ in samples], dtype=float)
-    hs = np.diff(ts)
-    if np.abs(hs - hs[0]).max() > 1e-9 * max(abs(hs[0]), 1e-300):
+    # A zero, NaN or infinite step fails the test: NaN and inf - inf
+    # compare false.
+    with np.errstate(invalid="ignore", over="ignore"):
+        hs = np.diff(ts)
+        uniform = (hs[0] != 0
+                   and np.abs(hs - hs[0]).max() <= 1e-9 * abs(hs[0]))
+    if not uniform:
         raise InvalidCurveError("samples must be uniformly spaced")
     ops = [np.asarray(op, dtype=complex) for _, op in samples]
     shapes = {op.shape for op in ops}

@@ -9,8 +9,8 @@ from conftest import subprocess_env
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["bloch_ball_tour.py", "qutrit_orbits.py",
-                                  "flows_and_eigenvalues.py"])
+@pytest.mark.parametrize(
+    "demo", sorted(path.name for path in (ROOT / "demos").glob("*.py")))
 def test_demo_runs_cleanly(demo):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
                           cwd=ROOT, env=subprocess_env(), capture_output=True,

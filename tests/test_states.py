@@ -132,13 +132,15 @@ def test_qutrit_minor_and_spectral_criteria_agree(rng):
 
 def _sample_matrix(rng, n, kind, k):
     """A Hermitian matrix with a clear verdict: a trace-one state of rank
-    min(k, n), the same state with its trace scaled off 1, or a trace-one
-    matrix with one eigenvalue at most -0.01."""
+    min(k, n), the same state with its trace scaled off 1, a trace-one
+    matrix with one eigenvalue at most -0.01, or ("degenerate") a trace-one
+    state of rank min(k, n) whose nonzero eigenvalues are each c or 2c."""
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     u = np.linalg.qr(z)[0]
     k = min(k, n - 1) if kind == "negative" else min(k, n)
     w = np.zeros(n)
-    w[:k] = rng.uniform(0.05, 1.0, size=k)
+    w[:k] = (rng.integers(1, 3, size=k) if kind == "degenerate"
+             else rng.uniform(0.05, 1.0, size=k))
     if kind == "negative":
         w[-1] = -rng.uniform(0.01, 0.3) * w.sum()
     w /= w.sum()
@@ -207,6 +209,35 @@ def test_certify_densities_without_vectors_decides_the_same(n, specs, seed):
         assert np.array_equal(cert.accepted, cert.rank > 0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 12),
+       specs=st.lists(st.tuples(st.sampled_from(["valid", "degenerate",
+                                                 "trace", "negative"]),
+                                st.integers(1, 12)),
+                      min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_certify_density_is_the_stack_entry(n, specs, seed):
+    """One matrix is the stack with no leading axes: the single call gives
+    the stack entry's spectrum, eigenvectors and rank bit for bit, and a
+    rejection quotes the stack's trace or minimum eigenvalue."""
+    rng = np.random.default_rng(seed)
+    stack = np.array([_sample_matrix(rng, n, kind, k) for kind, k in specs])
+    cert = certify_densities(stack)
+    for i, ((kind, k), a) in enumerate(zip(specs, stack)):
+        single = certify_density(a)
+        if kind == "trace":
+            tr = float(cert.trace[i])
+            assert single == Rejection("trace", f"Tr = {tr!r}, expected 1")
+        elif kind == "negative":
+            lam = float(cert.spectrum[i, -1])
+            assert single == Rejection("negative eigenvalue",
+                                       f"min eigenvalue = {lam!r}")
+        else:
+            assert single.rank == cert.rank[i] == min(k, n)
+            assert single.spectrum.tobytes() == cert.spectrum[i].tobytes()
+            assert single.eigvecs.tobytes() == cert.eigvecs[i].tobytes()
+
+
 def test_certify_densities_keeps_leading_shape():
     stack = qubit_from_bloch(np.zeros((2, 3)), 0.0, np.array([0.0, 0.5, 0.6]))
     cert = certify_densities(stack)
@@ -252,6 +283,14 @@ def test_qubit_from_bloch_broadcasts():
         want = np.array([[0.5 + c, 0.1 + 1j * a], [0.1 - 1j * a, 0.5 - c]])
         assert np.array_equal(stack[i, j], want)
     assert qubit_from_bloch(0.0, 0.0, 0.5).shape == (2, 2)
+
+
+def test_qubit_from_bloch_takes_lists():
+    y1, y2, y3 = [[-0.5], [0.25]], [0.1, -0.2, 0.3], 0.4
+    want = qubit_from_bloch(np.array(y1), np.array(y2), np.array(y3))
+    got = qubit_from_bloch(y1, y2, y3)
+    assert got.shape == (2, 3, 2, 2)
+    assert got.tobytes() == want.tobytes()
 
 
 # A -0.0 coordinate is a +0.0 entry in from_dual's sum; the draws add +0.0.
@@ -781,6 +820,7 @@ def test_gl_act_states_scalar_transform_at_any_scale(rng, n, c):
 # -- refusals ----------------------------------------------------------------
 
 _PURE = np.diag([1.0, 0.0]).astype(complex)
+_PURE_STATE = require_density(_PURE)
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -794,6 +834,16 @@ _PURE = np.diag([1.0, 0.0]).astype(complex)
                                          (3, _PURE)], 1),
                  InvalidCurveError, "uniformly spaced",
                  id="tangency-uneven-times"),
+    pytest.param(lambda: tangency_check([(1, _PURE)] * 3, 1),
+                 InvalidCurveError, "uniformly spaced", id="tangency-zero-step"),
+    pytest.param(lambda: tangency_check([(0, _PURE), (np.nan, _PURE),
+                                         (2, _PURE)], 1),
+                 InvalidCurveError, "uniformly spaced", id="tangency-nan-time"),
+    pytest.param(lambda: tangency_check([(0, _PURE), (np.inf, _PURE),
+                                         (2, _PURE)], 1),
+                 InvalidCurveError, "uniformly spaced", id="tangency-inf-time"),
+    pytest.param(lambda: certify_density(np.ones((2, 3))), DimensionError,
+                 r"got shape \(2, 3\)$", id="certify-density-not-square"),
     # the ball point (0, 0, 0.55), admitted at tol 0.1, lies outside the
     # sphere, and the line along y1 misses it
     pytest.param(lambda: bloch_decompose_along(
@@ -805,6 +855,12 @@ _PURE = np.diag([1.0, 0.0]).astype(complex)
         SingularTransformError, "image trace vanished", id="gl-trace"),
     pytest.param(lambda: gl_act_cone(np.eye(3), np.eye(2)), DimensionError,
                  "transform and operand dimensions differ", id="gl-cone-dims"),
+    *[pytest.param(lambda bad=bad, act=act, arg=arg: act(
+        np.array([[1.0, bad], [0.0, 1.0]]), arg), ValueError,
+        "^transform entries must be finite$", id=f"{name}-{bad}")
+      for bad in (np.nan, np.inf)
+      for name, act, arg in [("gl-cone", gl_act_cone, np.eye(2)),
+                             ("gl-states", gl_act_states, _PURE_STATE)]],
     pytest.param(lambda: qubit_bloch_vector(require_density(np.eye(3) / 3)),
                  DimensionError, "^Bloch coordinates need a 2-level state$",
                  id="bloch-vector-qutrit"),
