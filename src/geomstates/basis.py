@@ -70,8 +70,9 @@ def check_hermitian(a: np.ndarray, n: int | None = None) -> np.ndarray:
     ah = a.swapaxes(-2, -1).conj()
     # NaN fails the equality and inf the bound, so both reach the test below.
     if (a == ah).all():
-        parts = a.ravel().view(float)
-        if parts.max() <= _PART_MAX and parts.min() >= -_PART_MAX:
+        parts = a.ravel().view(float)  # empty for an empty stack
+        if (parts.max(initial=0.0) <= _PART_MAX
+                and parts.min(initial=0.0) >= -_PART_MAX):
             return a
     mag = np.abs(a)
     if not math.isfinite(mag.max()):
@@ -84,6 +85,18 @@ def check_hermitian(a: np.ndarray, n: int | None = None) -> np.ndarray:
         if (skew.max(axis=(-2, -1)) > TOL_HERM * scale).any():
             raise HermiticityError("matrix is not Hermitian within tolerance")
     return a
+
+
+def real_array(x, shape: tuple, what: str) -> np.ndarray:
+    """x as a float ndarray of the given shape with finite entries; any
+    other shape is a DimensionError, a NaN or infinite entry a ValueError,
+    each naming what x is."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != shape:
+        raise DimensionError(f"{what} must have shape {shape}, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} must be finite")
+    return x
 
 
 def exact_scale(x):
@@ -274,13 +287,7 @@ def to_dual(a: np.ndarray, basis: OrthogonalBasis) -> np.ndarray:
 
 def from_dual(y: np.ndarray, basis: OrthogonalBasis) -> np.ndarray:
     """Hermitian matrix with the given coordinates: sum_mu y[mu] b_mu."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (basis.size,):
-        raise DimensionError(
-            f"expected {basis.size} coordinates, got shape {y.shape}"
-        )
-    if not np.isfinite(y).all():
-        raise ValueError("coordinates must be finite")
+    y = real_array(y, (basis.size,), "coordinates")
     return np.einsum("a,aij->ij", y, basis.elements)
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DimensionError, check_hermitian
+from .basis import DimensionError, check_hermitian, real_array
 from .realified import RealifiedState, TangentVector, _complex
 from .realified import ZeroVectorError  # noqa: F401  raised by unit()
 
@@ -79,7 +79,8 @@ def connection_form(psi: RealifiedState, v: TangentVector) -> complex:
     direction is 1 and on its J-rotation is i.
     """
     u = _complex(psi.unit())
-    return complex(u.conj() @ v.to_complex()) / psi.norm()
+    vc = _complex(real_array(v.components, (2 * psi.dim,), "v"))
+    return complex(u.conj() @ vc) / psi.norm()
 
 
 def projected_hermitian(psi: RealifiedState, v: TangentVector,
@@ -93,8 +94,8 @@ def projected_hermitian(psi: RealifiedState, v: TangentVector,
     rescaling psi.
     """
     u = _complex(psi.unit())
-    vc = v.to_complex()
-    wc = w.to_complex()
+    vc = _complex(real_array(v.components, (2 * psi.dim,), "v"))
+    wc = _complex(real_array(w.components, (2 * psi.dim,), "w"))
     nrm = psi.norm()  # nrm * nrm scales exactly with psi; pow(nrm, 2) may not
     return complex(vc.conj() @ wc - (vc.conj() @ u) * (u.conj() @ wc)) / (
         nrm * nrm)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DimensionError, check_hermitian, exact_scale
+from .basis import DimensionError, check_hermitian, exact_scale, real_array
 
 # A hamiltonian flow holds a few (T+1, n) complex sample arrays; at 1 M
 # samples and n = 12 each is about 190 MB.
@@ -42,12 +42,10 @@ class RealifiedState:
     p: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-        if self.q.shape != self.p.shape or self.q.ndim != 1:
-            raise DimensionError("q and p must be equal-length 1-d arrays")
-        if not (np.isfinite(self.q).all() and np.isfinite(self.p).all()):
-            raise ValueError("state entries must be finite")
+        q = np.asarray(self.q, dtype=float)
+        q = real_array(q, (q.size,), "q")  # of any length, but 1-d
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "p", real_array(self.p, q.shape, "p"))
 
     @property
     def dim(self) -> int:
@@ -88,12 +86,8 @@ class TangentVector:
     components: np.ndarray
 
     def __post_init__(self):
-        comp = np.asarray(self.components, dtype=float)
-        object.__setattr__(self, "components", comp)
-        if comp.shape != (2 * self.base.dim,):
-            raise DimensionError("need 2n components")
-        if not np.all(np.isfinite(comp)):
-            raise ValueError("tangent components must be finite")
+        object.__setattr__(self, "components", real_array(
+            self.components, (2 * self.base.dim,), "tangent components"))
 
     def to_complex(self) -> np.ndarray:
         return _complex(self.components)

@@ -7,13 +7,15 @@ significant digits (readable).  All parsers accept their own output.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import numbers
 
 import numpy as np
 
-from .basis import StructureConstants
+from .basis import DimensionError, StructureConstants
 from .dual_tensors import DistributionReport, TensorAtPoint
 from .qutrit_tables import full_c_table, full_d_table
 from .realified import RealifiedState
@@ -42,12 +44,18 @@ def operator_to_dict(a: np.ndarray) -> dict:
     }
 
 
+@functools.lru_cache(maxsize=None)  # an ABC test costs ~0.7 us per call
+def _is_number(t: type) -> bool:
+    """t is the type of a JSON number: int or float (or a numpy real), never
+    bool or str."""
+    return issubclass(t, numbers.Real) and not issubclass(t, bool)
+
+
 def _dim(d: dict) -> int:
     """d["dim"], a number with an integer value >= 2 (3 or 3.0; never a
     bool, a string or a non-finite value)."""
     n = d["dim"]
-    if (isinstance(n, bool) or not isinstance(n, numbers.Real)
-            or not math.isfinite(n) or n != int(n)):
+    if not _is_number(type(n)) or not math.isfinite(n) or n != int(n):
         raise ValueError(f"dim must be an integer, got {n!r}")
     n = int(n)
     if n < 2:
@@ -55,14 +63,26 @@ def _dim(d: dict) -> int:
     return n
 
 
+def _reals(d: dict, key: str, shape: tuple | None) -> np.ndarray:
+    """d[key] as a float array of the given shape (any, for None), every
+    entry a number by _is_number.  Only the shape the payload's dim sets is
+    judged here; the values are left to their first reader."""
+    a = np.array(d[key], dtype=float)
+    if shape is not None and a.shape != shape:
+        raise DimensionError(f"{key} must have shape {shape}, got {a.shape}")
+    entries = [d[key]]
+    for _ in range(a.ndim):
+        entries = itertools.chain.from_iterable(entries)
+    if not all(map(_is_number, set(map(type, entries)))):
+        raise ValueError(f"{key} entries must be numbers")
+    return a
+
+
 def operator_from_dict(d: dict) -> np.ndarray:
     """The payload's (n, n) array, unchecked: its first reader judges it."""
     n = _dim(d)
     # each part on its own: numpy would broadcast a scalar or a row
-    re, im = (np.array(d[key], dtype=float) for key in ("re", "im"))
-    for a in (re, im):
-        if a.shape != (n, n):
-            raise ValueError(f"operator payload shape {a.shape} != ({n}, {n})")
+    re, im = (_reals(d, key, (n, n)) for key in ("re", "im"))
     a = re.astype(complex)  # by assignment: no 0 * inf from re + 1j * im
     a.imag = im
     return a
@@ -71,11 +91,8 @@ def operator_from_dict(d: dict) -> np.ndarray:
 # -- Dual vectors -------------------------------------------------------
 
 def dual_from_dict(d: dict):
-    n = _dim(d)
-    y = np.array(d["y"], dtype=float, ndmin=1)  # a scalar is one coordinate
-    if y.shape != (n * n,):
-        raise ValueError(f"dual payload length {y.shape[0]} != {n * n}")
-    return n, y  # from_dual refuses non-finite coordinates
+    """(n, y); from_dual judges the length and the values of y."""
+    return _dim(d), _reals(d, "y", None)
 
 
 # -- Realified states ---------------------------------------------------
@@ -90,11 +107,7 @@ def state_to_dict(psi: RealifiedState) -> dict:
 
 def state_from_dict(d: dict) -> RealifiedState:
     n = _dim(d)
-    q = np.array(d["q"], dtype=float)
-    p = np.array(d["p"], dtype=float)
-    if q.shape != (n,) or p.shape != (n,):
-        raise ValueError("q/p length mismatch")
-    return RealifiedState(q, p)
+    return RealifiedState(_reals(d, "q", (n,)), _reals(d, "p", (n,)))
 
 
 # -- Tensor evaluations -------------------------------------------------

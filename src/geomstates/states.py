@@ -16,6 +16,7 @@ from .basis import (
     exact_scale,
     gellmann_basis,
     numerical_rank,
+    real_array,
     structure_constants,
     to_dual,
 )
@@ -250,6 +251,7 @@ def face_contains(face: FaceDescriptor, candidate: DensityState,
         p, x = face_of(candidate).projector(), face.base.op
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    x = check_hermitian(x, len(p))
     return bool(np.abs((np.eye(len(p)) - p) @ x).max() <= 1e-9)
 
 
@@ -306,10 +308,7 @@ def bloch_decompose_along(rho: DensityState,
     basis.exact_scale before it is normalized, so d * 2**e gives the same line.
     """
     v = qubit_bloch_vector(rho)
-    d = np.asarray(direction, dtype=float)
-    if d.shape != (3,) or not np.isfinite(d).all():
-        raise DimensionError("direction must be a finite 3-vector")
-    d = exact_scale(d)[0]
+    d = exact_scale(real_array(direction, (3,), "direction"))[0]
     if not d.any():
         raise ValueError("direction must be nonzero")
     d = d / np.linalg.norm(d)
@@ -334,8 +333,7 @@ def bloch_decompose_along(rho: DensityState,
 
 def qutrit_star(a, b) -> np.ndarray:
     """The symmetric product on 8-vectors: (a * b)_l = sqrt(3) d_ljk a_j b_k."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = real_array(a, (8,), "a"), real_array(b, (8,), "b")
     d8 = structure_constants(gellmann_basis(3)).d_traceless
     return np.sqrt(3.0) * np.einsum("ljk,j,k->l", d8, a, b)
 
@@ -346,9 +344,7 @@ def qutrit_pure_from_bloch(n_vec):
     Accepts iff |n| = 1 and n * n = n under the d-symbol product, to 1e-8;
     returns a PureDensity, or a Rejection naming the failed condition.
     """
-    n_vec = np.asarray(n_vec, dtype=float)
-    if n_vec.shape != (8,):
-        raise DimensionError("need an 8-component vector")
+    n_vec = real_array(n_vec, (8,), "n")
     nrm = np.linalg.norm(n_vec)
     if abs(nrm - 1.0) > 1e-8:
         return Rejection("norm", f"|n| = {float(nrm)!r}, expected 1")
@@ -435,6 +431,7 @@ def tangency_check(samples, k: int) -> TangencyReport:
                 f"sample at t={t} is not a state: {cert.violated[i]}")
         raise InvalidCurveError(
             f"sample at t={t} has rank {cert.rank[i]}, expected {k}")
-    vel = (stack[2:] - stack[:-2]) / (2.0 * hs[0])
+    # halved first: 2 * hs[0] overflows for a step above DBL_MAX / 2
+    vel = 0.5 * (stack[2:] - stack[:-2]) / hs[0]
     residuals = _stratum_residuals(cert.eigvecs[1:-1], vel, k)
     return TangencyReport(ts[1:-1], residuals, float(residuals.max()))

@@ -13,8 +13,10 @@ subcommand the case count, a histogram of exit codes and one SHA-256 over
 the exit code, stdout, stderr and written files of its cases; and per case
 its id, exit code, the first word of its stderr and its own SHA-256.  The
 Tier-1 test test_corpus.py checks the exit codes and first words, which do
-not depend on LAPACK's last bits; a change that alters bytes on purpose
-names the cases and the reason in CHANGES.md and updates CORPUS.json.
+not depend on LAPACK's last bits, and the SHA-256 of the refusals that come
+before any such bits, in the library's own words; a change that alters
+bytes on purpose names the cases and the reason in CHANGES.md and updates
+CORPUS.json.
 """
 
 from __future__ import annotations
@@ -355,6 +357,28 @@ def build_cases() -> list:
         add(f"ballgrid-refused-{r}", ["ballgrid", f"--resolution={r}"])
     add("refused-no-command", [])
     add("refused-unknown-command", ["nonsense"])
+
+    # -- mis-typed wire entries: a bool or a numeric string is no number ----
+    zeros = "[[0, 0], [0, 0]]"
+    for name, argv in {
+            "classify-re-str-bool": ["classify", "--json", '{"dim": 2, "re": '
+                                     '[["0.5", false], [0, "5e-1"]], "im": '
+                                     + zeros + "}"],
+            "classify-im-bool": ["classify", "--json", '{"dim": 2, "re": '
+                                 '[[0.5, 0], [0, 0.5]], "im": [[false, 0], '
+                                 "[0, 0]]}"],
+            "tensors-y-bool": ["tensors", "--which", "lambda", "--json",
+                               '{"dim": 2, "y": [true, 0, 0, 0]}'],
+            "tensors-y-str": ["tensors", "--which", "lambda", "--json",
+                              '{"dim": 2, "y": ["0.5", 0, 0, 0]}'],
+            "flow-q-bool": ["flow", "--mode", "hamiltonian", "--json",
+                            flow_payload([True, 0], [0, 0])],
+            "flow-p-str": ["flow", "--mode", "gradient-eigensolve", "--json",
+                           flow_payload([1, 0], ["0", 0])],
+            "flow-A-str": ["flow", "--mode", "hamiltonian", "--json",
+                           '{"A": {"dim": 2, "re": [["1", 0], [0, -1]], '
+                           '"im": ' + zeros + "}}"]}.items():
+        add(f"wire-refused-{name}", argv)
     return cases
 
 
@@ -391,13 +415,21 @@ def _digest(h, result) -> None:
         h.update(b"\0")
 
 
+def case_digest(result) -> str:
+    """The SHA-256 of one case's result, as CORPUS.json lists it."""
+    h = hashlib.sha256()
+    _digest(h, result)
+    return h.hexdigest()
+
+
 def first_word(stderr: str) -> str:
     return stderr.split()[0] if stderr.strip() else ""
 
 
-def run_corpus() -> list:
-    """(case, result) for every case, run in a fresh temporary directory."""
-    cases = build_cases()
+def run_corpus(cases=None) -> list:
+    """(case, result) for every case (by default the whole corpus), run in
+    a fresh temporary directory."""
+    cases = build_cases() if cases is None else cases
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -425,11 +457,9 @@ def record(results) -> dict:
         codes = entry["exit_codes"]
         codes[str(result["exit"])] = codes.get(str(result["exit"]), 0) + 1
         _digest(hashes.setdefault(sub, hashlib.sha256()), result)
-        own = hashlib.sha256()
-        _digest(own, result)
         listing.append({"id": case["id"], "exit": result["exit"],
                         "stderr_word": first_word(result["stderr"]),
-                        "sha256": own.hexdigest()})
+                        "sha256": case_digest(result)})
     for sub, entry in per.items():
         entry["sha256"] = hashes[sub].hexdigest()
     return {"numpy": np.__version__,

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -37,6 +38,7 @@ from geomstates.basis import (
     TOL_RANK,
     exact_scale,
     numerical_rank,
+    real_array,
 )
 from geomstates.realified import expectation_trace_samples
 from geomstates.qutrit_tables import full_c_table, full_d_table
@@ -405,15 +407,16 @@ def test_check_hermitian_rejects_non_finite(bad):
 
 def _scaled_skew_rule(a):
     """The reference rule: every input takes the finite test and the skew
-    test scaled per matrix, with check_hermitian's messages."""
+    test scaled per matrix, with check_hermitian's messages; an empty stack
+    passes both."""
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     mag = np.abs(a)
-    if not math.isfinite(mag.max()):
+    if not math.isfinite(mag.max(initial=0.0)):
         raise HermiticityError("matrix has non-finite entries")
     skew = np.abs(a - a.swapaxes(-2, -1).conj())
-    if skew.max() > TOL_HERM:
+    if skew.max(initial=0.0) > TOL_HERM:
         scale = np.maximum(mag.max(axis=(-2, -1)), 1.0)
         if (skew.max(axis=(-2, -1)) > TOL_HERM * scale).any():
             raise HermiticityError("matrix is not Hermitian within tolerance")
@@ -517,7 +520,8 @@ def test_operator_on_another_space_refused(call):
     pytest.param(lambda: check_hermitian(np.stack([np.eye(2)] * 2), 2),
                  DimensionError, r"got \(2, 2, 2\)$", id="stack-for-operator"),
     pytest.param(lambda: from_dual(np.zeros(3), gellmann_basis(2)),
-                 DimensionError, "expected 4 coordinates", id="from_dual"),
+                 DimensionError, r"^coordinates must have shape \(4,\), got "
+                 r"\(3,\)$", id="from_dual"),
     pytest.param(lambda: OrthogonalBasis(2, np.zeros((3, 2, 2))), BasisError,
                  "need 4 elements", id="basis-shape"),
     # trace-orthonormal, with the identity last
@@ -534,6 +538,19 @@ def test_operator_on_another_space_refused(call):
 def test_basis_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_real_array_reads_a_real_vector_of_known_shape():
+    x = real_array([1, -2.5, 1e308], (3,), "x")
+    assert x.dtype == float and x.tolist() == [1.0, -2.5, 1e308]
+    for bad in ([1.0, 2.0], 0.5, [[1.0, 2.0, 3.0]]):
+        got = re.escape(str(np.shape(bad)))
+        with pytest.raises(DimensionError,
+                           match=rf"^x must have shape \(3,\), got {got}$"):
+            real_array(bad, (3,), "x")
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^x must be finite$"):
+            real_array([0.0, bad, 0.0], (3,), "x")
 
 
 @pytest.mark.parametrize("x, k", [

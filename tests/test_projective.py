@@ -335,6 +335,12 @@ def test_every_entry_point_refuses_the_zero_vector(call):
         call(RealifiedState([0.0, -0.0], [0.0, 0.0]))
 
 
+_PSI2 = RealifiedState([0.6, 0.8], [0.0, 0.0])
+_V2 = TangentVector(_PSI2, [1.0, 0.0, 0.0, 0.0])
+_V3 = TangentVector(RealifiedState([1.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+                    [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+
+
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda: transition_probability(
         PureDensity(np.diag([1.0, 0.0])), PureDensity(np.diag([1.0, 0, 0]))),
@@ -342,6 +348,16 @@ def test_every_entry_point_refuses_the_zero_vector(call):
         id="transition-dims"),
     pytest.param(lambda: PureDensity(np.diag([2.0, 0.0])), NotExtremalError,
                  "trace must be 1", id="pure-trace"),
+    # a tangent vector at a point of another space
+    pytest.param(lambda: connection_form(_PSI2, _V3), DimensionError,
+                 r"^v must have shape \(4,\), got \(6,\)$",
+                 id="connection-dims"),
+    pytest.param(lambda: projected_hermitian(_PSI2, _V3, _V2), DimensionError,
+                 r"^v must have shape \(4,\), got \(6,\)$",
+                 id="projected-v-dims"),
+    pytest.param(lambda: projected_hermitian(_PSI2, _V2, _V3), DimensionError,
+                 r"^w must have shape \(4,\), got \(6,\)$",
+                 id="projected-w-dims"),
 ])
 def test_projective_refusals(call, error, message):
     with pytest.raises(error, match=message):

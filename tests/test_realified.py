@@ -625,12 +625,14 @@ def test_tangent_vector_rejects_non_finite(rng):
         np.eye(2), RealifiedState([1.0, 0.0], [0.0, 0.0]), mode="sideways"),
         ValueError, "unknown mode 'sideways'", id="eigensolve-mode"),
     pytest.param(lambda: RealifiedState([1.0, 0.0], [0.0]), DimensionError,
-                 "equal-length 1-d", id="state-lengths"),
+                 r"^p must have shape \(2,\), got \(1,\)$",
+                 id="state-lengths"),
     pytest.param(lambda: RealifiedState(np.eye(2), np.eye(2)), DimensionError,
-                 "equal-length 1-d", id="state-2d"),
+                 r"^q must have shape \(4,\), got \(2, 2\)$", id="state-2d"),
     pytest.param(lambda: TangentVector(RealifiedState([1.0, 0.0], [0.0, 0.0]),
                                        np.zeros(3)),
-                 DimensionError, "need 2n components", id="tangent-length"),
+                 DimensionError, r"^tangent components must have shape "
+                 r"\(4,\), got \(3,\)$", id="tangent-length"),
 ])
 def test_realified_refusals(call, error, message):
     with pytest.raises(error, match=message):

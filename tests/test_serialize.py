@@ -62,11 +62,14 @@ def test_dual_round_trip(rng):
 
 
 def test_dual_length_checks():
-    with pytest.raises(ValueError):
-        dual_from_dict({"dim": 2, "y": [0.0, 0.0, 0.0]})
-    for y in (None, 0.5):  # a scalar reads as one coordinate
-        with pytest.raises(ValueError, match="dual payload length 1 != 4"):
-            dual_from_dict({"dim": 2, "y": y})
+    """from_dual, which knows n^2, judges the length of y."""
+    for y, got in (([0.0, 0.0, 0.0], r"\(3,\)"), (0.5, r"\(\)")):
+        n, y = dual_from_dict({"dim": 2, "y": y})
+        with pytest.raises(ValueError, match=r"^coordinates must have shape "
+                           r"\(4,\), got " + got + "$"):
+            from_dual(y, gellmann_basis(n))
+    with pytest.raises(ValueError, match="^y entries must be numbers$"):
+        dual_from_dict({"dim": 2, "y": None})
 
 
 @pytest.mark.parametrize("dim", [1, 0, -1])
@@ -84,6 +87,30 @@ def test_payloads_reject_dim_that_is_not_an_integer(dim):
                         (state_from_dict, {"q": [1.0, 0.0], "p": [0.0, 0.0]})):
         with pytest.raises(ValueError, match="dim must be an integer"):
             parse({"dim": dim, **rest})
+
+
+@pytest.mark.parametrize("bad", [True, False, "0.5", "1", None])
+def test_payload_entries_must_be_numbers(bad):
+    """dim's number test, applied to every entry: numpy would read a bool
+    or a numeric string as a float."""
+    zeros = [[0.0, 0.0], [0.0, 0.0]]
+    for parse, key, d in (
+            (operator_from_dict, "re", {"re": [[0.5, bad], [0.0, 0.5]],
+                                        "im": zeros}),
+            (operator_from_dict, "im", {"re": zeros,
+                                        "im": [[bad, 0.0], [0.0, 0.0]]}),
+            (dual_from_dict, "y", {"y": [0.5, 0, bad, 0]}),
+            (state_from_dict, "q", {"q": [1.0, bad], "p": [0.0, 0.0]}),
+            (state_from_dict, "p", {"q": [1.0, 0.0], "p": [bad, 0.0]})):
+        with pytest.raises(ValueError,
+                           match=f"^{key} entries must be numbers$"):
+            parse({"dim": 2, **d})
+
+
+def test_payload_entries_may_be_numpy_reals():
+    a = operator_from_dict({"dim": 2, "re": np.eye(2, dtype=np.int64),
+                            "im": np.zeros((2, 2), dtype=np.float32)})
+    assert np.array_equal(a, np.eye(2))
 
 
 def test_dual_rejects_non_finite():

@@ -268,6 +268,18 @@ def test_certified_spectrum_matches_oracle_bitwise(rng):
         assert np.array_equal(rho.eigvecs, v)
 
 
+@pytest.mark.parametrize("vectors", [True, False])
+@pytest.mark.parametrize("n", [2, 3])
+def test_certify_densities_of_an_empty_stack(n, vectors):
+    cert = certify_densities(np.zeros((0, n, n)), vectors=vectors)
+    assert cert.code.shape == cert.rank.shape == (0,)
+    assert cert.spectrum.shape == (0, n)
+    if vectors:
+        assert cert.eigvecs.shape == (0, n, n)
+    else:
+        assert cert.eigvecs is None
+
+
 def test_certify_density_rejects_stack():
     with pytest.raises(DimensionError):
         certify_density(np.stack([np.eye(2) / 2] * 2))
@@ -731,6 +743,13 @@ def test_tangency_gl_orbit_rank2(rng):
     assert rep.max_residual < 1e-6
 
 
+def test_tangency_accepts_a_step_above_half_the_float_range():
+    # 2 * 1.7e308 overflows; the central difference never forms it
+    pure = np.diag([1.0, 0.0])
+    rep = tangency_check([(-1.7e308, pure), (0.0, pure), (1.7e308, pure)], 1)
+    assert rep.max_residual == 0.0
+
+
 def test_tangency_rejects_mixed_rank(rng):
     samples = [
         (0.0, np.diag([1.0, 0.0]).astype(complex)),
@@ -867,11 +886,22 @@ _PURE_STATE = require_density(_PURE)
     pytest.param(lambda: bloch_decompose_along(
         require_density(np.eye(3) / 3), [1, 0, 0]), DimensionError,
         "^Bloch coordinates need a 2-level state$", id="bloch-line-qutrit"),
+    pytest.param(lambda: qutrit_star(np.ones(8), np.ones(3)), DimensionError,
+                 r"^b must have shape \(8,\), got \(3,\)$",
+                 id="qutrit-star-shape"),
+    pytest.param(lambda: qutrit_star(np.full(8, np.nan), np.ones(8)),
+                 ValueError, "^a must be finite$", id="qutrit-star-nan"),
     pytest.param(lambda: qutrit_pure_from_bloch(np.ones(3)), DimensionError,
-                 "need an 8-component vector", id="qutrit-bloch-shape"),
+                 r"^n must have shape \(8,\), got \(3,\)$",
+                 id="qutrit-bloch-shape"),
     pytest.param(lambda: face_contains(face_of(require_density(_PURE)),
                                        require_density(_PURE), mode="span"),
                  ValueError, "unknown mode 'span'", id="face-mode"),
+    *[pytest.param(lambda mode=mode: face_contains(
+        face_of(_PURE_STATE), require_density(np.eye(3) / 3), mode=mode),
+        DimensionError, rf"^expected an operator of shape \({m}, {m}\), "
+        rf"got \({k}, {k}\)$", id=f"face-{mode}-dims")
+      for mode, m, k in [("image", 2, 3), ("kernel", 3, 2)]],
 ])
 def test_states_refusals(call, error, message):
     with pytest.raises(error, match=message):
