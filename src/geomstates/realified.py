@@ -23,8 +23,13 @@ import numpy as np
 from .basis import DimensionError, check_hermitian, exact_scale, real_array
 
 # A hamiltonian flow holds a few (T+1, n) complex sample arrays; at 1 M
-# samples and n = 12 each is about 190 MB.
+# samples and n = 12 each is about 190 MB.  There, in a fresh process on a
+# 2-vCPU VM, flow_hamiltonian with its phases from one table of FLOW_SLICE
+# rows by angle addition took 0.2-0.4 s and peaked at 416 MB;
+# `flow --mode hamiltonian` took 0.9-1.1 s and peaked at 630 MB, set by the
+# e_A and norm samples.
 MAX_FLOW_SAMPLES = 1_000_000
+FLOW_SLICE = 2048
 
 
 class ZeroVectorError(ValueError):
@@ -181,6 +186,19 @@ def flow_hamiltonian(a: np.ndarray, psi0: RealifiedState, t_final: float,
     intervals.  A grid of more than MAX_FLOW_SAMPLES samples is refused
     before anything is allocated.
 
+    The phases come by angle addition, exp(i(t_s + t_j)w) =
+    exp(i t_s w) exp(i t_j w), with t_s a slice start and t_j one of the
+    first FLOW_SLICE sample times: one exp table of FLOW_SLICE rows and one
+    exp row per slice start, not one exp per sample.  A grid of at most
+    FLOW_SLICE samples is the direct exp(i t w) bit for bit; the later
+    slices differ from it in their last bits, by about 2 eps * max|t w| at
+    most.
+
+    An angle t w beyond the float range raises under np.errstate(over=
+    "raise") and otherwise warns "overflow encountered in multiply"; after
+    that warning the samples past the overflow carry no meaning, though
+    they may be finite.
+
     Returns (times, z): times of shape (T+1,) and the complex samples z of
     shape (T+1, n), endpoints included.
     """
@@ -195,8 +213,14 @@ def flow_hamiltonian(a: np.ndarray, psi0: RealifiedState, t_final: float,
     n_steps = max(1, int(round(t_final / step)))
     times = np.arange(n_steps + 1) * (t_final / n_steps)
     w, v = np.linalg.eigh(a)
-    phases = np.exp(1j * np.outer(times, w))
-    return times, (phases * (v.conj().T @ psi0.to_complex())) @ v.T
+    # Neither the table nor a slice start forms the largest angle t w: formed
+    # here, an angle beyond the float range warns, or raises under errstate.
+    times[-1] * w
+    table = np.exp(1j * np.outer(times[:FLOW_SLICE], w))
+    heads = (np.exp(1j * np.outer(times[::FLOW_SLICE], w))
+             * (v.conj().T @ psi0.to_complex()))
+    phases = (table * heads[:, None, :]).reshape(-1, w.size)[:n_steps + 1]
+    return times, phases @ v.T
 
 
 def expectation_trace_samples(a: np.ndarray, psi0: RealifiedState,
@@ -213,8 +237,9 @@ def expectation_trace_samples(a: np.ndarray, psi0: RealifiedState,
     x, k = psi0._scaled()
     times, z = flow_hamiltonian(a, RealifiedState(*np.split(x, 2)), t_final,
                                 step)
-    n2 = np.einsum("ti,ti->t", z.conj(), z).real
-    e = np.einsum("ti,ti->t", z.conj(), z @ np.asarray(a).T).real / n2
+    zc = z.conj()
+    n2 = np.einsum("ti,ti->t", zc, z).real
+    e = np.einsum("ti,ti->t", zc, z @ np.asarray(a).T).real / n2
     norms = np.ldexp(np.sqrt(n2), k)
     return (np.column_stack([times, e, norms]),
             float(np.abs(norms - norms[0]).max()), float(np.abs(e - e[0]).max()))

@@ -5,6 +5,7 @@ for curves inside a stratum."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -380,14 +381,17 @@ class TangencyReport:
     max_residual: float
 
 
-def _stratum_residuals(v: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+def _stratum_residuals(v: np.ndarray, x: np.ndarray, k: int,
+                       floor: float) -> np.ndarray:
     """Relative residuals of Hermitian velocities x (..., n, n) against the
     rank-k stratum at states with eigenvectors v (..., n, n), image first:
-    the closed form of tangency_check."""
+    the closed form of tangency_check with the norm floor `floor` in place
+    of sqrt(2).  The residual is homogeneous in x above the floor, so for
+    x = X * 2**-e the floor sqrt(2) * 2**-e gives the residuals of X."""
     m = v.conj().swapaxes(-2, -1) @ x @ v
     along_p = np.trace(m[..., :k, :k], axis1=-2, axis2=-1).real ** 2 / k
     kernel = (np.abs(m[..., k:, k:]) ** 2).sum(axis=(-2, -1))
-    scale = np.maximum(np.linalg.norm(x, axis=(-2, -1)), np.sqrt(2.0))
+    scale = np.maximum(np.linalg.norm(x, axis=(-2, -1)), floor)
     return np.sqrt(along_p + kernel) / scale
 
 
@@ -431,7 +435,13 @@ def tangency_check(samples, k: int) -> TangencyReport:
                 f"sample at t={t} is not a state: {cert.violated[i]}")
         raise InvalidCurveError(
             f"sample at t={t} has rank {cert.rank[i]}, expected {k}")
-    # halved first: 2 * hs[0] overflows for a step above DBL_MAX / 2
-    vel = 0.5 * (stack[2:] - stack[:-2]) / hs[0]
-    residuals = _stratum_residuals(cert.eigvecs[1:-1], vel, k)
+    # The velocity X = d / (2 h) of the central difference d, through
+    # exact_scale: d' / h' = X * 2**-e has entries below 2, so no quotient
+    # or square overflows, whatever the step.  Past e = -1000 (X below
+    # 2**-999) the floor stays sqrt(2) * 2**1000, and the residual reads
+    # below n * 2**-999 instead of its smaller exact value.
+    d, kd = exact_scale(stack[2:] - stack[:-2])
+    h, kh = exact_scale(hs[0])
+    floor = math.ldexp(math.sqrt(2.0), min(kh + 1 - kd, 1000))
+    residuals = _stratum_residuals(cert.eigvecs[1:-1], d / h, k, floor)
     return TangencyReport(ts[1:-1], residuals, float(residuals.max()))

@@ -1,9 +1,10 @@
 """Seeded same-results corpus of geomstates CLI invocations.
 
 The cases cover all six subcommands: both flow modes with --trace and with
---output, n = 2...12 with rank-deficient and degenerate states, extreme
-scales of psi0, A and the Bloch direction, and refused inputs (non-finite,
-zero, mis-shaped, mis-typed and oversize).  Each case runs through
+--output, Hamiltonian flows longer than one phase slice, n = 2...12 with
+rank-deficient and degenerate states, extreme scales of psi0, A and the
+Bloch direction, and refused inputs (non-finite, zero, mis-shaped,
+mis-typed and oversize).  Each case runs through
 cli.main in process, in a temporary directory.  From the repository root,
 
     PYTHONPATH=src python tests/corpus.py > CORPUS.json
@@ -379,6 +380,21 @@ def build_cases() -> list:
                            '{"A": {"dim": 2, "re": [["1", 0], [0, -1]], '
                            '"im": ' + zeros + "}}"]}.items():
         add(f"wire-refused-{name}", argv)
+
+    # -- flows longer than one phase slice (realified.FLOW_SLICE = 2048) ----
+    # Last, so that every earlier case keeps its id and its random draws.
+    for n, trace in ((2, ()), (4, ("--trace", "tr.csv"))):
+        psi = rng.normal(size=(2, n))
+        payload = json.dumps({"A": _op(_operator(rng, n, "random")), "psi0": {
+            "dim": n, "q": psi[0].tolist(), "p": psi[1].tolist()}})
+        add(f"flow-ham-n{n}-default-step-t10",
+            ["flow", "--mode", "hamiltonian", "--t-final", "10", *trace,
+             "--json", payload], outputs=trace[1:])
+    # t * w overflows only past sample 8,557 of 10,001, inside the last slice:
+    # neither the phase table nor a slice start forms it
+    add("flow-overflow-phase-late-slice",
+        ["flow", "--mode", "hamiltonian", "--t-final", "7e307", "--step",
+         "7e303", "--json", json.dumps({"A": _op(np.diag([1.0, -3.0]))})])
     return cases
 
 

@@ -21,6 +21,7 @@ from geomstates import (
     star_product,
 )
 from geomstates.realified import (
+    FLOW_SLICE,
     InvalidStartError,
     ZeroVectorError,
     _realified_operator,
@@ -378,6 +379,94 @@ def test_hamiltonian_flow_runs_backward_in_time():
                                 RealifiedState([1, 0], [0, 0]), -1.0, 0.5)
     assert np.array_equal(times, [0.0, -1.0])
     assert np.allclose(z[-1], [np.exp(-1j), 0])
+
+
+def direct_flow(a, psi0, t_final, step):
+    """(times, z, w) from one exp(i t w) per sample and eigenvalue: the
+    formula that the angle-addition table replaced, kept as the reference."""
+    n_steps = max(1, int(round(t_final / step)))
+    times = np.arange(n_steps + 1) * (t_final / n_steps)
+    w, v = np.linalg.eigh(np.asarray(a, dtype=complex))
+    phases = np.exp(1j * np.outer(times, w))
+    return times, (phases * (v.conj().T @ psi0.to_complex())) @ v.T, w
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_flow_within_one_slice_is_the_direct_formula_bit_for_bit(rng, n):
+    samples = [2, FLOW_SLICE - 1, FLOW_SLICE, *rng.integers(3, 512, size=5)]
+    for i, count in enumerate(samples):
+        a = random_hermitian(rng, n)
+        if i % 2:
+            a = np.diag(a.diagonal().real)
+        a = a * 10.0 ** (0, 150, -150)[i % 3]
+        psi = random_state(rng, n)
+        if i % 4 > 1:  # zero entries in q or p, never all of psi
+            psi = RealifiedState(np.where(rng.random(n) < 0.5, 0.0, psi.q),
+                                 np.where(np.arange(n) == 0, 1.0, 0.0))
+        t_final = rng.uniform(0.1, 3.0)
+        step = t_final / (count - 1)
+        if i == len(samples) - 1:  # a negative t_final gives two samples
+            t_final, count = -t_final, 2
+        times, z = flow_hamiltonian(a, psi, t_final, step)
+        want_t, want_z, _ = direct_flow(a, psi, t_final, step)
+        assert len(times) == count
+        assert times.tobytes() == want_t.tobytes()
+        assert z.tobytes() == want_z.tobytes()
+
+
+@pytest.mark.parametrize("count", [FLOW_SLICE + 1, 2 * FLOW_SLICE + 1, 10001])
+def test_flow_past_one_slice_is_the_direct_formula_within_rounding(rng, count):
+    # Against the float times, the direct phase angle is off by at most
+    # eps/2 |t w| and the table's by 3 eps/2 |t w|, plus a few eps from exp,
+    # the phase products and the eigenvector product.
+    eps = np.finfo(float).eps
+    for n in range(2, 13):
+        a = random_hermitian(rng, n) * 10.0 ** rng.uniform(-1, 3)
+        psi = random_state(rng, n)
+        t_final = rng.uniform(0.5, 20.0)
+        times, z = flow_hamiltonian(a, psi, t_final, t_final / (count - 1))
+        want_t, want_z, w = direct_flow(a, psi, t_final,
+                                        t_final / (count - 1))
+        assert len(times) == count and np.array_equal(times, want_t)
+        assert np.array_equal(z[:FLOW_SLICE], want_z[:FLOW_SLICE])
+        bound = ((2 * np.abs(times[-1] * w).max() + 4 * n) * eps
+                 * np.linalg.norm(psi.to_complex()))
+        assert np.abs(z - want_z).max() <= bound
+
+
+@pytest.mark.parametrize("w_max", [1.0, 1e3])
+def test_flow_phases_are_as_accurate_as_the_direct_formula(rng, w_max):
+    # With A diagonal, V is a permutation and z(t) the phases exp(i t w)
+    # exactly.  Against the intended sample time k * t_final / n_steps, both
+    # the direct angle and the table's sum of two angles are off by at most
+    # 3 eps/2 |t w| (the rounded times and angles), plus a few eps.
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    n, t_final, n_steps = 4, 10.0, 10000
+    w = rng.uniform(-w_max, w_max, size=n)
+    psi = RealifiedState(np.ones(n), np.zeros(n))
+    _, z = flow_hamiltonian(np.diag(w), psi, t_final, 1e-3)
+    direct = direct_flow(np.diag(w), psi, t_final, 1e-3)[1]
+    rows = np.unique(np.concatenate([
+        rng.integers(0, n_steps + 1, size=60),
+        [FLOW_SLICE - 1, FLOW_SLICE, 4 * FLOW_SLICE + 1, n_steps]]))
+    with mpmath.workdps(40):
+        exact = np.array([[complex(mpmath.expj(
+            mpmath.mpf(t_final) / n_steps * int(k) * mpmath.mpf(float(wi))))
+            for wi in w] for k in rows])
+    bound = 1.5 * eps * t_final * np.abs(w).max() + 8 * eps
+    assert np.abs(direct[rows] - exact).max() <= bound
+    assert np.abs(z[rows] - exact).max() <= bound
+
+
+def test_flow_phase_overflow_is_not_hidden_by_the_table():
+    # t w overflows only past sample 8,557 of 10,001, beyond every slice
+    # start; the largest angle is still formed, with its warning
+    psi = RealifiedState([1.0, 0.0], [0.0, 1.0])
+    with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+        flow_hamiltonian(np.diag([1.0, -3.0]), psi, 7e307, 7e303)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        flow_hamiltonian(np.diag([1.0, -3.0]), psi, 7e307, 7e303)
 
 
 @pytest.mark.parametrize("step", [0.0, -1.0, np.nan, np.inf])

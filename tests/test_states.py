@@ -671,7 +671,8 @@ def test_tangency_residual_matches_traceless_d1_reference(rng, n):
             x = random_hermitian(rng, n)  # has a trace and a kernel block
             want = reference_residual(rho, x)
             assert want > 1e-8
-            assert abs(_stratum_residuals(rho.eigvecs, x, k) - want) < 1e-12
+            got = _stratum_residuals(rho.eigvecs, x, k, np.sqrt(2.0))
+            assert abs(got - want) < 1e-12
             # three rank-k states whose chord is off the stratum at rho
             before, after = (random_density(rng, n, rank=k).op
                              for _ in range(2))
@@ -704,9 +705,10 @@ def test_tangency_of_gl_orbit_and_kernel_block_residual(n, data, seed, eps):
     u = rho.eigvecs[:, k:]
     h = random_hermitian(rng, n - k)
     x = vel + eps * u @ h @ u.conj().T
-    assert _stratum_residuals(rho.eigvecs, vel, k) < 1e-12
+    assert _stratum_residuals(rho.eigvecs, vel, k, np.sqrt(2.0)) < 1e-12
     want = eps * np.linalg.norm(h) / max(np.linalg.norm(x), np.sqrt(2.0))
-    assert abs(_stratum_residuals(rho.eigvecs, x, k) - want) <= 1e-12
+    got = _stratum_residuals(rho.eigvecs, x, k, np.sqrt(2.0))
+    assert abs(got - want) <= 1e-12
 
 
 def unitary_orbit_curve(h, rho0, ts):
@@ -748,6 +750,29 @@ def test_tangency_accepts_a_step_above_half_the_float_range():
     pure = np.diag([1.0, 0.0])
     rep = tangency_check([(-1.7e308, pure), (0.0, pure), (1.7e308, pure)], 1)
     assert rep.max_residual == 0.0
+
+
+@pytest.mark.parametrize("times", [(0.0, 5e-324, 1e-323),
+                                   (0.0, 1e-300, 2e-300)])
+def test_tangency_tiny_step_gives_the_scale_free_residual(times):
+    # X = diag(-1, 1) / (2 h) is beyond the float range at h = 5e-324, and
+    # its squares at h = 1e-300; above |X| = sqrt 2 the residual of X is
+    # that of diag(-1, 1), 1 for k = 1
+    pure, other = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    rep = tangency_check(list(zip(times, (pure, pure, other))), 1)
+    assert rep.max_residual == 1.0
+
+
+def test_tangency_huge_step_over_a_short_chord_has_a_tiny_residual():
+    # X is about 1e-312: sqrt(2) over X's scale, 2**1037, is beyond the
+    # float range, and the residual is still below 1e-300
+    def ray(a):
+        v = np.array([np.cos(a), np.sin(a)])
+        return np.outer(v, v)
+
+    rep = tangency_check([(0.0, ray(0.0)), (1e300, ray(1e-12)),
+                          (2e300, ray(2e-12))], 1)
+    assert 0.0 <= rep.max_residual < 1e-300
 
 
 def test_tangency_rejects_mixed_rank(rng):
