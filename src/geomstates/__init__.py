@@ -13,8 +13,8 @@ The package covers four layers:
   the ray-space layer (momentum map, connection form, transition
   probabilities);
 * ``states`` — the convex body of density matrices: certification, rank
-  strata, GL actions, faces, convex decompositions, and the tangency
-  check for curves inside a stratum.
+  strata, pure states, GL actions, faces, convex decompositions, and the
+  tangency check for curves inside a stratum.
 """
 
 from .basis import (
@@ -43,7 +43,6 @@ from .dual_tensors import (
     riemann_jordan_at,
 )
 from .projective import (
-    PureDensity,
     Ray,
     connection_form,
     expectation,
@@ -70,6 +69,7 @@ from .states import (
     ConvexDecomposition,
     DensityState,
     FaceDescriptor,
+    PureDensity,
     Rejection,
     TangencyReport,
     bloch_decompose_along,

@@ -286,9 +286,17 @@ def to_dual(a: np.ndarray, basis: OrthogonalBasis) -> np.ndarray:
 
 
 def from_dual(y: np.ndarray, basis: OrthogonalBasis) -> np.ndarray:
-    """Hermitian matrix with the given coordinates: sum_mu y[mu] b_mu."""
+    """Hermitian matrix with the given coordinates: sum_mu y[mu] b_mu.
+
+    Raises OverflowError if an entry of the sum overflows, which numpy's
+    einsum does silently, with no floating-point error to trap.
+    """
     y = real_array(y, (basis.size,), "coordinates")
-    return np.einsum("a,aij->ij", y, basis.elements)
+    a = np.einsum("a,aij->ij", y, basis.elements)
+    if not np.isfinite(a).all():
+        raise OverflowError("coordinates overflow: sum_mu y[mu] b_mu has a "
+                            "non-finite entry")
+    return a
 
 
 def spectral_oracle(a: np.ndarray):

@@ -12,12 +12,7 @@ import numpy as np
 from .basis import DimensionError, check_hermitian, real_array
 from .realified import RealifiedState, TangentVector, _complex
 from .realified import ZeroVectorError  # noqa: F401  raised by unit()
-
-TOL_PURE = 1e-10
-
-
-class NotExtremalError(ValueError):
-    """Operation defined only on rank-one (pure) states."""
+from .states import NotExtremalError, PureDensity  # noqa: F401  re-export
 
 
 @dataclass(frozen=True)
@@ -35,25 +30,6 @@ class Ray:
         z = _complex(psi.unit())
         zk = z[np.argmax(np.abs(z) > 1e-14)]  # a unit z has an entry that big
         return cls(RealifiedState.from_complex(z * (zk.conjugate() / abs(zk))))
-
-
-@dataclass(frozen=True)
-class PureDensity:
-    """A rank-one projector with unit trace."""
-
-    op: np.ndarray
-
-    def __post_init__(self):
-        op = check_hermitian(self.op)
-        object.__setattr__(self, "op", op)
-        if abs(np.trace(op).real - 1.0) > 1e-12:
-            raise NotExtremalError("trace must be 1")
-        if np.abs(op @ op - op).max() > TOL_PURE:
-            raise NotExtremalError("operator is not idempotent (not rank one)")
-
-    @property
-    def dim(self) -> int:
-        return self.op.shape[0]
 
 
 def momentum_map(psi: RealifiedState) -> PureDensity:

@@ -21,6 +21,8 @@ from .qutrit_tables import full_c_table, full_d_table
 from .realified import RealifiedState
 
 CSV_DIGITS = 12
+# The one CSV cell: a %-format, so that a whole row formats in one call.
+_CELL = f"%.{CSV_DIGITS}g"
 
 
 def dumps(obj) -> str:
@@ -28,7 +30,7 @@ def dumps(obj) -> str:
 
 
 def csv_float(x: float) -> str:
-    return format(float(x), f".{CSV_DIGITS}g")
+    return _CELL % float(x)
 
 
 # -- Hermitian operators ------------------------------------------------
@@ -150,9 +152,9 @@ def constants_csv_rows(sc: StructureConstants) -> list:
     # argwhere lists the indices in C order, the order of the rows.
     idx = np.argwhere(np.abs(sc.c) + np.abs(sc.d) > 1e-12)
     at = tuple(idx.T)
-    rows = [f"{mu},{nu},{rho},{csv_float(cv)},{csv_float(dv)}"
-            for (mu, nu, rho), cv, dv
-            in zip(idx.tolist(), sc.c[at].tolist(), sc.d[at].tolist())]
+    fmt = f"%d,%d,%d,{_CELL},{_CELL}"
+    rows = [fmt % row for row in zip(*idx.T.tolist(), sc.c[at].tolist(),
+                                     sc.d[at].tolist())]
     if sc.dim != 3:
         return ["mu,nu,rho,C,d"] + rows
     agree = ((np.abs(sc.c[at] - full_c_table()[at]) <= 1e-12)
@@ -164,6 +166,7 @@ def constants_csv_rows(sc: StructureConstants) -> list:
 
 
 def trace_csv(rows, header: str = "iter,e_A,residual") -> str:
-    """Flow-trace CSV: the header, then each row's cells through csv_float."""
-    return "\n".join([header] + [",".join(map(csv_float, row))
-                                 for row in rows]) + "\n"
+    """Flow-trace CSV: the header, then each row, one cell per header column
+    and each cell as csv_float writes it, formatted in one call."""
+    fmt = ",".join([_CELL] * (header.count(",") + 1))
+    return "\n".join([header] + [fmt % tuple(row) for row in rows]) + "\n"

@@ -1,7 +1,7 @@
 """The convex body of density states: positivity certification, rank
-strata, GL actions on the cone and on normalized states, faces, convex
-decompositions, the qutrit Bloch-vector algebra, and the tangency check
-for curves inside a stratum."""
+strata and pure states, GL actions on the cone and on normalized states,
+faces, convex decompositions, the qutrit Bloch-vector algebra, and the
+tangency check for curves inside a stratum."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from .basis import (
     structure_constants,
     to_dual,
 )
-from .projective import PureDensity
 
 TOL_PSD = 1e-10
 
@@ -32,6 +31,10 @@ class SingularTransformError(ValueError):
 
 class InvalidCurveError(ValueError):
     """Curve samples that are not all certified states of the same rank."""
+
+
+class NotExtremalError(ValueError):
+    """Operation defined only on rank-one (pure) states."""
 
 
 @dataclass(frozen=True)
@@ -183,6 +186,33 @@ def require_density(a: np.ndarray) -> DensityState:
     if isinstance(out, Rejection):
         raise ValueError(f"not a density state: {out.violated} ({out.detail})")
     return out
+
+
+def _certify_pure(a: np.ndarray):
+    """certify_density(a) if it is of rank 1, else a Rejection: its own, or
+    violated "rank"."""
+    rho = certify_density(a)
+    return (rho if not rho or rho.rank == 1
+            else Rejection("rank", f"rank {rho.rank}, expected 1"))
+
+
+@dataclass(frozen=True)
+class PureDensity:
+    """A pure state: a matrix that certify_density accepts with rank 1;
+    for any other, NotExtremalError names the failed test or the rank."""
+
+    op: np.ndarray
+
+    def __post_init__(self):
+        rho = _certify_pure(self.op)
+        if not rho:
+            what = {"trace": "trace must be 1"}.get(rho.violated, rho.violated)
+            raise NotExtremalError(f"not a pure state: {what} ({rho.detail})")
+        object.__setattr__(self, "op", rho.op)
+
+    @property
+    def dim(self) -> int:
+        return self.op.shape[0]
 
 
 def gl_act_cone(t: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -342,8 +372,10 @@ def qutrit_star(a, b) -> np.ndarray:
 def qutrit_pure_from_bloch(n_vec):
     """Build the rank-one qutrit state (1/3)(I + sqrt(3) n^a lambda_a).
 
-    Accepts iff |n| = 1 and n * n = n under the d-symbol product, to 1e-8;
-    returns a PureDensity, or a Rejection naming the failed condition.
+    Accepts iff |n| = 1 and n * n = n under the d-symbol product, to 1e-8,
+    and the state is one PureDensity accepts; returns a PureDensity, or a
+    Rejection naming the failed condition: "norm", "idempotency", or the
+    certification's verdict ("rank" for a state not of rank one).
     """
     n_vec = real_array(n_vec, (8,), "n")
     nrm = np.linalg.norm(n_vec)
@@ -354,8 +386,8 @@ def qutrit_pure_from_bloch(n_vec):
     if err > 1e-8:
         return Rejection("idempotency", f"max |n*n - n| = {float(err)!r}")
     traceless = np.einsum("a,aij->ij", n_vec, gellmann_basis(3).elements[1:])
-    rho = (np.eye(3) + np.sqrt(3.0) * traceless) / 3.0
-    return PureDensity(rho)
+    rho = _certify_pure((np.eye(3) + np.sqrt(3.0) * traceless) / 3.0)
+    return PureDensity(rho.op) if rho else rho
 
 
 def weyl_reduce(rho: DensityState) -> np.ndarray:

@@ -395,6 +395,11 @@ def build_cases() -> list:
     add("flow-overflow-phase-late-slice",
         ["flow", "--mode", "hamiltonian", "--t-final", "7e307", "--step",
          "7e303", "--json", json.dumps({"A": _op(np.diag([1.0, -3.0]))})])
+    # finite coordinates whose operator sum_mu y[mu] b_mu overflows
+    for which in ("distributions", "lambda", "R"):
+        add(f"tensors-{which}-refused-operator-overflow",
+            ["tensors", "--which", which, "--json",
+             '{"dim": 2, "y": [1e308, 1e308, 1e308, 1e308]}'])
     return cases
 
 

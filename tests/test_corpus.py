@@ -73,6 +73,9 @@ PINNED = (
     "0631-wire-refused-flow-q-bool",
     "0632-wire-refused-flow-p-str",
     "0633-wire-refused-flow-A-str",
+    "0637-tensors-distributions-refused-operator-overflow",
+    "0638-tensors-lambda-refused-operator-overflow",
+    "0639-tensors-R-refused-operator-overflow",
 )
 
 

@@ -422,3 +422,19 @@ def test_non_finite_point_refused(fn, bad):
         fn(np.array([bad, 0.0, 0.0, 0.0]), B2)
     with pytest.raises(ValueError, match="finite"):
         fn(np.array([0.5, 0.0, bad, 0.0]), B2)
+
+
+@pytest.mark.parametrize("fn", [from_dual, distributions_at, lambda_at,
+                                riemann_jordan_at])
+def test_overflowing_point_refused(fn):
+    # Finite coordinates whose operator overflows: einsum returns inf with
+    # no floating-point error, and distributions_at once read all four
+    # dimensions as 0.  The refusal is an ArithmeticError (a numeric
+    # failure, exit 3 in the CLI), not a ValueError, under any errstate.
+    y = np.full(4, 1e308)
+    for mode in ("ignore", "raise"):
+        with np.errstate(all=mode), pytest.raises(
+                OverflowError, match="^coordinates overflow: "):
+            fn(y, B2)
+    # below the overflow the point keeps the dimensions of (1, 1, 1, 1)
+    assert distributions_at(y / 10.0, B2).dims == (2, 4, 2, 4)

@@ -249,3 +249,35 @@ def test_trace_csv_format():
     assert lines[1] == "0,1,0.5"
     assert lines[2] == "1,1.25,0.125"
 
+
+# Cells at the edges of the 12-digit format: signed zeros, subnormals, the
+# float range, non-finite values, integers and numpy scalars.
+_EDGE_CELLS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
+               np.inf, -np.inf, np.nan, 1 / 3, 0.1, 123456789012.5, 1e16,
+               1e-5, 0, 7, 10**12, 2**53 + 1, np.float64(-2.5e-7),
+               np.int64(-3)]
+
+
+def test_csv_rows_write_each_cell_as_csv_float():
+    # A row is formatted in one call; each cell must read as csv_float's,
+    # which is the 12-digit format() of the value as a float.
+    for x in _EDGE_CELLS:
+        assert csv_float(x) == format(float(x), ".12g")
+    rows = [(it, x, y) for it, (x, y) in enumerate(
+        zip(_EDGE_CELLS, _EDGE_CELLS[::-1]))]
+    for header in ("iter,e_A,residual", "t,e_A,norm"):
+        lines = trace_csv(rows, header=header).split("\n")
+        assert lines == [header] + [",".join(map(csv_float, row))
+                                    for row in rows] + [""]
+    c, d = np.zeros((2, 4, 4, 4))
+    at = (np.array([1, 1, 2, 3, 3, 3]), np.array([2, 3, 1, 0, 1, 2]),
+          np.array([3, 2, 3, 1, 2, 3]))
+    c[at] = [-0.0, np.inf, 5e-324, -1e308, 1 / 3, np.nan]
+    d[at] = [1e308, 5e-324, -np.inf, 0.1, -0.0, 2.0]
+    # the NaN row at (3, 2, 3) fails the |C| + |d| > 1e-12 filter
+    want = ["mu,nu,rho,C,d"] + [
+        f"{mu},{nu},{rho},{csv_float(c[mu, nu, rho])},"
+        f"{csv_float(d[mu, nu, rho])}"
+        for mu, nu, rho in zip(*at) if mu != 3 or rho != 3]
+    assert constants_csv_rows(StructureConstants(2, c, d)) == want
+

@@ -1,10 +1,15 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geomstates import (
+    DensityState,
     DimensionError,
+    PureDensity,
     Rejection,
     bloch_decompose_along,
     certify_densities,
@@ -29,10 +34,11 @@ from geomstates import (
     weyl_reduce,
 )
 from geomstates.basis import TOL_RANK
-from geomstates import states
+from geomstates import projective, states
 from geomstates.states import (
     TOL_PSD,
     InvalidCurveError,
+    NotExtremalError,
     SingularTransformError,
     _stratum_residuals,
 )
@@ -570,6 +576,88 @@ def test_bloch_decompose_invalid_inputs(rng):
         bloch_decompose_along(require_density(np.eye(3) / 3), [1, 0, 0])
 
 
+# -- pure states: the certified states of rank one -------------------------
+
+def _pure_verdict(op):
+    """True if PureDensity accepts op, else NotExtremalError's text."""
+    try:
+        PureDensity(op)
+    except NotExtremalError as exc:
+        return str(exc)
+    return True
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["rank", "trace", "psd"]),
+       f=st.floats(0.5, 2.0), sign=st.sampled_from([-1.0, 1.0]))
+def test_pure_density_is_a_certified_state_of_rank_one(n, seed, kind, f,
+                                                       sign):
+    # Each draw sits at 0.5x to 2x of one of certify_density's cuts: a second
+    # eigenvalue at the rank cut TOL_RANK * w_1, a trace off by 1e-10, or a
+    # smallest eigenvalue at -TOL_PSD.
+    rng = np.random.default_rng(seed)
+    w = np.zeros(n)
+    w[0], scale = 1.0, 1.0
+    if kind == "rank":
+        w[1] = f * TOL_RANK
+        w /= w.sum()
+    elif kind == "trace":
+        scale = 1.0 + sign * f * 1e-10
+    else:
+        w[0], w[-1] = 1.0 + f * TOL_PSD, -f * TOL_PSD
+    u = np.linalg.qr(rng.normal(size=(n, n))
+                     + 1j * rng.normal(size=(n, n)))[0]
+    op = scale * (u * w) @ u.conj().T
+    op = (op + op.conj().T) / 2
+    rho = certify_density(op)
+    certified = isinstance(rho, DensityState) and rho.rank == 1
+    verdict = _pure_verdict(op)
+    assert (verdict is True) == certified
+    if not certified:
+        expected = {"trace": "trace must be 1", "psd": "negative eigenvalue",
+                    "rank": "rank (rank 2, expected 1)"}[kind]
+        assert verdict.startswith(f"not a pure state: {expected}")
+
+
+def test_pure_density_accepts_what_certification_finds_rank_one():
+    # The second eigenvalue 5e-10 is below the rank cut 1e-9 * w_1; the
+    # idempotency test |P^2 - P| <= 1e-10 once refused this state.
+    op = np.diag([1 - 5e-10, 5e-10])
+    assert certify_density(op).rank == 1
+    assert np.array_equal(PureDensity(op).op, op)
+
+
+def test_pure_density_refuses_a_stack():
+    p = np.diag([1.0, 0.0])
+    with pytest.raises(DimensionError, match="expected a square matrix"):
+        PureDensity(np.stack([p, p]))
+
+
+@pytest.mark.parametrize("op, message", [
+    (np.diag([2.0, 0.0]), "trace must be 1 (Tr = 2.0, expected 1)"),
+    (np.diag([1.5, -0.5]),
+     "negative eigenvalue (min eigenvalue = -0.5)"),
+    (np.eye(3) / 3, "rank (rank 3, expected 1)"),
+])
+def test_pure_density_names_the_failed_test(op, message):
+    assert _pure_verdict(op) == f"not a pure state: {message}"
+
+
+def test_pure_density_is_one_class_for_projective_and_states():
+    assert projective.PureDensity is states.PureDensity
+    assert projective.NotExtremalError is states.NotExtremalError
+
+
+def test_states_sits_below_the_ray_space():
+    # states certifies pure states itself: it imports neither the ray space
+    # nor the realified Hilbert space.
+    tree = ast.parse(Path(states.__file__).read_text())
+    imported = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"projective", "realified"}
+
+
 # -- qutrit Bloch algebra ---------------------------------------------------
 
 def qutrit_n_vector(z):
@@ -597,6 +685,37 @@ def test_qutrit_rejects_bad_norm():
     out = qutrit_pure_from_bloch(np.ones(8))
     assert isinstance(out, Rejection) and out.violated == "norm"
     assert out.detail == "|n| = 2.8284271247461903, expected 1"
+
+
+@pytest.mark.parametrize("eps", [1e-9, 8e-9])
+def test_qutrit_near_pure_is_certified_or_rejected(eps):
+    # Unit n about eps from the pure direction of |0>: most pass the 1e-8
+    # norm and n * n = n tests, yet the state built from them is not of
+    # rank one.  They once raised NotExtremalError out of the function.
+    rng = np.random.default_rng(2026)
+    n0 = qutrit_n_vector(np.array([1.0, 0, 0], dtype=complex))
+    verdicts = set()
+    for _ in range(100):
+        d = rng.normal(size=8)
+        n = n0 + eps * d / np.linalg.norm(d)
+        out = qutrit_pure_from_bloch(n / np.linalg.norm(n))
+        if isinstance(out, Rejection):
+            verdicts.add(out.violated)
+        else:
+            assert certify_density(out.op).rank == 1
+    assert "negative eigenvalue" in verdicts
+
+
+@pytest.mark.parametrize("delta, rank", [(2e-9, 3), (4e-10, 1)])
+def test_qutrit_names_the_rank_of_a_near_pure_state(delta, rank):
+    w = np.array([1 - 2 * delta, delta, delta])
+    n = np.sqrt(3.0) * to_dual(np.diag(w).astype(complex),
+                               gellmann_basis(3))[1:]
+    out = qutrit_pure_from_bloch(n)
+    if rank == 1:
+        assert isinstance(out, PureDensity)
+    else:
+        assert out == Rejection("rank", f"rank {rank}, expected 1")
 
 
 def test_qutrit_round_trip(rng):
