@@ -29,7 +29,7 @@ print("Interior point decomposed along a Bloch-line direction:")
 rho = require_density(qubit_from_bloch(0.1, 0.0, 0.2))
 dec = bloch_decompose_along(rho, [0.0, 0.0, 1.0])
 for w, comp in zip(dec.weights, dec.components):
-    y = qubit_bloch_vector(require_density(comp.op))
+    y = qubit_bloch_vector(comp)
     print(f"  weight {w:.4f} at boundary point {np.round(y, 4)} "
           f"(radius {np.linalg.norm(y):.4f})")
 residual = np.abs(dec.reconstruct() - rho.op).max()

@@ -246,12 +246,23 @@ def numerical_rank(values: np.ndarray) -> np.ndarray:
     return (values > TOL_RANK * values[..., :1]).sum(axis=-1)
 
 
+def finite_spectrum(w: np.ndarray) -> np.ndarray:
+    """w, the eigenvalues from eigh or eigvalsh, if all are finite; else
+    OverflowError.  A finite operator whose spectrum is beyond the float
+    range gets inf from LAPACK, with no floating-point error to trap."""
+    if not np.isfinite(w).all():
+        raise OverflowError("spectrum overflow: an eigenvalue is beyond the "
+                            "float range")
+    return w
+
+
 def eigenpair_masks(w: np.ndarray):
     """D_lambda and D_R masks (..., n^2) over the eigenbasis directions of
     xi = V diag(w) V^dagger (pair_indices(n) twice, for Re and Im, then the
     diagonal): pair (i, j) is in D_lambda if |w_i - w_j| > TOL_RANK * max|w|,
-    in D_R if |w_i + w_j| is, and diagonal k in D_R if |w_k| is."""
-    i, j = pair_indices(w.shape[-1])
+    in D_R if |w_i + w_j| is, and diagonal k in D_R if |w_k| is.  A
+    non-finite w, whose cut would be inf, is refused by finite_spectrum."""
+    i, j = pair_indices(finite_spectrum(w).shape[-1])
     cut = TOL_RANK * np.abs(w).max(axis=-1, keepdims=True)
     diff = np.abs(w[..., i] - w[..., j]) > cut
     summ = np.abs(w[..., i] + w[..., j]) > cut

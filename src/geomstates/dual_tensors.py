@@ -92,16 +92,18 @@ def riemann_jordan_at(y: np.ndarray, basis: OrthogonalBasis) -> TensorAtPoint:
 
 
 def jtilde_endo(xi: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Hamiltonian direction at xi generated by A: (1/i)[A, xi]."""
+    """Hamiltonian direction at xi generated by A: (1/i)[A, xi]; at each
+    point of a stack xi of shape (..., n, n)."""
     xi = check_hermitian(xi)
-    a = check_hermitian(a, len(xi))
+    a = check_hermitian(a, xi.shape[-1])
     return -1j * (a @ xi - xi @ a)
 
 
 def r_endo(xi: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Gradient direction at xi generated by A: [A, xi]_+."""
+    """Gradient direction at xi generated by A: [A, xi]_+; at each point of
+    a stack xi of shape (..., n, n)."""
     xi = check_hermitian(xi)
-    a = check_hermitian(a, len(xi))
+    a = check_hermitian(a, xi.shape[-1])
     return a @ xi + xi @ a
 
 

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DimensionError, check_hermitian, exact_scale, real_array
+from .basis import (
+    DimensionError,
+    check_hermitian,
+    exact_scale,
+    finite_spectrum,
+    real_array,
+)
 
 # A hamiltonian flow holds a few (T+1, n) complex sample arrays; at 1 M
 # samples and n = 12 each is about 190 MB.  There, in a fresh process on a
@@ -184,7 +190,8 @@ def flow_hamiltonian(a: np.ndarray, psi0: RealifiedState, t_final: float,
     z(t) = V diag(exp(itw)) V^dagger z0, so step (default 1e-3) only sets
     the sampling grid of n_steps = max(1, round(t_final / step)) equal
     intervals.  A grid of more than MAX_FLOW_SAMPLES samples is refused
-    before anything is allocated.
+    before anything is allocated, and a spectrum of A beyond the float
+    range by basis.finite_spectrum, with OverflowError.
 
     The phases come by angle addition, exp(i(t_s + t_j)w) =
     exp(i t_s w) exp(i t_j w), with t_s a slice start and t_j one of the
@@ -213,6 +220,7 @@ def flow_hamiltonian(a: np.ndarray, psi0: RealifiedState, t_final: float,
     n_steps = max(1, int(round(t_final / step)))
     times = np.arange(n_steps + 1) * (t_final / n_steps)
     w, v = np.linalg.eigh(a)
+    finite_spectrum(w)
     # Neither the table nor a slice start forms the largest angle t w: formed
     # here, an angle beyond the float range warns, or raises under errstate.
     times[-1] * w
@@ -270,8 +278,10 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
     [[Re A, -Im A], [Im A, Re A]] and Re<u, v> of complex vectors is the real
     dot product of the realified ones.
     The first step is the fixed step (default 0.1 / ||A||, with ||A|| the
-    largest |eigenvalue| from eigvalsh); after it, the Barzilai-Borwein step
-    <s, s> / |<s, r_k - r_(k-1)>| with s = x_k - x_(k-1) and the residual
+    largest |eigenvalue| from eigvalsh, which basis.finite_spectrum refuses
+    with OverflowError beyond the float range); after it, the
+    Barzilai-Borwein step <s, s> / |<s, r_k - r_(k-1)>| with
+    s = x_k - x_(k-1) and the residual
     r = A x - e x, keeping the previous step when the denominator is 0,
     and taking the default step when s = 0.
     Renormalizes every iteration; stops when
@@ -297,7 +307,7 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
         raise ValueError(f"unknown mode {mode!r}")
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
-    w = np.linalg.eigvalsh(a)
+    w = finite_spectrum(np.linalg.eigvalsh(a))
     norm_a, k = exact_scale(max(-w[0], w[-1]))  # in [0.5, 1), or 0 for A = 0
     default_step = 0.1 / max(norm_a, 1e-300)
     if step is None:

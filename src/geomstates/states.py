@@ -196,23 +196,17 @@ def _certify_pure(a: np.ndarray):
             else Rejection("rank", f"rank {rho.rank}, expected 1"))
 
 
-@dataclass(frozen=True)
-class PureDensity:
-    """A pure state: a matrix that certify_density accepts with rank 1;
-    for any other, NotExtremalError names the failed test or the rank."""
+class PureDensity(DensityState):
+    """A pure state: the DensityState that certify_density finds of rank 1,
+    with its fields; for any other matrix, NotExtremalError names the failed
+    test or the rank."""
 
-    op: np.ndarray
-
-    def __post_init__(self):
-        rho = _certify_pure(self.op)
+    def __init__(self, op: np.ndarray):
+        rho = _certify_pure(op)
         if not rho:
             what = {"trace": "trace must be 1"}.get(rho.violated, rho.violated)
             raise NotExtremalError(f"not a pure state: {what} ({rho.detail})")
-        object.__setattr__(self, "op", rho.op)
-
-    @property
-    def dim(self) -> int:
-        return self.op.shape[0]
+        super().__init__(rho.op, rho.rank, rho.spectrum, rho.eigvecs)
 
 
 def gl_act_cone(t: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -224,8 +218,10 @@ def gl_act_cone(t: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """
     t = np.asarray(t, dtype=complex)
     xi = check_hermitian(xi)
-    if t.shape != xi.shape:
-        raise DimensionError("transform and operand dimensions differ")
+    if t.shape != xi.shape or t.ndim != 2:
+        raise DimensionError("transform and operand dimensions differ: need "
+                             f"one n x n matrix each, got {t.shape} and "
+                             f"{xi.shape}")
     if not np.isfinite(t).all():
         raise ValueError("transform entries must be finite")
     if np.linalg.cond(t) > 1e12:

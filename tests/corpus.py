@@ -400,6 +400,15 @@ def build_cases() -> list:
         add(f"tensors-{which}-refused-operator-overflow",
             ["tensors", "--which", which, "--json",
              '{"dim": 2, "y": [1e308, 1e308, 1e308, 1e308]}'])
+    # finite operators whose top eigenvalue overflows: eigh returns inf
+    for which in ("distributions", "lambda", "R"):
+        add(f"tensors-{which}-refused-spectrum-overflow",
+            ["tensors", "--which", which, "--json",
+             '{"dim": 2, "y": [8e307, 8e307, 8e307, 8e307]}'])
+    huge = json.dumps({"A": _op(1.2e308 * np.ones((2, 2)))})
+    for mode in ("hamiltonian", "gradient-eigensolve"):
+        add(f"flow-{mode}-refused-spectrum-overflow",
+            ["flow", "--mode", mode, "--json", huge])
     return cases
 
 

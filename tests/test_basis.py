@@ -36,6 +36,7 @@ from geomstates.basis import (
     MAX_CONSTANTS_N,
     TOL_HERM,
     TOL_RANK,
+    eigenpair_masks,
     exact_scale,
     numerical_rank,
     real_array,
@@ -495,6 +496,11 @@ def test_check_hermitian_matches_the_scaled_skew_rule(n, seed, kinds, exp,
     pytest.param(lambda a, psi: to_dual(a, gellmann_basis(2)), id="to_dual"),
     pytest.param(lambda a, psi: jtilde_endo(np.eye(2), a), id="jtilde_endo"),
     pytest.param(lambda a, psi: r_endo(np.eye(2), a), id="r_endo"),
+    # a stack of points is judged at its matrices' n, not at its length
+    pytest.param(lambda a, psi: jtilde_endo(np.stack([np.eye(2)] * 3), a),
+                 id="jtilde_endo-stack"),
+    pytest.param(lambda a, psi: r_endo(np.stack([np.eye(2)] * 3), a),
+                 id="r_endo-stack"),
     pytest.param(quadratic_function, id="quadratic_function"),
     pytest.param(lambda a, psi: star_product(a, np.eye(2), psi),
                  id="star_product_a"),
@@ -534,6 +540,13 @@ def test_operator_on_another_space_refused(call):
                  id="basis-cap"),
     pytest.param(lambda: gellmann_basis(10**6), DimensionError,
                  f"must be <= {MAX_BASIS_N}", id="basis-far-above-cap"),
+    # eigh's inf for an eigenvalue beyond the float range once made the cut
+    # TOL_RANK * max|w| inf, and every mask empty
+    *[pytest.param(lambda w=w: eigenpair_masks(np.array(w)), OverflowError,
+                   "^spectrum overflow: an eigenvalue is beyond the float "
+                   "range$", id=f"masks-{name}")
+      for name, w in [("inf", [np.inf, 1.0]), ("nan", [1.0, np.nan]),
+                      ("stack", [[1.0, 0.0], [0.0, -np.inf]])]],
 ])
 def test_basis_refusals(call, error, message):
     with pytest.raises(error, match=message):

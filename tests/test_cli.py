@@ -253,6 +253,27 @@ def test_flow_overflow_is_numeric_failure(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+# Finite operators whose spectrum is beyond the float range: eigh returns
+# inf.  tensors --which lambda and R once exited 0 with rank 0, and the
+# other three exited 3 with numpy's text.
+_HUGE_A = json.dumps({"A": operator_to_dict(1.2e308 * np.ones((2, 2)))})
+
+
+@pytest.mark.parametrize("argv", [
+    *[pytest.param(("tensors", "--which", which, "--json",
+                    json.dumps({"dim": 2, "y": [8e307] * 4})), id=which)
+      for which in ("lambda", "R", "distributions")],
+    *[pytest.param(("flow", "--mode", mode, "--json", _HUGE_A), id=mode)
+      for mode in ("hamiltonian", "gradient-eigensolve")],
+])
+def test_spectrum_overflow_is_numeric_failure(capsys, argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == ("numeric failure: spectrum overflow: an "
+                            "eigenvalue is beyond the float range\n")
+
+
 @pytest.mark.parametrize("exp", [-565, 664])
 def test_flow_eigensolve_psi0_at_any_scale(capsys, exp):
     # |psi0|^2 underflows to 0 at 2**-565 and overflows at 2**664.  psi0 is

@@ -438,3 +438,31 @@ def test_overflowing_point_refused(fn):
             fn(y, B2)
     # below the overflow the point keeps the dimensions of (1, 1, 1, 1)
     assert distributions_at(y / 10.0, B2).dims == (2, 4, 2, 4)
+
+
+@pytest.mark.parametrize("fn", [distributions_at, lambda_at,
+                                riemann_jordan_at])
+def test_overflowing_spectrum_refused(fn):
+    # A finite point whose operator is finite but whose top eigenvalue,
+    # 8e307 * (1 + sqrt 3), is not: eigh returns inf, and the rank cut
+    # TOL_RANK * max|w| was inf too, so Lambda and R once read rank 0 and
+    # distributions_at dims (0, 0, 0, 0), with RuntimeWarnings.
+    y = np.full(4, 8e307)
+    assert np.isfinite(from_dual(y, B2)).all()
+    for mode in ("ignore", "raise"):
+        with np.errstate(all=mode), pytest.raises(
+                OverflowError, match="^spectrum overflow: "):
+            fn(y, B2)
+    # below the overflow the point keeps the dimensions of (1, 1, 1, 1)
+    assert distributions_at(y / 4.0, B2).dims == (2, 4, 2, 4)
+
+
+@pytest.mark.parametrize("endo", [jtilde_endo, r_endo])
+def test_endomorphisms_of_a_stack_are_the_per_point_directions(rng, endo):
+    for n in (2, 3, 5):
+        xi = np.stack([random_hermitian(rng, n) for _ in range(4)])
+        a = random_hermitian(rng, n)
+        out = endo(xi, a)
+        assert out.shape == xi.shape
+        for k in range(len(xi)):
+            assert out[k].tobytes() == endo(xi[k], a).tobytes()

@@ -648,6 +648,26 @@ def test_eigensolve_stops_at_a_non_finite_residual():
     assert np.isfinite(e) and e == trace[0][1]
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(critical_point_eigensolve, id="eigensolve"),
+    pytest.param(lambda a, psi: flow_hamiltonian(a, psi, 0.01), id="flow"),
+    pytest.param(lambda a, psi: expectation_trace_samples(a, psi, 0.01),
+                 id="samples"),
+])
+def test_flows_refuse_a_spectrum_beyond_the_float_range(call):
+    # A is finite and Hermitian, but its eigenvalue 2.4e308 is not: eigh and
+    # eigvalsh return inf.  The eigensolver once raised UnboundLocalError
+    # (or warned "overflow encountered in dot"), and the flow warned and
+    # returned NaN samples.
+    a = 1.2e308 * np.ones((2, 2))
+    psi = RealifiedState([0.6, 0.8], [0.0, 0.0])
+    for mode in ("ignore", "raise"):
+        with np.errstate(all=mode), pytest.raises(
+                OverflowError, match="^spectrum overflow: an eigenvalue is "
+                "beyond the float range$"):
+            call(a, psi)
+
+
 @pytest.mark.parametrize("mode", ["ascent", "descent"])
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_eigensolve_start_at_any_scale(rng, n, mode):

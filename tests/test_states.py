@@ -10,6 +10,7 @@ from geomstates import (
     DensityState,
     DimensionError,
     PureDensity,
+    RealifiedState,
     Rejection,
     bloch_decompose_along,
     certify_densities,
@@ -658,6 +659,77 @@ def test_states_sits_below_the_ray_space():
     assert not imported & {"projective", "realified"}
 
 
+# -- a pure state is the DensityState it was certified as ------------------
+
+def _pure_states_built_by_the_library(rng, n):
+    """The momentum map's image at n, the spectral components of a mixed
+    state at n, and the Bloch-line components of a qubit state."""
+    psi = RealifiedState(*rng.normal(size=(2, n)))
+    y = rng.normal(size=3)
+    qubit = require_density(qubit_from_bloch(
+        *(y / np.linalg.norm(y) * rng.uniform(0.0, 0.49))))
+    return [projective.momentum_map(psi),
+            *convex_decompose_spectral(random_density(rng, n)).components,
+            *bloch_decompose_along(qubit, rng.normal(size=3)).components]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+def test_pure_states_are_the_density_states_they_certify_as(n, seed):
+    for rho in _pure_states_built_by_the_library(np.random.default_rng(seed),
+                                                 n):
+        assert isinstance(rho, PureDensity)
+        assert isinstance(rho, DensityState)
+        want = certify_density(rho.op)
+        for got in (rho, PureDensity(rho.op)):
+            assert type(got) is PureDensity and got.rank == want.rank == 1
+            for field in ("op", "spectrum", "eigvecs"):
+                assert (getattr(got, field).tobytes()
+                        == getattr(want, field).tobytes())
+        # the rank-one stratum: a point face, an orbit CP^(m-1) of real
+        # dimension 2m - 2, and a single extremal component
+        m = rho.dim
+        assert face_of(rho).dimension == 0
+        assert orbit_dimension(rho) == 2 * m - 2
+        assert np.array_equal(weyl_reduce(rho), np.maximum(rho.spectrum, 0.0))
+        dec = convex_decompose_spectral(rho)
+        assert dec.weights.tolist() == [rho.spectrum[0]]
+        assert len(dec.components) == 1
+
+
+_PURE_DIAGONAL = [
+    pytest.param(lambda: PureDensity(np.diag([0.0, 1.0, 0.0])),
+                 id="constructed"),
+    pytest.param(lambda: projective.momentum_map(
+        RealifiedState([0.0, 1.0, 0.0], [0.0, 0.0, 0.0])), id="momentum-map"),
+]
+
+
+@pytest.mark.parametrize("pure", _PURE_DIAGONAL)
+def test_face_of_a_pure_state(pure):
+    face = face_of(pure())
+    assert face.dimension == 0
+    assert np.array_equal(face.projector(), np.diag([0.0, 1.0, 0.0]))
+
+
+@pytest.mark.parametrize("pure", _PURE_DIAGONAL)
+def test_orbit_dimension_of_a_pure_state(pure):
+    assert orbit_dimension(pure()) == 4
+
+
+@pytest.mark.parametrize("pure", _PURE_DIAGONAL)
+def test_weyl_reduce_of_a_pure_state(pure):
+    assert weyl_reduce(pure()).tolist() == [1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("pure", _PURE_DIAGONAL)
+def test_convex_decompose_spectral_of_a_pure_state(pure):
+    rho = pure()
+    dec = convex_decompose_spectral(rho)
+    assert dec.weights.tolist() == [1.0]
+    assert np.array_equal(dec.components[0].op, rho.op)
+
+
 # -- qutrit Bloch algebra ---------------------------------------------------
 
 def qutrit_n_vector(z):
@@ -1018,6 +1090,10 @@ _PURE_STATE = require_density(_PURE)
         SingularTransformError, "image trace vanished", id="gl-trace"),
     pytest.param(lambda: gl_act_cone(np.eye(3), np.eye(2)), DimensionError,
                  "transform and operand dimensions differ", id="gl-cone-dims"),
+    pytest.param(lambda: gl_act_cone(*[np.stack([np.eye(2)] * 2)] * 2),
+                 DimensionError, r"^transform and operand dimensions differ: "
+                 r"need one n x n matrix each, got \(2, 2, 2\) and "
+                 r"\(2, 2, 2\)$", id="gl-cone-stack"),
     *[pytest.param(lambda bad=bad, act=act, arg=arg: act(
         np.array([[1.0, bad], [0.0, 1.0]]), arg), ValueError,
         "^transform entries must be finite$", id=f"{name}-{bad}")
