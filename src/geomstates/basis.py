@@ -261,8 +261,12 @@ def eigenpair_masks(w: np.ndarray):
     xi = V diag(w) V^dagger (pair_indices(n) twice, for Re and Im, then the
     diagonal): pair (i, j) is in D_lambda if |w_i - w_j| > TOL_RANK * max|w|,
     in D_R if |w_i + w_j| is, and diagonal k in D_R if |w_k| is.  A
-    non-finite w, whose cut would be inf, is refused by finite_spectrum."""
-    i, j = pair_indices(finite_spectrum(w).shape[-1])
+    non-finite w, whose cut would be inf, is refused by finite_spectrum.
+    Each spectrum is read at the exact power-of-two scale of its max|w|, so
+    w_i +- w_j cannot overflow; the cut is relative, so no decision moves."""
+    w = finite_spectrum(w)
+    w = np.ldexp(w, -np.frexp(np.abs(w).max(axis=-1, keepdims=True))[1])
+    i, j = pair_indices(w.shape[-1])
     cut = TOL_RANK * np.abs(w).max(axis=-1, keepdims=True)
     diff = np.abs(w[..., i] - w[..., j]) > cut
     summ = np.abs(w[..., i] + w[..., j]) > cut
@@ -291,9 +295,17 @@ def structure_constants(basis: OrthogonalBasis) -> StructureConstants:
 
 
 def to_dual(a: np.ndarray, basis: OrthogonalBasis) -> np.ndarray:
-    """Real coordinates y[mu] = Tr(b_mu A) / 2 of a Hermitian matrix."""
+    """Real coordinates y[mu] = Tr(b_mu A) / 2 of a Hermitian matrix.
+
+    Raises OverflowError if a coordinate overflows, which numpy's einsum
+    does silently, with no floating-point error to trap.
+    """
     a = check_hermitian(a, basis.dim)
-    return np.einsum("aij,ji->a", basis.elements, a).real / 2.0
+    y = np.einsum("aij,ji->a", basis.elements, a).real / 2.0
+    if not np.isfinite(y).all():
+        raise OverflowError("coordinates overflow: a Tr(b_mu A) / 2 is "
+                            "beyond the float range")
+    return y
 
 
 def from_dual(y: np.ndarray, basis: OrthogonalBasis) -> np.ndarray:

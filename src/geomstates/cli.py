@@ -66,8 +66,6 @@ class _Parser(argparse.ArgumentParser):
 def _read_payload(args, parse, noun: str):
     """parse(payload) for the JSON object from --input or --json.  A fault
     in the source, the JSON or the payload is a UsageError."""
-    if (args.input is None) == (args.json is None):
-        raise UsageError("provide exactly one of --input or --json")
     try:
         if args.json is not None:
             text = args.json
@@ -86,7 +84,7 @@ def _read_payload(args, parse, noun: str):
         raise UsageError("payload must be a JSON object")
     try:
         return parse(payload)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad {noun} payload: {exc}") from exc
 
 
@@ -238,22 +236,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Geometry of finite-dimensional quantum state spaces.",
     )
     parser.add_argument("--output", help="output path (default: stdout)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for any randomized defaults")
-    parser.add_argument("--tol", type=float, default=TOL_PSD,
-                        help="positivity tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
+    tol = dict(type=float, default=TOL_PSD, help="positivity tolerance")
 
     def add_payload(p):
-        p.add_argument("--input", help="payload file path, or - for stdin")
-        p.add_argument("--json", help="inline JSON payload")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--input", help="payload file path, or - for stdin")
+        source.add_argument("--json", help="inline JSON payload")
 
     p = sub.add_parser("classify", help="certify and classify a state")
     add_payload(p)
+    p.add_argument("--tol", **tol)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("decompose", help="convex decomposition of a state")
     add_payload(p)
+    p.add_argument("--tol", **tol)
     p.add_argument("--mode", choices=["spectral", "bloch"], default="spectral")
     p.add_argument("--direction", type=lambda s: [float(x) for x in s.split(",")],
                    help="bloch-line direction as y1,y2,y3")
@@ -279,10 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--opt-mode", choices=["ascent", "descent"],
                    default="ascent")
     p.add_argument("--trace", help="path for the trace CSV")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="seed for psi0 when the payload has none")
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("ballgrid", help="qubit ball membership grid CSV")
     p.add_argument("--resolution", type=int, default=21)
+    p.add_argument("--tol", **tol)
     p.set_defaults(func=cmd_ballgrid)
 
     return parser
@@ -291,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if not (math.isfinite(args.tol) and args.tol >= 0):
-            raise UsageError("--tol must be finite and >= 0")
         # An overflow or an invalid operation is a numeric failure, never a
         # warning followed by inf or NaN in the output.
         with np.errstate(divide="raise", over="raise", invalid="raise"):

@@ -72,17 +72,21 @@ _MINOR_CONDITIONS = ("a >= 0", "b >= 0", "c >= 0", "|f|^2 <= bc",
 def _qutrit_minor_conditions(a: np.ndarray, tol: float) -> np.ndarray:
     """The explicit 3x3 positivity inequalities (diagonal, 2x2 principal
     minors, determinant) over a stack of shape (..., 3, 3).  Returns a
-    boolean array (..., 7), one column per entry of _MINOR_CONDITIONS."""
+    boolean array (..., 7), one column per entry of _MINOR_CONDITIONS.
+    Entries past about 1e154 overflow the squares and products to inf or
+    NaN, which fail their test; such a matrix, of trace one, has an entry
+    above 1 and is never positive semidefinite."""
     d = a.diagonal(axis1=-2, axis2=-1).real  # a, b, c
     off = a[..., (2, 0, 1), (1, 2, 0)]  # f, g, h
-    off2 = abs(off) ** 2
-    det = (d.prod(axis=-1) + 2.0 * off.prod(axis=-1).real
-           - (d * off2).sum(axis=-1))
-    return np.concatenate([
-        d >= -tol,
-        off2 <= d[..., (1, 2, 0)] * d[..., (2, 0, 1)] + tol,
-        det[..., None] >= -tol,
-    ], axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        off2 = abs(off) ** 2
+        det = (d.prod(axis=-1) + 2.0 * off.prod(axis=-1).real
+               - (d * off2).sum(axis=-1))
+        return np.concatenate([
+            d >= -tol,
+            off2 <= d[..., (1, 2, 0)] * d[..., (2, 0, 1)] + tol,
+            det[..., None] >= -tol,
+        ], axis=-1)
 
 
 # The failed test for each Certification.code
@@ -382,8 +386,11 @@ def qutrit_pure_from_bloch(n_vec):
     if err > 1e-8:
         return Rejection("idempotency", f"max |n*n - n| = {float(err)!r}")
     traceless = np.einsum("a,aij->ij", n_vec, gellmann_basis(3).elements[1:])
-    rho = _certify_pure((np.eye(3) + np.sqrt(3.0) * traceless) / 3.0)
-    return PureDensity(rho.op) if rho else rho
+    op = (np.eye(3) + np.sqrt(3.0) * traceless) / 3.0
+    try:
+        return PureDensity(op)
+    except NotExtremalError:
+        return _certify_pure(op)
 
 
 def weyl_reduce(rho: DensityState) -> np.ndarray:

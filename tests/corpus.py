@@ -121,7 +121,7 @@ def build_cases() -> list:
         for tol in ("0", "0.1"):
             rho = _hermitian(rng, n, _spectrum(rng, n, "negative"))
             add(f"classify-n{n}-tol{tol}",
-                ["--tol", tol, "classify", "--json", json.dumps(_op(rho))])
+                ["classify", "--tol", tol, "--json", json.dumps(_op(rho))])
     for e in (-200, -20, 20, 200):  # trace faults at extreme scales
         add(f"classify-scale1e{e}",
             ["classify", "--json", json.dumps(_op(np.eye(2) / 2 * 10.0 ** e))])
@@ -166,7 +166,7 @@ def build_cases() -> list:
     add("classify-refused-not-utf8", ["classify", "--input", "bad.json"],
         {"bad.json": "\udcff"})
     for tol in ("nan", "-1", "inf", "abc"):
-        add(f"classify-refused-tol-{tol}", ["--tol", tol, "classify", "--json",
+        add(f"classify-refused-tol-{tol}", ["classify", "--tol", tol, "--json",
                                             json.dumps(_op(np.eye(2) / 2))])
     add("classify-refused-unwritable",
         ["--output", "no/such/dir.json", "classify", "--json",
@@ -206,7 +206,7 @@ def build_cases() -> list:
         ["decompose", "--mode", "bloch", "--direction", "0,0,1", "--json",
          json.dumps(_op(np.eye(3) / 3))])
     add("decompose-bloch-line-misses",
-        ["--tol", "0.1", "decompose", "--mode", "bloch", "--direction",
+        ["decompose", "--tol", "0.1", "--mode", "bloch", "--direction",
          "1,0,0", "--json", json.dumps(_op(np.diag([1.05, -0.05])))])
     add("decompose-output", ["--output", "dec.json", "decompose", "--json",
                              half], outputs=["dec.json"])
@@ -280,7 +280,7 @@ def build_cases() -> list:
              "--t-final", "0.2", "--step", "0.02", "--trace", "tr.csv",
              "--json", seeded], outputs=["f.json", "tr.csv"])
         add(f"flow-eig-n{n}-seeded-trace",
-            ["--seed", str(n), "--output", "f.json", "flow", "--mode",
+            ["--output", "f.json", "flow", "--seed", str(n), "--mode",
              "gradient-eigensolve", "--max-iter", "200", "--trace", "tr.csv",
              "--json", seeded], outputs=["f.json", "tr.csv"])
     a2 = np.array([[0.3, 0.4 - 0.1j], [0.4 + 0.1j, -0.7]])
@@ -350,7 +350,7 @@ def build_cases() -> list:
     for r in (2, 3, 4, 5, 7, 9):
         add(f"ballgrid-r{r}", ["ballgrid", "--resolution", str(r)])
     for tol in ("0", "0.05"):
-        add(f"ballgrid-tol{tol}", ["--tol", tol, "ballgrid", "--resolution",
+        add(f"ballgrid-tol{tol}", ["ballgrid", "--tol", tol, "--resolution",
                                    "5"])
     add("ballgrid-default-output", ["--output", "g.csv", "ballgrid"],
         outputs=["g.csv"])
@@ -409,6 +409,50 @@ def build_cases() -> list:
     for mode in ("hamiltonian", "gradient-eigensolve"):
         add(f"flow-{mode}-refused-spectrum-overflow",
             ["flow", "--mode", mode, "--json", huge])
+
+    # -- each option only on the subcommands that read it -------------------
+    sigma3_only = json.dumps({"A": sigma3})
+    for name, argv in {
+            "classify-tol-global": ["--tol", "0.1", "classify", "--json",
+                                    half],
+            "flow-seed-global": ["--seed", "3", "flow", "--mode",
+                                 "gradient-eigensolve", "--json",
+                                 sigma3_only],
+            "tensors-tol": ["tensors", "--tol", "0", "--which", "lambda",
+                            "--json", '{"dim": 2, "y": [0.5, 0, 0, 0]}'],
+            "constants-seed": ["constants", "--seed", "1", "--n", "2"],
+            "flow-tol": ["flow", "--tol", "0", "--mode", "hamiltonian",
+                         "--json", sigma3_only],
+            "decompose-tol-nan": ["decompose", "--tol", "nan", "--json",
+                                  half],
+            "ballgrid-tol-nan": ["ballgrid", "--tol", "nan",
+                                 "--resolution", "2"]}.items():
+        add(f"option-refused-{name}", argv)
+    # a JSON integer beyond the float range is a payload fault
+    big_int = "1" + "0" * 400
+    for name, argv in {
+            "classify-re": ["classify", "--json", '{"dim": 2, "re": [[%s, 0], '
+                            '[0, 0.5]], "im": %s}' % (big_int, zeros)],
+            "classify-dim": ["classify", "--json", '{"dim": %s, "re": [[0.5, '
+                             '0], [0, 0.5]], "im": %s}' % (big_int, zeros)],
+            "tensors-y": ["tensors", "--which", "lambda", "--json",
+                          '{"dim": 2, "y": [%s, 0, 0, 0]}' % big_int],
+            "flow-q": ["flow", "--mode", "hamiltonian", "--json",
+                       flow_payload([10 ** 400, 0], [0, 0])]}.items():
+        add(f"wire-refused-int-beyond-float-{name}", argv)
+    # the qutrit minors of entries past 1e154 overflow; a rejection all the
+    # same, as at n = 2
+    add("classify-qutrit-huge-entries",
+        ["classify", "--json", json.dumps(_op(
+            [[0.34, 1e160, 0], [1e160, 0.33, 0], [0, 0, 0.33]]))])
+    # w_i +- w_j beyond the float range
+    for which in ("distributions", "lambda", "R"):
+        add(f"tensors-{which}-pair-overflow",
+            ["tensors", "--which", which, "--json",
+             '{"dim": 2, "y": [0, 8e307, 8e307, 8e307]}'])
+    add("classify-refused-coordinates-overflow",
+        ["classify", "--tol", "1e308", "--json",
+         json.dumps(_op([[0.5, 9e307], [9e307, 0.5]]))])
     return cases
 
 

@@ -2,6 +2,7 @@ import functools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -547,10 +548,28 @@ def test_operator_on_another_space_refused(call):
                    "range$", id=f"masks-{name}")
       for name, w in [("inf", [np.inf, 1.0]), ("nan", [1.0, np.nan]),
                       ("stack", [[1.0, 0.0], [0.0, -np.inf]])]],
+    # einsum overflows silently: y_1 = (9e307 + 9e307) / 2
+    pytest.param(lambda: to_dual(np.array([[0.5, 9e307], [9e307, 0.5]]),
+                                 gellmann_basis(2)), OverflowError,
+                 r"^coordinates overflow: a Tr\(b_mu A\) / 2 is beyond the "
+                 "float range$", id="to_dual-overflow"),
 ])
 def test_basis_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("k", [-900, -1, 0, 1, 1021, 1023])
+def test_eigenpair_masks_do_not_depend_on_the_scale(k):
+    # At 2**1023, w_i - w_j and w_i + w_j overflow; each spectrum is read at
+    # its own exact scale, so the masks are those at 2**0, with no warning.
+    w = np.array([[1.5, 1.5, 0.0, -1.5], [1.0, 0.5, 1e-12, 0.0],
+                  [0.0, 0.0, 0.0, 0.0]])
+    want = eigenpair_masks(w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = eigenpair_masks(np.ldexp(w, k))
+    assert all(np.array_equal(g, m) for g, m in zip(got, want))
 
 
 def test_real_array_reads_a_real_vector_of_known_shape():

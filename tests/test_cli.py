@@ -138,11 +138,13 @@ def test_output_file_holds_stdout_bytes(tmp_path, capsys, case):
 
 
 def assert_usage_error(capsys, *argv):
-    """Exit 2 with nothing on stdout and a single "error:" line on stderr."""
+    """Exit 2 with nothing on stdout and a single "error:" line on stderr,
+    which it returns."""
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
 
 
 def test_usage_errors_exit_two(capsys):
@@ -187,17 +189,18 @@ def test_usage_errors_exit_two(capsys):
                        str(basis.MAX_CONSTANTS_N + 1))
     # argparse's own errors; it drops the "--" of "--opt=--" and would
     # store [] unparsed
-    for argv in (("--tol", "abc", "classify", "--json", "{}"),
-                 ("flow", "--mode", "hamiltonian", "--step", "x", "--json",
+    for argv in (("flow", "--mode", "hamiltonian", "--step", "x", "--json",
                   "{}"),
                  ("constants", "--n", "three"),
                  ("decompose", "--mode", "bloch", "--direction", "a,b",
                   "--json", "{}"),
                  ("tensors", "--json", "{}"),
                  ("nonsense",),
-                 ("--tol=--", "classify", "--json", "{}"),
                  ("ballgrid", "--resolution=--")):
         assert_usage_error(capsys, *argv)
+    for tol in (("--tol", "abc"), ("--tol=--",)):
+        assert assert_usage_error(capsys, "classify", *tol, "--json", "{}"
+                                  ).startswith("error: argument --tol: ")
     # re and im must each be n x n: numpy would broadcast a scalar or a row
     for re, im in (("0.5", "[[0,0],[0,0]]"), ("[[0.5,0],[0,0.5]]", "0"),
                    ("[[0.5,0],[0,0.5]]", "[[0,0]]")):
@@ -339,16 +342,48 @@ def test_flow_negative_max_iter_refused(capsys):
                        "--max-iter=-1", "--json", json.dumps({"A": SIGMA3}))
 
 
+# The three subcommands that read --tol, each with a valid payload, so that
+# the tolerance is what certify_densities refuses.
+TOL_READERS = (("classify", "--json", op_json(np.eye(2) / 2)),
+               ("decompose", "--json", op_json(np.eye(2) / 2)),
+               ("ballgrid", "--resolution", "2"))
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
 def test_global_tol_refused(capsys, tol):
-    assert_usage_error(capsys, f"--tol={tol}", "classify",
-                       "--json", op_json(np.eye(2) / 2))
+    for argv in TOL_READERS:
+        assert assert_usage_error(capsys, *argv, f"--tol={tol}") == (
+            "error: tol_psd must be finite and >= 0\n")
 
 
 def test_global_tol_zero_runs(capsys):
-    code, out = run(capsys, "--tol", "0", "classify",
+    code, out = run(capsys, "classify", "--tol", "0",
                     "--json", op_json(np.eye(2) / 2))
     assert code == 0 and json.loads(out)["density"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ("tensors", "--tol", "0", "--which", "lambda",
+     "--json", '{"dim": 2, "y": [0.5, 0, 0, 0]}'),
+    ("constants", "--seed", "1", "--n", "2"),
+    ("flow", "--tol", "0", "--mode", "hamiltonian",
+     "--json", json.dumps({"A": SIGMA3})),
+    # before the subcommand, where the top-level parser has neither
+    ("--tol", "0.1", "classify", "--json", op_json(np.eye(2) / 2)),
+    ("--seed", "3", "flow", "--mode", "gradient-eigensolve",
+     "--json", json.dumps({"A": SIGMA3})),
+], ids=["tensors-tol", "constants-seed", "flow-tol", "global-tol",
+        "global-seed"])
+def test_option_outside_its_subcommands_refused(capsys, argv):
+    assert_usage_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("command, option", [
+    ("classify", "--tol"), ("decompose", "--tol"), ("ballgrid", "--tol"),
+    ("flow", "--seed")])
+def test_subcommand_help_lists_its_options(capsys, command, option):
+    code, out = run(capsys, command, "--help")
+    assert code == 0 and f"  {option} " in out
 
 
 def _odd_floats(*special):
@@ -411,21 +446,19 @@ def assert_exit_contract(argv, tol):
        psi0=st.one_of(st.none(), _flow_psi0()),
        step=st.one_of(st.none(), _odd_floats(1e-3, 0.7, 1e-300, 1e308)),
        t_final=st.one_of(st.none(), _odd_floats(0.0, 1.0, 1e5, 1e308)),
-       max_iter=st.integers(-3, 300),
-       tol=st.one_of(st.none(), _odd_floats(0.0, 1e-10, -1.0)))
+       max_iter=st.integers(-3, 300))
 def test_flow_fuzz_exit_contract(mode, opt_mode, a, psi0, step, t_final,
-                                 max_iter, tol):
+                                 max_iter):
     payload = {"A": operator_to_dict(a.astype(complex))}
     if psi0 is not None:
         payload["psi0"] = psi0
-    argv = [] if tol is None else [f"--tol={tol!r}"]
-    argv += ["flow", "--mode", mode, "--opt-mode", opt_mode,
-             f"--max-iter={max_iter}", "--json", json.dumps(payload)]
+    argv = ["flow", "--mode", mode, "--opt-mode", opt_mode,
+            f"--max-iter={max_iter}", "--json", json.dumps(payload)]
     if step is not None:
         argv.append(f"--step={step!r}")
     if t_final is not None:
         argv.append(f"--t-final={t_final!r}")
-    assert_exit_contract(argv, tol)
+    assert_exit_contract(argv, None)
 
 
 # Operator and dual-vector payloads the mutations below start from: states,
@@ -497,14 +530,17 @@ _DIRECTION = st.one_of(
            ("classify",), ("decompose", "--mode", "spectral"),
            ("decompose", "--mode", "bloch"), ("tensors", "--which", "lambda"),
            ("tensors", "--which", "R"),
-           ("tensors", "--which", "distributions")]),
-       tol=st.one_of(st.none(), st.sampled_from([0.0, 1e-10, 0.1]),
-                     _odd_floats(-1.0), _NOT_NUMERIC))
-def test_payload_fuzz_exit_contract(data, command, tol):
+           ("tensors", "--which", "distributions")]))
+def test_payload_fuzz_exit_contract(data, command):
     bases = _BASE_DUALS if command[0] == "tensors" else _BASE_OPERATORS
     payload = data.draw(_payload(bases), label="payload")
-    argv = [] if tol is None else [f"--tol={tol}"]
-    argv += [*command, "--json", json.dumps(payload)]
+    argv = [*command, "--json", json.dumps(payload)]
+    tol = None  # tensors has no --tol
+    if command[0] != "tensors":
+        tol = data.draw(st.one_of(st.none(), st.sampled_from([0.0, 1e-10, 0.1]),
+                                  _odd_floats(-1.0), _NOT_NUMERIC), label="tol")
+    if tol is not None:
+        argv.append(f"--tol={tol}")
     if command[-1] == "bloch":
         direction = data.draw(st.one_of(st.none(), _DIRECTION),
                               label="direction")
@@ -631,6 +667,63 @@ def test_classify_huge_trace_rejection_is_the_same_at_every_n(capsys, n):
     assert code == 0
     assert json.loads(out) == {"density": False, "violated": "trace",
                                "detail": f"Tr = {n * 1e103!r}, expected 1"}
+
+
+_BIG_INT = "1" + "0" * 400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--json", '{"dim": 2, "re": [[%s, 0], [0, 0.5]], '
+     '"im": [[0, 0], [0, 0]]}' % _BIG_INT),
+    ("classify", "--json", '{"dim": %s, "re": [[0.5, 0], [0, 0.5]], '
+     '"im": [[0, 0], [0, 0]]}' % _BIG_INT),
+    ("tensors", "--which", "lambda", "--json",
+     '{"dim": 2, "y": [%s, 0, 0, 0]}' % _BIG_INT),
+    ("flow", "--mode", "hamiltonian", "--json",
+     '{"A": %s, "psi0": {"dim": 2, "q": [%s, 0], "p": [0, 0]}}'
+     % (json.dumps(SIGMA3), _BIG_INT)),
+], ids=["classify-re", "classify-dim", "tensors-y", "flow-psi0-q"])
+def test_integer_beyond_float_range_exit_two(capsys, argv):
+    # once exit 3, "numeric failure: int too large to convert to float"
+    assert assert_usage_error(capsys, *argv).endswith(
+        " payload: int too large to convert to float\n")
+
+
+def test_classify_qutrit_with_huge_entries_is_a_rejection():
+    # The spectrum, +-1e160, is finite; the principal-minor cross-check's
+    # squares overflow, and once made this exit 3 with numpy's text.
+    payload = op_json([[0.34, 1e160, 0], [1e160, 0.33, 0], [0, 0, 0.33]])
+    code, out = run_contract(["classify", "--json", payload])
+    assert code == 0
+    assert json.loads(out) == {"density": False,
+                               "violated": "negative eigenvalue",
+                               "detail": "min eigenvalue = -1e+160"}
+
+
+@pytest.mark.parametrize("which", ["lambda", "R", "distributions"])
+def test_tensors_eigenvalue_pairs_beyond_float_range(which):
+    # w_i - w_j overflows at y = (0, 8e307, 8e307, 8e307), which once made
+    # this exit 3; the ranks are those at (0, 1, 1, 1)
+    reports = []
+    for y in ([0, 8e307, 8e307, 8e307], [0, 1, 1, 1]):
+        code, out = run_contract(["tensors", "--which", which, "--json",
+                                  json.dumps({"dim": 2, "y": y})])
+        assert code == 0
+        reports.append(json.loads(out, parse_constant=_reject_non_finite))
+    key = "dims" if which == "distributions" else "rank"
+    assert reports[0][key] == reports[1][key]
+
+
+def test_classify_coordinates_beyond_float_range_is_numeric_failure(capsys):
+    # At --tol 1e308 this matrix is a state; orbit_dimension once overflowed
+    # in w_i - w_j, and einsum overflows silently in its coordinate
+    # y_1 = (9e307 + 9e307) / 2, which to_dual refuses
+    code = cli.main(["classify", "--tol", "1e308", "--json",
+                     op_json([[0.5, 9e307], [9e307, 0.5]])])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == ("numeric failure: coordinates overflow: a "
+                            "Tr(b_mu A) / 2 is beyond the float range\n")
 
 
 def test_numeric_failure_exit_three(capsys, monkeypatch):
@@ -953,7 +1046,7 @@ def test_flow_eigensolve_recovers_from_a_step_that_does_not_move(capsys):
 def test_flow_non_convergence_is_exit_zero(capsys, rng):
     payload = json.dumps(
         {"A": operator_to_dict(np.diag([1.0, -1.0]).astype(complex))})
-    code, out = run(capsys, "--seed", "3", "flow",
+    code, out = run(capsys, "flow", "--seed", "3",
                     "--mode", "gradient-eigensolve",
                     "--max-iter", "1", "--json", payload)
     assert code == 0
@@ -976,9 +1069,9 @@ def test_parser_is_built_once_and_reuse_keeps_defaults(capsys, monkeypatch):
     calls = [
         ("decompose", "--mode", "bloch", "--direction", "0,0,1", "--json", rho),
         ("decompose", "--json", rho),
-        ("--seed", "3", *flow, "--step", "0.01", "--opt-mode", "descent"),
+        (*flow, "--seed", "3", "--step", "0.01", "--opt-mode", "descent"),
         flow,
-        ("--tol", "0.5", "classify", "--json", op_json(np.diag([1.2, -0.2]))),
+        ("classify", "--tol", "0.5", "--json", op_json(np.diag([1.2, -0.2]))),
         ("classify", "--json", op_json(np.diag([1.2, -0.2]))),
     ]
     reused = [run(capsys, *argv) for argv in calls]
@@ -1010,11 +1103,13 @@ def test_flow_step_spellings_agree(tmp_path, capsys):
 def test_flow_seed_determinism(capsys):
     payload = json.dumps(
         {"A": operator_to_dict(np.diag([1.0, -1.0]).astype(complex))})
-    argv = ["--seed", "7", "flow", "--mode", "gradient-eigensolve",
-            "--json", payload]
-    _, first = run(capsys, *argv)
-    _, second = run(capsys, *argv)
-    assert first == second  # byte-identical
+    argv = ["flow", "--mode", "gradient-eigensolve", "--json", payload]
+    first = run(capsys, *argv, "--seed", "7")
+    assert first[0] == 0
+    assert run(capsys, *argv, "--seed", "7") == first  # byte-identical
+    # the seed draws psi0: another seed ends at another phase of the state
+    other = run(capsys, *argv, "--seed", "8")
+    assert other[0] == 0 and other[1] != first[1]
 
 
 def test_ballgrid_points(tmp_path, capsys):
@@ -1054,7 +1149,7 @@ def test_ballgrid_bytes_pinned(capsys, resolution):
 def test_ballgrid_matches_per_point_certification(capsys, tol):
     # Resolution 2 is the smallest grid, and 6 a grid with no zero label.
     for resolution in (2, 6, 7):
-        code, out = run(capsys, "--tol", tol, "ballgrid", "--resolution",
+        code, out = run(capsys, "ballgrid", "--tol", tol, "--resolution",
                         str(resolution))
         assert code == 0
         lines = out.splitlines()

@@ -1,4 +1,5 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +127,18 @@ def test_qutrit_minors_wait_for_a_decisive_matrix(monkeypatch):
     assert calls == []
     certify_densities(np.concatenate([undecided, [np.diag([0.5, 0.3, 0.2])]]))
     assert calls == [4]
+
+
+@pytest.mark.parametrize("entry", [1e160, 1e300])
+def test_qutrit_minors_of_huge_entries_agree_with_the_spectrum(entry):
+    # Trace one with an entry above 1 is never PSD; the minors' squares
+    # overflow to inf and fail their tests, with no warning.
+    a = np.array([[0.34, entry, 0], [entry, 0.33, 0], [0, 0, 0.33]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = certify_density(a)
+    assert isinstance(out, Rejection)
+    assert out.violated == "negative eigenvalue"
 
 
 def test_qutrit_minor_and_spectral_criteria_agree(rng):
@@ -788,6 +801,16 @@ def test_qutrit_names_the_rank_of_a_near_pure_state(delta, rank):
         assert isinstance(out, PureDensity)
     else:
         assert out == Rejection("rank", f"rank {rank}, expected 1")
+
+
+def test_qutrit_pure_from_bloch_certifies_once(monkeypatch):
+    calls = []
+    certify = states.certify_density
+    monkeypatch.setattr(states, "certify_density",
+                        lambda a: calls.append(1) or certify(a))
+    n = qutrit_n_vector(np.array([1.0, 0, 0], dtype=complex))
+    assert isinstance(qutrit_pure_from_bloch(n), PureDensity)
+    assert len(calls) == 1
 
 
 def test_qutrit_round_trip(rng):
