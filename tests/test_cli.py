@@ -16,13 +16,18 @@ from hypothesis import strategies as st
 
 import geomstates
 from geomstates import (
+    DensityState,
     basis,
     certify_density,
     cli,
+    face_of,
     gellmann_basis,
+    orbit_dimension,
     qubit_from_bloch,
     realified,
+    serialize,
     to_dual,
+    weyl_reduce,
 )
 from geomstates.serialize import (
     csv_float,
@@ -35,6 +40,7 @@ from geomstates.realified import (
     critical_point_eigensolve,
     expectation_trace_samples,
 )
+from geomstates.states import TOL_PSD
 
 from conftest import random_hermitian, random_state, subprocess_env
 
@@ -87,6 +93,43 @@ def test_classify_reports_dual_coordinates(capsys):
     _, out = run(capsys, "classify", "--json", op_json(rho))
     y = np.array(json.loads(out)["y"])
     assert np.abs(y - to_dual(rho, gellmann_basis(2))).max() < 1e-15
+
+
+def _classify_states(n):
+    """(kind, operator) at dimension n: full rank, rank-deficient,
+    degenerate, the scalar I/n, and smallest eigenvalues of +-0.9 TOL_PSD."""
+    rng = np.random.default_rng(2600 + n)
+    k, h = int(rng.integers(1, n)), max(1, n // 2)
+    spectra = {
+        "full": rng.dirichlet(np.ones(n)),
+        "rank-deficient": np.concatenate([rng.dirichlet(np.ones(k)),
+                                          np.zeros(n - k)]),
+        "degenerate": np.repeat([0.6 / h, 0.4 / (n - h)], [h, n - h]),
+        **{f"edge{s:+}": np.append(rng.dirichlet(np.ones(n - 1)),
+                                   s * 0.9 * TOL_PSD) for s in (-1, 1)},
+    }
+    u = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    for kind, w in spectra.items():
+        m = (u * (w / w.sum())) @ u.conj().T
+        yield kind, (m + m.conj().T) / 2
+    yield "scalar", np.eye(n) / n
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_classify_prints_the_report_of_the_public_helpers(capsys, n):
+    for kind, a in _classify_states(n):
+        rho = certify_density(a)
+        assert isinstance(rho, DensityState), kind
+        want = serialize.dumps({
+            "density": True,
+            "rank": rho.rank,
+            "spectrum": rho.spectrum.tolist(),
+            "y": to_dual(rho.op, gellmann_basis(n)).tolist(),
+            "weyl": weyl_reduce(rho).tolist(),
+            "orbit_dim": orbit_dimension(rho),
+            "face_dim": face_of(rho).dimension,
+        }) + "\n"
+        assert run(capsys, "classify", "--json", op_json(a)) == (0, want), kind
 
 
 def test_classify_from_file(tmp_path, capsys):
