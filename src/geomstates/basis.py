@@ -175,6 +175,17 @@ def pair_indices(n: int):
 
 
 @functools.lru_cache(maxsize=None)
+def _direction_pairs(n: int):
+    """The eigenvalue pair (i, j) of each of the n^2 eigenbasis directions,
+    pair_indices(n) twice then (k, k) on the diagonal, and the relative cut
+    of each: TOL_RANK, doubled on the diagonal, where w_k + w_k = 2 w_k
+    (and w_k - w_k = 0 is below any cut)."""
+    k = np.arange(n)
+    i, j = (np.concatenate([p, p, k]) for p in pair_indices(n))
+    return i, j, np.where(i == j, 2.0 * TOL_RANK, TOL_RANK)
+
+
+@functools.lru_cache(maxsize=None)
 def gellmann_basis(n: int) -> OrthogonalBasis:
     """Orthogonal Hermitian basis of the n x n matrices, identity first.
 
@@ -264,15 +275,11 @@ def eigenpair_masks(w: np.ndarray):
     non-finite w, whose cut would be inf, is refused by finite_spectrum.
     Each spectrum is read at the exact power-of-two scale of its max|w|, so
     w_i +- w_j cannot overflow; the cut is relative, so no decision moves."""
-    w = finite_spectrum(w)
-    w = np.ldexp(w, -np.frexp(np.abs(w).max(axis=-1, keepdims=True))[1])
-    i, j = pair_indices(w.shape[-1])
-    cut = TOL_RANK * np.abs(w).max(axis=-1, keepdims=True)
-    diff = np.abs(w[..., i] - w[..., j]) > cut
-    summ = np.abs(w[..., i] + w[..., j]) > cut
-    in_l = np.concatenate([diff, diff, np.zeros_like(w, dtype=bool)], axis=-1)
-    in_r = np.concatenate([summ, summ, np.abs(w) > cut], axis=-1)
-    return in_l, in_r
+    top, e = np.frexp(abs(finite_spectrum(w)).max(axis=-1, keepdims=True))
+    i, j, tol = _direction_pairs(w.shape[-1])
+    w, cut = np.ldexp(w, -e), tol * top  # top is max|w| at that scale
+    wi, wj = w.take(i, axis=-1), w.take(j, axis=-1)
+    return abs(wi - wj) > cut, abs(wi + wj) > cut
 
 
 def structure_constants(basis: OrthogonalBasis) -> StructureConstants:
@@ -294,14 +301,18 @@ def structure_constants(basis: OrthogonalBasis) -> StructureConstants:
     return StructureConstants(n, c, d)
 
 
-def to_dual(a: np.ndarray, basis: OrthogonalBasis) -> np.ndarray:
-    """Real coordinates y[mu] = Tr(b_mu A) / 2 of a Hermitian matrix.
+def to_dual(a, basis: OrthogonalBasis) -> np.ndarray:
+    """Real coordinates y[mu] = Tr(b_mu A) / 2 of a Hermitian matrix, or of
+    a certified state (states.DensityState), whose op certification has
+    already checked: of such an A only the shape is read again.
 
     Raises OverflowError if a coordinate overflows, which numpy's einsum
     does silently, with no floating-point error to trap.
     """
-    a = check_hermitian(a, basis.dim)
-    y = np.einsum("aij,ji->a", basis.elements, a).real / 2.0
+    op = getattr(a, "op", None)
+    if op is None or op.shape != (basis.dim, basis.dim):
+        op = check_hermitian(a if op is None else op, basis.dim)
+    y = np.einsum("aij,ji->a", basis.elements, op).real / 2.0
     if not np.isfinite(y).all():
         raise OverflowError("coordinates overflow: a Tr(b_mu A) / 2 is "
                             "beyond the float range")

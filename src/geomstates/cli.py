@@ -117,7 +117,7 @@ def cmd_classify(args) -> str:
             "density": True,
             "rank": result.rank,
             "spectrum": result.spectrum.tolist(),
-            "y": to_dual(result.op, basis).tolist(),
+            "y": to_dual(result, basis).tolist(),
             "weyl": weyl_reduce(result).tolist(),
             "orbit_dim": orbit_dimension(result),
             "face_dim": face_of(result).dimension,

@@ -135,19 +135,21 @@ def certify_densities(stack: np.ndarray, tol_psd: float = TOL_PSD,
     if not 0.0 <= tol_psd < np.inf:
         raise ValueError("tol_psd must be finite and >= 0")
     a = check_hermitian(stack)
-    tr = np.trace(a, axis1=-2, axis2=-1).real
+    tr = a.trace(axis1=-2, axis2=-1).real
     if vectors:
         w, v = np.linalg.eigh(a)
         w, v = w[..., ::-1], v[..., ::-1]
     else:
         w, v = np.linalg.eigvalsh(a)[..., ::-1], None
-    trace_ok = np.abs(tr - 1.0) <= 1e-10
-    psd = w[..., -1] >= -tol_psd
+    # At shape () these are numpy scalars, not 0-d arrays
+    trace_ok = abs(tr - 1.0) <= 1e-10
+    low = w[..., -1]
+    psd = low >= -tol_psd
     if a.shape[-1] == 3:
         # An eigenvalue margin comfortably outside the minor tolerance band
         # must agree with the minor criterion.  Only a trace-one matrix with
         # such a margin can clash, so the minors wait for one.
-        decisive = trace_ok & (np.abs(w[..., -1]) > 100.0 * tol_psd)
+        decisive = trace_ok & (abs(low) > 100.0 * tol_psd)
         if decisive.any():
             minors = _qutrit_minor_conditions(a, 10.0 * tol_psd)
             clash = decisive & (psd != minors.all(axis=-1))
@@ -161,9 +163,9 @@ def certify_densities(stack: np.ndarray, tol_psd: float = TOL_PSD,
                     f"disagree: min eigenvalue {float(w[i][-1])}, minor "
                     f"check {which}"
                 )
-    code = np.where(trace_ok, np.where(psd, 0, 2), 1).astype(np.int8)
-    rank = numerical_rank(w) * (code == 0)
-    return Certification(code, rank, w, v, tr)
+    accepted = trace_ok & psd
+    code = (np.int8(1) + trace_ok) * ~accepted  # 1 + trace_ok if rejected
+    return Certification(code, numerical_rank(w) * accepted, w, v, tr)
 
 
 def certify_density(a: np.ndarray, tol_psd: float = TOL_PSD):
@@ -176,13 +178,12 @@ def certify_density(a: np.ndarray, tol_psd: float = TOL_PSD):
     if a.ndim != 2:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     cert = certify_densities(a, tol_psd)
-    violated = str(cert.violated)
-    if violated == "trace":
+    if cert.rank:
+        return DensityState(a, int(cert.rank), cert.spectrum, cert.eigvecs)
+    if cert.code == 1:
         return Rejection("trace", f"Tr = {float(cert.trace)!r}, expected 1")
-    if violated:
-        return Rejection(violated,
-                         f"min eigenvalue = {float(cert.spectrum[-1])!r}")
-    return DensityState(a, int(cert.rank), cert.spectrum, cert.eigvecs)
+    return Rejection(str(cert.violated),
+                     f"min eigenvalue = {float(cert.spectrum[-1])!r}")
 
 
 def require_density(a: np.ndarray) -> DensityState:
@@ -325,7 +326,7 @@ def qubit_bloch_vector(rho: DensityState) -> np.ndarray:
     """Ball coordinates (y1, y2, y3) of a qubit state."""
     if rho.dim != 2:
         raise DimensionError("Bloch coordinates need a 2-level state")
-    return to_dual(rho.op, gellmann_basis(2))[1:]
+    return to_dual(rho, gellmann_basis(2))[1:]
 
 
 def bloch_decompose_along(rho: DensityState,
@@ -406,7 +407,7 @@ def orbit_dimension(rho: DensityState) -> int:
     rank of the Poisson distribution there: n^2 - sum_k m_k^2 for
     eigenvalue multiplicities m_k, counted as the directions that
     basis.eigenpair_masks puts in D_lambda."""
-    return int(eigenpair_masks(rho.spectrum)[0].sum())
+    return int(np.count_nonzero(eigenpair_masks(rho.spectrum)[0]))
 
 
 @dataclass(frozen=True)
