@@ -69,11 +69,9 @@ def check_hermitian(a: np.ndarray, n: int | None = None) -> np.ndarray:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     ah = a.swapaxes(-2, -1).conj()
     # NaN fails the equality and inf the bound, so both reach the test below.
-    if (a == ah).all():
-        parts = a.ravel().view(float)  # empty for an empty stack
-        if (parts.max(initial=0.0) <= _PART_MAX
-                and parts.min(initial=0.0) >= -_PART_MAX):
-            return a
+    if ((a == ah).all()
+            and abs(a.ravel().view(float)).max(initial=0.0) <= _PART_MAX):
+        return a
     mag = np.abs(a)
     if not math.isfinite(mag.max()):
         raise HermiticityError("matrix has non-finite entries")
@@ -176,10 +174,8 @@ def pair_indices(n: int):
 
 @functools.lru_cache(maxsize=None)
 def _direction_pairs(n: int):
-    """The eigenvalue pair (i, j) of each of the n^2 eigenbasis directions,
-    pair_indices(n) twice then (k, k) on the diagonal, and the relative cut
-    of each: TOL_RANK, doubled on the diagonal, where w_k + w_k = 2 w_k
-    (and w_k - w_k = 0 is below any cut)."""
+    """Index arrays i, j and the relative cut of each eigenbasis direction,
+    in the order and with the cuts that eigenpair_masks describes."""
     k = np.arange(n)
     i, j = (np.concatenate([p, p, k]) for p in pair_indices(n))
     return i, j, np.where(i == j, 2.0 * TOL_RANK, TOL_RANK)
@@ -269,12 +265,12 @@ def finite_spectrum(w: np.ndarray) -> np.ndarray:
 
 def eigenpair_masks(w: np.ndarray):
     """D_lambda and D_R masks (..., n^2) over the eigenbasis directions of
-    xi = V diag(w) V^dagger (pair_indices(n) twice, for Re and Im, then the
-    diagonal): pair (i, j) is in D_lambda if |w_i - w_j| > TOL_RANK * max|w|,
-    in D_R if |w_i + w_j| is, and diagonal k in D_R if |w_k| is.  A
-    non-finite w, whose cut would be inf, is refused by finite_spectrum.
-    Each spectrum is read at the exact power-of-two scale of its max|w|, so
-    w_i +- w_j cannot overflow; the cut is relative, so no decision moves."""
+    xi = V diag(w) V^dagger, the pairs (i, j) of pair_indices(n) twice, for
+    Re and Im, then the diagonal (k, k): each is in D_lambda if |w_i - w_j|,
+    in D_R if |w_i + w_j| is above TOL_RANK * max|w|, a cut doubled on the
+    diagonal, where w_k + w_k = 2 w_k.  A non-finite w is refused by
+    finite_spectrum.  Each spectrum is read at the exact power-of-two scale
+    of its max|w|, so w_i +- w_j cannot overflow and no decision moves."""
     top, e = np.frexp(abs(finite_spectrum(w)).max(axis=-1, keepdims=True))
     i, j, tol = _direction_pairs(w.shape[-1])
     w, cut = np.ldexp(w, -e), tol * top  # top is max|w| at that scale
@@ -303,8 +299,7 @@ def structure_constants(basis: OrthogonalBasis) -> StructureConstants:
 
 def to_dual(a, basis: OrthogonalBasis) -> np.ndarray:
     """Real coordinates y[mu] = Tr(b_mu A) / 2 of a Hermitian matrix, or of
-    a certified state (states.DensityState), whose op certification has
-    already checked: of such an A only the shape is read again.
+    the op of a certified state (a states.DensityState), not checked again.
 
     Raises OverflowError if a coordinate overflows, which numpy's einsum
     does silently, with no floating-point error to trap.

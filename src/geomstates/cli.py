@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -53,7 +54,20 @@ class _Parser(argparse.ArgumentParser):
     """Parse errors as UsageErrors, which main prints as one "error:" line
     with no usage block.  Subparsers take the parent's class."""
 
+    words = ()  # given to parse_args, which only the top-level parser runs
+
+    def parse_args(self, args=None, namespace=None):
+        self.words = sys.argv[1:] if args is None else list(args)
+        return super().parse_args(args, namespace)
+
     def error(self, message):
+        # Before the subcommand, the top-level parser, which has neither,
+        # takes the value of --tol or --seed for the subcommand.
+        for word in itertools.takewhile(lambda w: w not in self.commands,
+                                        self.words):
+            if word.split("=")[0] in ("--tol", "--seed"):
+                message = f"{word.split('=')[0]} goes after the subcommand"
+                break
         raise UsageError(message)
 
     def _get_values(self, action, arg_strings):
@@ -112,12 +126,11 @@ def cmd_classify(args) -> str:
             violated = "ball radius"
         report = {"density": False, "violated": violated, "detail": result.detail}
     else:
-        basis = gellmann_basis(result.dim)
         report = {
             "density": True,
             "rank": result.rank,
             "spectrum": result.spectrum.tolist(),
-            "y": to_dual(result, basis).tolist(),
+            "y": to_dual(result, gellmann_basis(result.dim)).tolist(),
             "weyl": weyl_reduce(result).tolist(),
             "orbit_dim": orbit_dimension(result),
             "face_dim": face_of(result).dimension,
@@ -237,6 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--output", help="output path (default: stdout)")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
     tol = dict(type=float, default=TOL_PSD, help="positivity tolerance")
 
     def add_payload(p):

@@ -141,7 +141,6 @@ def certify_densities(stack: np.ndarray, tol_psd: float = TOL_PSD,
         w, v = w[..., ::-1], v[..., ::-1]
     else:
         w, v = np.linalg.eigvalsh(a)[..., ::-1], None
-    # At shape () these are numpy scalars, not 0-d arrays
     trace_ok = abs(tr - 1.0) <= 1e-10
     low = w[..., -1]
     psd = low >= -tol_psd
@@ -364,10 +363,15 @@ def bloch_decompose_along(rho: DensityState,
 
 
 def qutrit_star(a, b) -> np.ndarray:
-    """The symmetric product on 8-vectors: (a * b)_l = sqrt(3) d_ljk a_j b_k."""
+    """The symmetric product on 8-vectors: (a * b)_l = sqrt(3) d_ljk a_j b_k;
+    OverflowError if an entry overflows, which einsum does silently."""
     a, b = real_array(a, (8,), "a"), real_array(b, (8,), "b")
     d8 = structure_constants(gellmann_basis(3)).d_traceless
-    return np.sqrt(3.0) * np.einsum("ljk,j,k->l", d8, a, b)
+    out = np.sqrt(3.0) * np.einsum("ljk,j,k->l", d8, a, b)
+    if not np.isfinite(out).all():
+        raise OverflowError("product overflow: a sqrt(3) d_ljk a_j b_k is "
+                            "beyond the float range")
+    return out
 
 
 def qutrit_pure_from_bloch(n_vec):

@@ -12,7 +12,12 @@ cli.main in process, in a temporary directory.  From the repository root,
 prints one JSON record: the numpy version and BLAS it was taken on; per
 subcommand the case count, a histogram of exit codes and one SHA-256 over
 the exit code, stdout, stderr and written files of its cases; and per case
-its id, exit code, the first word of its stderr and its own SHA-256.  The
+its id, exit code, the first word of its stderr and its own SHA-256.
+
+    PYTHONPATH=src python tests/corpus.py --against CORPUS.json
+
+runs the corpus and prints the id of each case whose exit code, first
+stderr word or SHA-256 differs from that record, exiting 1 if any does.  The
 Tier-1 test test_corpus.py checks the exit codes and first words, which do
 not depend on LAPACK's last bits, and the SHA-256 of the refusals that come
 before any such bits, in the library's own words; a change that alters
@@ -543,5 +548,23 @@ def record(results) -> dict:
             "case_list": listing}
 
 
+def changed(old: dict, new: dict) -> list:
+    """Ids of the cases whose exit code, first stderr word or SHA-256
+    differ between two records, in case order; a case only one record
+    holds counts as changed."""
+    keys = ("exit", "stderr_word", "sha256")
+    was, now = ({c["id"]: [c[k] for k in keys] for c in r["case_list"]}
+                for r in (old, new))
+    return sorted(i for i in was.keys() | now.keys()
+                  if was.get(i) != now.get(i))
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["--against"] and len(sys.argv) == 3:
+        with open(sys.argv[2]) as fh:
+            ids = changed(json.load(fh), record(run_corpus()))
+        print("\n".join(ids) if ids else "no case changed")
+        sys.exit(1 if ids else 0)
+    if sys.argv[1:]:
+        sys.exit("usage: corpus.py [--against CORPUS.json]")
     print(json.dumps(record(run_corpus()), indent=1, sort_keys=True))

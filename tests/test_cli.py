@@ -132,6 +132,27 @@ def test_classify_prints_the_report_of_the_public_helpers(capsys, n):
         assert run(capsys, "classify", "--json", op_json(a)) == (0, want), kind
 
 
+def test_classify_checks_and_diagonalizes_once(capsys, monkeypatch):
+    calls = {"check_hermitian": 0, "eigh": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    check = counted("check_hermitian", basis.check_hermitian)
+    for name, module in list(sys.modules.items()):  # each that imported it
+        if name.startswith("geomstates") and hasattr(module, "check_hermitian"):
+            monkeypatch.setattr(module, "check_hermitian", check)
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    # a full-rank qutrit, which also takes the principal-minor cross-check
+    a = np.diag([0.5, 0.3, 0.2]) + 0.05 * (np.eye(3, k=1) + np.eye(3, k=-1))
+    code, out = run(capsys, "classify", "--json", op_json(a))
+    assert code == 0 and json.loads(out)["rank"] == 3
+    assert calls == {"check_hermitian": 1, "eigh": 1}
+
+
 def test_classify_from_file(tmp_path, capsys):
     path = tmp_path / "op.json"
     path.write_text(op_json(np.eye(2) / 2))
@@ -405,20 +426,34 @@ def test_global_tol_zero_runs(capsys):
     assert code == 0 and json.loads(out)["density"] is True
 
 
-@pytest.mark.parametrize("argv", [
-    ("tensors", "--tol", "0", "--which", "lambda",
-     "--json", '{"dim": 2, "y": [0.5, 0, 0, 0]}'),
-    ("constants", "--seed", "1", "--n", "2"),
-    ("flow", "--tol", "0", "--mode", "hamiltonian",
-     "--json", json.dumps({"A": SIGMA3})),
+@pytest.mark.parametrize("argv, message", [
+    (("tensors", "--tol", "0", "--which", "lambda",
+      "--json", '{"dim": 2, "y": [0.5, 0, 0, 0]}'), None),
+    (("constants", "--seed", "1", "--n", "2"), None),
+    (("flow", "--tol", "0", "--mode", "hamiltonian",
+      "--json", json.dumps({"A": SIGMA3})), None),
     # before the subcommand, where the top-level parser has neither
-    ("--tol", "0.1", "classify", "--json", op_json(np.eye(2) / 2)),
-    ("--seed", "3", "flow", "--mode", "gradient-eigensolve",
-     "--json", json.dumps({"A": SIGMA3})),
+    (("--tol", "0.1", "classify", "--json", op_json(np.eye(2) / 2)),
+     "error: --tol goes after the subcommand\n"),
+    (("--seed", "3", "flow", "--mode", "gradient-eigensolve",
+      "--json", json.dumps({"A": SIGMA3})),
+     "error: --seed goes after the subcommand\n"),
 ], ids=["tensors-tol", "constants-seed", "flow-tol", "global-tol",
         "global-seed"])
-def test_option_outside_its_subcommands_refused(capsys, argv):
-    assert_usage_error(capsys, *argv)
+def test_option_outside_its_subcommands_refused(capsys, argv, message):
+    err = assert_usage_error(capsys, *argv)
+    assert err == message if message else "goes after" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--tol=0.1", "classify", "--json", "{}"),
+    ("--tol", "classify", "--json", "{}"),
+    ("--output", "out.json", "--seed", "3", "flow", "--json", "{}"),
+])
+def test_option_before_its_subcommand_named(capsys, argv):
+    word = next(w for w in argv if w.startswith(("--tol", "--seed")))
+    assert assert_usage_error(capsys, *argv) == (
+        f"error: {word.split('=')[0]} goes after the subcommand\n")
 
 
 @pytest.mark.parametrize("command, option", [

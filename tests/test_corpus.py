@@ -78,6 +78,8 @@ PINNED = (
     "0637-tensors-distributions-refused-operator-overflow",
     "0638-tensors-lambda-refused-operator-overflow",
     "0639-tensors-R-refused-operator-overflow",
+    "0645-option-refused-classify-tol-global",
+    "0646-option-refused-flow-seed-global",
     "0650-option-refused-decompose-tol-nan",
 )
 
@@ -99,3 +101,14 @@ def test_corpus_pins_the_bytes_of_library_refusals():
     got = {case["id"]: corpus.case_digest(result)
            for case, result in corpus.run_corpus(cases)}
     assert [i for i in PINNED if got[i] != want[i]] == []
+
+
+def test_changed_names_each_differing_case():
+    new = json.loads(json.dumps(RECORD))
+    cases = new["case_list"]
+    cases[3]["sha256"] = "0" * 64
+    cases[7]["stderr_word"] = "numeric"
+    removed = cases.pop(9)
+    assert corpus.changed(RECORD, RECORD) == []
+    assert corpus.changed(RECORD, new) == sorted(
+        c["id"] for c in (cases[3], cases[7], removed))
