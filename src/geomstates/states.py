@@ -142,13 +142,12 @@ def certify_densities(stack: np.ndarray, tol_psd: float = TOL_PSD,
     else:
         w, v = np.linalg.eigvalsh(a)[..., ::-1], None
     trace_ok = abs(tr - 1.0) <= 1e-10
-    low = w[..., -1]
-    psd = low >= -tol_psd
+    psd = w[..., -1] >= -tol_psd
     if a.shape[-1] == 3:
         # An eigenvalue margin comfortably outside the minor tolerance band
         # must agree with the minor criterion.  Only a trace-one matrix with
         # such a margin can clash, so the minors wait for one.
-        decisive = trace_ok & (abs(low) > 100.0 * tol_psd)
+        decisive = trace_ok & (abs(w[..., -1]) > 100.0 * tol_psd)
         if decisive.any():
             minors = _qutrit_minor_conditions(a, 10.0 * tol_psd)
             clash = decisive & (psd != minors.all(axis=-1))
