@@ -366,7 +366,8 @@ def qutrit_star(a, b) -> np.ndarray:
     OverflowError if an entry overflows, which einsum does silently."""
     a, b = real_array(a, (8,), "a"), real_array(b, (8,), "b")
     d8 = structure_constants(gellmann_basis(3)).d_traceless
-    out = np.sqrt(3.0) * np.einsum("ljk,j,k->l", d8, a, b)
+    with np.errstate(over="ignore"):  # the scaling can overflow too
+        out = np.sqrt(3.0) * np.einsum("ljk,j,k->l", d8, a, b)
     if not np.isfinite(out).all():
         raise OverflowError("product overflow: a sqrt(3) d_ljk a_j b_k is "
                             "beyond the float range")

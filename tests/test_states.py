@@ -1134,10 +1134,14 @@ _PURE_STATE = require_density(_PURE)
                  id="qutrit-star-shape"),
     pytest.param(lambda: qutrit_star(np.full(8, np.nan), np.ones(8)),
                  ValueError, "^a must be finite$", id="qutrit-star-nan"),
-    # einsum overflows silently: inf, and inf - inf = nan, in the sums
-    pytest.param(lambda: qutrit_star(np.full(8, 1e200), np.full(8, 1e200)),
-                 OverflowError, r"^product overflow: a sqrt\(3\) d_ljk a_j "
-                 "b_k is beyond the float range$", id="qutrit-star-overflow"),
+    # einsum overflows silently: inf, and inf - inf = nan, in the sums; at
+    # n_8 = 1.4e154, d_888 n_8^2 = -n_8^2 / sqrt(3) is finite and only the
+    # factor sqrt(3) overflows
+    *[pytest.param(lambda a=a: qutrit_star(a, a), OverflowError,
+                   r"^product overflow: a sqrt\(3\) d_ljk a_j b_k is beyond "
+                   "the float range$", id=f"qutrit-star-overflow-{name}")
+      for name, a in [("sum", np.full(8, 1e200)),
+                      ("scale", np.eye(8)[7] * 1.4e154)]],
     pytest.param(lambda: qutrit_pure_from_bloch(np.ones(3)), DimensionError,
                  r"^n must have shape \(8,\), got \(3,\)$",
                  id="qutrit-bloch-shape"),
