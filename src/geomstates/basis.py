@@ -69,9 +69,11 @@ def check_hermitian(a: np.ndarray, n: int | None = None) -> np.ndarray:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     ah = a.swapaxes(-2, -1).conj()
     # NaN fails the equality and inf the bound, so both reach the test below.
-    if ((a == ah).all()
-            and abs(a.ravel().view(float)).max(initial=0.0) <= _PART_MAX):
-        return a
+    if (a == ah).all():
+        parts = a.ravel().view(float)  # empty for an empty stack
+        if (parts.max(initial=0.0) <= _PART_MAX
+                and parts.min(initial=0.0) >= -_PART_MAX):
+            return a
     mag = np.abs(a)
     if not math.isfinite(mag.max()):
         raise HermiticityError("matrix has non-finite entries")

@@ -126,11 +126,12 @@ def cmd_classify(args) -> str:
             violated = "ball radius"
         report = {"density": False, "violated": violated, "detail": result.detail}
     else:
+        basis = gellmann_basis(result.dim)
         report = {
             "density": True,
             "rank": result.rank,
             "spectrum": result.spectrum.tolist(),
-            "y": to_dual(result, gellmann_basis(result.dim)).tolist(),
+            "y": to_dual(result, basis).tolist(),
             "weyl": weyl_reduce(result).tolist(),
             "orbit_dim": orbit_dimension(result),
             "face_dim": face_of(result).dimension,
