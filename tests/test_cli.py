@@ -97,7 +97,9 @@ def test_classify_reports_dual_coordinates(capsys):
 
 def _classify_states(n):
     """(kind, operator) at dimension n: full rank, rank-deficient,
-    degenerate, the scalar I/n, and smallest eigenvalues of +-0.9 TOL_PSD."""
+    degenerate (two eigenvalues of multiplicity n // 2 and n - n // 2, so
+    from n = 3), the scalar I/n, and smallest eigenvalues of
+    +-0.9 TOL_PSD."""
     rng = np.random.default_rng(2600 + n)
     k, h = int(rng.integers(1, n)), max(1, n // 2)
     spectra = {
@@ -438,22 +440,18 @@ def test_global_tol_zero_runs(capsys):
     (("--seed", "3", "flow", "--mode", "gradient-eigensolve",
       "--json", json.dumps({"A": SIGMA3})),
      "error: --seed goes after the subcommand\n"),
+    (("--tol=0.1", "classify", "--json", "{}"),
+     "error: --tol goes after the subcommand\n"),
+    (("--tol", "classify", "--json", "{}"),
+     "error: --tol goes after the subcommand\n"),
+    (("--output", "out.json", "--seed", "3", "flow", "--json", "{}"),
+     "error: --seed goes after the subcommand\n"),
 ], ids=["tensors-tol", "constants-seed", "flow-tol", "global-tol",
-        "global-seed"])
+        "global-seed", "global-tol-equals", "global-tol-no-value",
+        "global-seed-after-output"])
 def test_option_outside_its_subcommands_refused(capsys, argv, message):
     err = assert_usage_error(capsys, *argv)
     assert err == message if message else "goes after" not in err
-
-
-@pytest.mark.parametrize("argv", [
-    ("--tol=0.1", "classify", "--json", "{}"),
-    ("--tol", "classify", "--json", "{}"),
-    ("--output", "out.json", "--seed", "3", "flow", "--json", "{}"),
-])
-def test_option_before_its_subcommand_named(capsys, argv):
-    word = next(w for w in argv if w.startswith(("--tol", "--seed")))
-    assert assert_usage_error(capsys, *argv) == (
-        f"error: {word.split('=')[0]} goes after the subcommand\n")
 
 
 @pytest.mark.parametrize("command, option", [
