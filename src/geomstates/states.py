@@ -176,7 +176,7 @@ def certify_density(a: np.ndarray, tol_psd: float = TOL_PSD):
     if a.ndim != 2:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     cert = certify_densities(a, tol_psd)
-    if cert.rank:
+    if not cert.code:
         return DensityState(a, int(cert.rank), cert.spectrum, cert.eigvecs)
     if cert.code == 1:
         return Rejection("trace", f"Tr = {float(cert.trace)!r}, expected 1")

@@ -16,6 +16,7 @@ from geomstates import (
     OrthogonalBasis,
     RealifiedState,
     certify_densities,
+    certify_density,
     check_hermitian,
     critical_point_eigensolve,
     expectation,
@@ -330,6 +331,18 @@ def test_to_dual_qubit_state_coordinates():
     rho = np.array([[0.5 + y3, y2 + 1j * y1], [y2 - 1j * y1, 0.5 - y3]])
     y = to_dual(rho, gellmann_basis(2))
     assert np.allclose(y, [0.5, y1, y2, y3], atol=1e-14)
+
+
+def test_to_dual_reads_a_certified_state_as_its_operator(rng):
+    # the state's op is not checked again, so only its shape is judged
+    for n in (2, 3, 5):
+        m = random_hermitian(rng, n)
+        rho = certify_density(m @ m / np.trace(m @ m).real)
+        basis = gellmann_basis(n)
+        assert to_dual(rho, basis).tobytes() == to_dual(rho.op, basis).tobytes()
+    with pytest.raises(DimensionError, match=r"^expected an operator of "
+                       r"shape \(2, 2\), got \(5, 5\)$"):
+        to_dual(rho, gellmann_basis(2))
 
 
 def test_from_dual_pure_projector():

@@ -802,6 +802,21 @@ def test_classify_coordinates_beyond_float_range_is_numeric_failure(capsys):
                             "Tr(b_mu A) / 2 is beyond the float range\n")
 
 
+@pytest.mark.parametrize("n, entry, words", [
+    (3, 1e308, "coordinates overflow"), (4, 7e307, "spectrum overflow")])
+def test_classify_accepted_spectrum_beyond_float_range_is_numeric_failure(
+        capsys, n, entry, words):
+    # At --tol 1.7e308, trace one and a top eigenvalue that eigh returns as
+    # inf: certification accepts it (with rank 0), and y or the spectrum is
+    # refused after it, never a rejection with no failed test
+    a = np.full((n, n), entry)
+    np.fill_diagonal(a, 1.0 / n)
+    code = cli.main(["classify", "--tol", "1.7e308", "--json", op_json(a)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err.startswith(f"numeric failure: {words}: ")
+
+
 def test_numeric_failure_exit_three(capsys, monkeypatch):
     def boom(op, tol_psd):
         raise ArithmeticError("criteria disagree")
