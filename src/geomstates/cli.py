@@ -54,21 +54,23 @@ class _Parser(argparse.ArgumentParser):
     """Parse errors as UsageErrors, which main prints as one "error:" line
     with no usage block.  Subparsers take the parent's class."""
 
-    words = ()  # given to parse_args, which only the top-level parser runs
+    def error(self, message):
+        raise UsageError(message)
 
     def parse_args(self, args=None, namespace=None):
-        self.words = sys.argv[1:] if args is None else list(args)
-        return super().parse_args(args, namespace)
-
-    def error(self, message):
-        # Before the subcommand, the top-level parser, which has neither,
-        # takes the value of --tol or --seed for the subcommand.
-        for word in itertools.takewhile(lambda w: w not in self.commands,
-                                        self.words):
-            if word.split("=")[0] in ("--tol", "--seed"):
-                message = f"{word.split('=')[0]} goes after the subcommand"
-                break
-        raise UsageError(message)
+        """The top-level parse.  Before the subcommand, the top-level
+        parser, which has neither, takes the value of --tol or --seed for
+        the subcommand; any refusal of such a command names the option."""
+        words = sys.argv[1:] if args is None else list(args)
+        try:
+            return super().parse_args(words, namespace)
+        except UsageError:
+            for word in itertools.takewhile(lambda w: w not in self.commands,
+                                            words):
+                if word.split("=")[0] in ("--tol", "--seed"):
+                    raise UsageError(f"{word.split('=')[0]} goes after the "
+                                     "subcommand") from None
+            raise
 
     def _get_values(self, action, arg_strings):
         # argparse drops the "--" of "--tol=--" and would store [] unparsed

@@ -446,9 +446,12 @@ def test_global_tol_zero_runs(capsys):
      "error: --tol goes after the subcommand\n"),
     (("--output", "out.json", "--seed", "3", "flow", "--json", "{}"),
      "error: --seed goes after the subcommand\n"),
+    # flow's own parser, which lacks --mode, refuses the command first
+    (("--seed=3", "flow", "--json", "{}"),
+     "error: --seed goes after the subcommand\n"),
 ], ids=["tensors-tol", "constants-seed", "flow-tol", "global-tol",
         "global-seed", "global-tol-equals", "global-tol-no-value",
-        "global-seed-after-output"])
+        "global-seed-after-output", "global-seed-subcommand-refused"])
 def test_option_outside_its_subcommands_refused(capsys, argv, message):
     err = assert_usage_error(capsys, *argv)
     assert err == message if message else "goes after" not in err
