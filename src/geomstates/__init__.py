@@ -65,7 +65,6 @@ from .realified import (
     star_product,
 )
 from .states import (
-    Certification,
     ConvexDecomposition,
     DensityState,
     FaceDescriptor,

@@ -300,16 +300,19 @@ def structure_constants(basis: OrthogonalBasis) -> StructureConstants:
 
 
 def to_dual(a, basis: OrthogonalBasis) -> np.ndarray:
-    """Real coordinates y[mu] = Tr(b_mu A) / 2 of a Hermitian matrix, or of
-    the op of a certified state (a states.DensityState), not checked again.
+    """Coordinates y[..., mu] = Tr(b_mu A) / 2 of Hermitian A (..., n, n),
+    or of a certified states.DensityState's op, judged by its shape alone.
 
     Raises OverflowError if a coordinate overflows, which numpy's einsum
     does silently, with no floating-point error to trap.
     """
-    op = getattr(a, "op", None)
-    if op is None or op.shape != (basis.dim, basis.dim):
-        op = check_hermitian(a if op is None else op, basis.dim)
-    y = np.einsum("aij,ji->a", basis.elements, op).real / 2.0
+    n, op = basis.dim, getattr(a, "op", a)
+    if np.shape(op)[-2:] != (n, n):
+        raise DimensionError(
+            f"expected an operator of shape ({n}, {n}), got {np.shape(op)}")
+    if op is a:
+        op = check_hermitian(a)
+    y = np.einsum("aij,...ji->...a", basis.elements, op).real / 2.0
     if not np.isfinite(y).all():
         raise OverflowError("coordinates overflow: a Tr(b_mu A) / 2 is "
                             "beyond the float range")
@@ -317,13 +320,13 @@ def to_dual(a, basis: OrthogonalBasis) -> np.ndarray:
 
 
 def from_dual(y: np.ndarray, basis: OrthogonalBasis) -> np.ndarray:
-    """Hermitian matrix with the given coordinates: sum_mu y[mu] b_mu.
+    """Hermitian matrices (..., n, n) sum_mu y[..., mu] b_mu of y (..., n^2).
 
     Raises OverflowError if an entry of the sum overflows, which numpy's
     einsum does silently, with no floating-point error to trap.
     """
-    y = real_array(y, (basis.size,), "coordinates")
-    a = np.einsum("a,aij->ij", y, basis.elements)
+    y = real_array(y, np.shape(y)[:-1] + (basis.size,), "coordinates")
+    a = np.einsum("...a,aij->...ij", y, basis.elements)
     if not np.isfinite(a).all():
         raise OverflowError("coordinates overflow: sum_mu y[mu] b_mu has a "
                             "non-finite entry")

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import serialize
-from .basis import gellmann_basis, structure_constants, to_dual
+from .basis import gellmann_basis, real_array, structure_constants, to_dual
 from .dual_tensors import distributions_at, lambda_at, riemann_jordan_at
 from .realified import (
     RealifiedState,
@@ -131,12 +131,12 @@ def cmd_classify(args) -> str:
         basis = gellmann_basis(result.dim)
         report = {
             "density": True,
-            "rank": result.rank,
+            "rank": int(result.rank),
             "spectrum": result.spectrum.tolist(),
             "y": to_dual(result, basis).tolist(),
             "weyl": weyl_reduce(result).tolist(),
-            "orbit_dim": orbit_dimension(result),
-            "face_dim": face_of(result).dimension,
+            "orbit_dim": int(orbit_dimension(result)),
+            "face_dim": int(face_of(result).dimension),
         }
     return serialize.dumps(report)
 
@@ -163,6 +163,7 @@ def cmd_decompose(args) -> str:
 def cmd_tensors(args) -> str:
     n, y = _read_payload(args, serialize.dual_from_dict, "dual-vector")
     basis = gellmann_basis(n)
+    y = real_array(y, (basis.size,), "coordinates")  # one point
     if args.which == "distributions":
         report = serialize.distributions_to_dict(distributions_at(y, basis))
     else:
@@ -232,14 +233,14 @@ def cmd_ballgrid(args) -> str:
     grid = np.linspace(-0.6, 0.6, r)
     stack = qubit_from_bloch(grid[:, None, None], grid[None, :, None],
                              grid[None, None, :])
-    cert = certify_densities(stack.reshape(-1, 2, 2), tol_psd=args.tol,
-                             vectors=False)
+    rank = certify_densities(stack.reshape(-1, 2, 2), tol_psd=args.tol,
+                             vectors=False).rank
     # One row per point in (y1, y2, y3) order: a (y1, y2) prefix, then the
     # tail for the point's y3 and rank; is_density is rank > 0.
     labels = [serialize.csv_float(v) + "," for v in grid]
     tails = np.array([[c3 + f"{int(k > 0)},{k}" for k in range(3)]
                       for c3 in labels], dtype=object)
-    rows = tails[np.arange(r), cert.rank.reshape(r * r, r)].tolist()
+    rows = tails[np.arange(r), rank.reshape(r * r, r)].tolist()
     blocks = [p + ("\n" + p).join(row) for p, row in
               zip((c1 + c2 for c1 in labels for c2 in labels), rows)]
     return "y1,y2,y3,is_density,rank\n" + "\n".join(blocks) + "\n"

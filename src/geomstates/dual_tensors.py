@@ -20,6 +20,7 @@ from .basis import (
     exact_scale,
     from_dual,
     pair_indices,
+    real_array,
     triple_traces,
 )
 from .realified import RealifiedState, star_product
@@ -32,16 +33,16 @@ PAIRING_SCALE = 1.0
 
 @dataclass(frozen=True)
 class TensorAtPoint:
-    """A bivector evaluated at a point, as a matrix over coordinate
+    """A bivector evaluated at points (...), as matrices over coordinate
     differentials."""
 
-    point: np.ndarray  # y coordinates
-    matrix: np.ndarray  # (n^2, n^2) real
+    point: np.ndarray  # (..., n^2) y coordinates
+    matrix: np.ndarray  # (..., n^2, n^2) real
     kind: str  # "lambda" or "R"
-    _rank: int
+    _rank: np.ndarray  # (...)
 
-    def rank(self) -> int:
-        """dim D_lambda or dim D_R at the point."""
+    def rank(self) -> np.ndarray:
+        """dim D_lambda or dim D_R at each point."""
         return self._rank
 
 
@@ -64,21 +65,16 @@ class DistributionReport:
     def dims(self):
         return (self.dim_lambda, self.dim_r, self.dim_0, self.dim_1)
 
-    def basis_operators(self, basis: OrthogonalBasis, which: str):
-        """The chosen subspace basis as Hermitian matrices."""
-        cols = getattr(self, f"basis_{which}")
-        return [from_dual(cols[:, k], basis) for k in range(cols.shape[1])]
-
 
 def _tensor_at(y: np.ndarray, basis: OrthogonalBasis, kind: str):
-    """Lambda or R at y, with dim D_lambda or dim D_R as its rank."""
+    """Lambda or R at points y (..., n^2), with dim D_lambda or D_R as rank."""
     y = np.asarray(y, dtype=float)
     xi = from_dual(y, basis)
     # Tr(xi b_nu b_mu) = conj(Tr(xi b_mu b_nu)): Lambda is Im, R is Re.
     p = triple_traces(xi, basis.elements)
     r = kind == "R"
-    mask = eigenpair_masks(np.linalg.eigh(xi)[0])[r]
-    return TensorAtPoint(y, p.real if r else p.imag, kind, int(mask.sum()))
+    mask = eigenpair_masks(np.linalg.eigvalsh(xi))[r]
+    return TensorAtPoint(y, p.real if r else p.imag, kind, mask.sum(axis=-1))
 
 
 def lambda_at(y: np.ndarray, basis: OrthogonalBasis) -> TensorAtPoint:
@@ -122,7 +118,7 @@ def distributions_at(y: np.ndarray,
     |w_i - w_j| and |w_i + w_j|, above TOL_RANK * max|w| times the larger
     factor, |w_i| + |w_j|, with w read through basis.exact_scale.
     """
-    y = np.asarray(y, dtype=float)
+    y = real_array(y, (basis.size,), "coordinates")  # one point
     w, v = np.linalg.eigh(from_dual(y, basis))
     m = v.conj().T @ basis.elements @ v  # M[mu] = V^dagger b_mu V
     i, j = pair_indices(basis.dim)

@@ -93,7 +93,7 @@ def operator_from_dict(d: dict) -> np.ndarray:
 # -- Dual vectors -------------------------------------------------------
 
 def dual_from_dict(d: dict):
-    """(n, y); from_dual judges the length and the values of y."""
+    """(n, y); cmd_tensors judges y as one point of n^2 finite coordinates."""
     return _dim(d), _reals(d, "y", None)
 
 
@@ -119,7 +119,7 @@ def tensor_to_dict(t: TensorAtPoint) -> dict:
         "y": t.point.tolist(),
         "kind": t.kind,
         "matrix": t.matrix.tolist(),
-        "rank": t.rank(),
+        "rank": int(t.rank()),
     }
 
 

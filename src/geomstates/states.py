@@ -1,7 +1,12 @@
 """The convex body of density states: positivity certification, rank
 strata and pure states, GL actions on the cone and on normalized states,
 faces, convex decompositions, the qutrit Bloch-vector algebra, and the
-tangency check for curves inside a stratum."""
+tangency check for curves inside a stratum.
+
+A DensityState is the certified record at any leading shape: certify_densities
+gives it for a stack, certify_density for one matrix, PureDensity at rank 1.
+weyl_reduce, orbit_dimension, face_dimension, qubit_bloch_vector and to_dual
+take stacks; face_of and the decompositions take one state."""
 
 from __future__ import annotations
 
@@ -15,6 +20,7 @@ from .basis import (
     check_hermitian,
     eigenpair_masks,
     exact_scale,
+    finite_spectrum,
     gellmann_basis,
     numerical_rank,
     real_array,
@@ -50,19 +56,40 @@ class Rejection:
 
 @dataclass(frozen=True)
 class DensityState:
-    """A certified trace-one positive semidefinite operator."""
+    """The certified record of a stack (..., n, n), at its leading shape."""
 
-    op: np.ndarray
-    rank: int
-    spectrum: np.ndarray  # descending
-    eigvecs: np.ndarray  # (n, n), column k belongs to spectrum[k]
+    op: np.ndarray  # (..., n, n)
+    rank: np.ndarray  # (...) int, 0 exactly where rejected
+    spectrum: np.ndarray  # (..., n) descending
+    eigvecs: np.ndarray | None  # (..., n, n), column k for spectrum[..., k]
+    code: np.ndarray  # (...) int8: 0 certified, 1 trace, 2 negative eigenvalue
+    trace: np.ndarray  # (...) real part of the trace
 
     @property
     def dim(self) -> int:
-        return self.op.shape[0]
+        return self.op.shape[-1]
 
-    def __bool__(self):
-        return True
+    @property
+    def violated(self) -> np.ndarray:
+        """(...) str: "" if certified, else the failed test."""
+        return _VIOLATIONS[self.code]
+
+    @property
+    def accepted(self) -> np.ndarray:
+        return self.code == 0
+
+    @property
+    def face_dimension(self) -> np.ndarray:
+        """(...) rank^2 - 1: the face dimension, -1 (empty) where rejected."""
+        return self.rank * self.rank - 1
+
+    def __iter__(self):
+        """The members along the first axis, not certified again."""
+        for k in range(len(self.rank)):
+            member = object.__new__(type(self))
+            DensityState.__init__(member, *(None if f is None else f[k]
+                                            for f in vars(self).values()))
+            yield member
 
 
 _MINOR_CONDITIONS = ("a >= 0", "b >= 0", "c >= 0", "|f|^2 <= bc",
@@ -89,44 +116,22 @@ def _qutrit_minor_conditions(a: np.ndarray, tol: float) -> np.ndarray:
         ], axis=-1)
 
 
-# The failed test for each Certification.code
+# The failed test for each DensityState.code
 _VIOLATIONS = np.array(["", "trace", "negative eigenvalue"])
 
 
-@dataclass(frozen=True)
-class Certification:
-    """Per-matrix results of certify_densities over a stack (..., n, n);
-    (...) may be (), one matrix, and then each field has no leading axes."""
-
-    code: np.ndarray  # (...) int8: 0 certified, 1 trace, 2 negative eigenvalue
-    rank: np.ndarray  # (...) int, 0 exactly where rejected
-    spectrum: np.ndarray  # (..., n) descending
-    # (..., n, n), column k belongs to spectrum[..., k]; None if vectors=False
-    eigvecs: np.ndarray | None
-    trace: np.ndarray  # (...) real part of the trace
-
-    @property
-    def violated(self) -> np.ndarray:
-        """(...) str: "" if certified, else the failed test."""
-        return _VIOLATIONS[self.code]
-
-    @property
-    def accepted(self) -> np.ndarray:
-        return self.code == 0
-
-
 def certify_densities(stack: np.ndarray, tol_psd: float = TOL_PSD,
-                      vectors: bool = True) -> Certification:
-    """Certify every matrix of a stack (..., n, n) as a density state; (...)
-    may be (), one matrix, which is how certify_density calls it.
+                      vectors: bool = True) -> DensityState:
+    """Certify every matrix of a stack (..., n, n) as a density state, in
+    one DensityState; (...) may be (), as certify_density calls it.
 
     A matrix is accepted iff Tr = 1 (within 1e-10) and its spectrum is
     >= -tol_psd; otherwise violated names the first failed test, "trace" or
     "negative eigenvalue".  Raises ValueError unless tol_psd is finite and
-    >= 0, and HermiticityError if any matrix is not Hermitian.  For n=3 the
-    explicit principal-minor inequalities are evaluated as a cross-check; a
-    disagreement with the spectral criterion raises ArithmeticError, since
-    the two are mathematically equivalent.
+    >= 0, HermiticityError for a matrix not Hermitian and OverflowError for
+    an eigenvalue beyond the float range.  For n=3 the principal-minor
+    inequalities are a cross-check; a disagreement with the spectral
+    criterion raises ArithmeticError, since the two are equivalent.
 
     An accepted matrix has Tr = 1, so a positive largest eigenvalue and a
     rank >= 1: accepted is rank > 0.  With vectors=False the spectrum comes
@@ -138,9 +143,9 @@ def certify_densities(stack: np.ndarray, tol_psd: float = TOL_PSD,
     tr = a.trace(axis1=-2, axis2=-1).real
     if vectors:
         w, v = np.linalg.eigh(a)
-        w, v = w[..., ::-1], v[..., ::-1]
+        w, v = finite_spectrum(w)[..., ::-1], v[..., ::-1]
     else:
-        w, v = np.linalg.eigvalsh(a)[..., ::-1], None
+        w, v = finite_spectrum(np.linalg.eigvalsh(a))[..., ::-1], None
     trace_ok = abs(tr - 1.0) <= 1e-10
     psd = w[..., -1] >= -tol_psd
     if a.shape[-1] == 3:
@@ -163,25 +168,33 @@ def certify_densities(stack: np.ndarray, tol_psd: float = TOL_PSD,
                 )
     accepted = trace_ok & psd
     code = (np.int8(1) + trace_ok) * ~accepted  # 1 + trace_ok if rejected
-    return Certification(code, numerical_rank(w) * accepted, w, v, tr)
+    return DensityState(a, numerical_rank(w) * accepted, w, v, code, tr)
+
+
+def _rejection(rho: DensityState, i=()):
+    """The Rejection of member i: its failed test, else "rank" unless it is
+    of rank 1 (a pure state); None for a pure state."""
+    if rho.code[i] == 1:
+        return Rejection("trace", f"Tr = {float(rho.trace[i])!r}, expected 1")
+    if rho.code[i]:
+        return Rejection("negative eigenvalue",
+                         f"min eigenvalue = {float(rho.spectrum[i][-1])!r}")
+    if rho.rank[i] != 1:
+        return Rejection("rank", f"rank {rho.rank[i]}, expected 1")
+    return None
 
 
 def certify_density(a: np.ndarray, tol_psd: float = TOL_PSD):
     """Certify one Hermitian matrix as a density state: certify_densities
     at shape (n, n).
 
-    Returns a DensityState on acceptance, a Rejection otherwise.
+    Returns the DensityState on acceptance, a Rejection otherwise.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
-    cert = certify_densities(a, tol_psd)
-    if not cert.code:
-        return DensityState(a, int(cert.rank), cert.spectrum, cert.eigvecs)
-    if cert.code == 1:
-        return Rejection("trace", f"Tr = {float(cert.trace)!r}, expected 1")
-    return Rejection(str(cert.violated),
-                     f"min eigenvalue = {float(cert.spectrum[-1])!r}")
+    rho = certify_densities(a, tol_psd)
+    return _rejection(rho) if rho.code else rho
 
 
 def require_density(a: np.ndarray) -> DensityState:
@@ -191,25 +204,19 @@ def require_density(a: np.ndarray) -> DensityState:
     return out
 
 
-def _certify_pure(a: np.ndarray):
-    """certify_density(a) if it is of rank 1, else a Rejection: its own, or
-    violated "rank"."""
-    rho = certify_density(a)
-    return (rho if not rho or rho.rank == 1
-            else Rejection("rank", f"rank {rho.rank}, expected 1"))
-
-
 class PureDensity(DensityState):
-    """A pure state: the DensityState that certify_density finds of rank 1,
-    with its fields; for any other matrix, NotExtremalError names the failed
-    test or the rank."""
+    """Pure states: a DensityState of rank 1 throughout, from a certified
+    record or from operators (..., n, n) certified in one call; otherwise
+    NotExtremalError names the first impure member's failed test or rank."""
 
-    def __init__(self, op: np.ndarray):
-        rho = _certify_pure(op)
-        if not rho:
-            what = {"trace": "trace must be 1"}.get(rho.violated, rho.violated)
-            raise NotExtremalError(f"not a pure state: {what} ({rho.detail})")
-        super().__init__(rho.op, rho.rank, rho.spectrum, rho.eigvecs)
+    def __init__(self, op):
+        rho = op if isinstance(op, DensityState) else certify_densities(op)
+        impure = rho.rank != 1
+        if impure.any():
+            why = _rejection(rho, tuple(np.argwhere(impure)[0]))
+            what = {"trace": "trace must be 1"}.get(why.violated, why.violated)
+            raise NotExtremalError(f"not a pure state: {what} ({why.detail})")
+        super().__init__(**vars(rho))
 
 
 def gl_act_cone(t: np.ndarray, xi: np.ndarray) -> np.ndarray:
@@ -259,8 +266,7 @@ class FaceDescriptor:
 
 
 def face_of(rho: DensityState) -> FaceDescriptor:
-    k = rho.rank
-    return FaceDescriptor(rho, rho.eigvecs[:, :k], k * k - 1)
+    return FaceDescriptor(rho, rho.eigvecs[:, :rho.rank], rho.face_dimension)
 
 
 def face_contains(face: FaceDescriptor, candidate: DensityState,
@@ -298,9 +304,9 @@ class ConvexDecomposition:
 
 def convex_decompose_spectral(rho: DensityState) -> ConvexDecomposition:
     """Eigen-decomposition of a state into orthogonal pure components."""
-    comps = tuple(PureDensity(np.outer(v, v.conj()))
-                  for v in rho.eigvecs.T[:rho.rank])
-    return ConvexDecomposition(rho.spectrum[:rho.rank], comps)
+    v = rho.eigvecs.T[:rho.rank]
+    comps = PureDensity(v[:, :, None] * v.conj()[:, None, :])
+    return ConvexDecomposition(rho.spectrum[:rho.rank], tuple(comps))
 
 
 def qubit_from_bloch(y1, y2, y3) -> np.ndarray:
@@ -321,10 +327,10 @@ def qubit_from_bloch(y1, y2, y3) -> np.ndarray:
 
 
 def qubit_bloch_vector(rho: DensityState) -> np.ndarray:
-    """Ball coordinates (y1, y2, y3) of a qubit state."""
+    """Ball coordinates (..., 3), (y1, y2, y3), of qubit states (...)."""
     if rho.dim != 2:
         raise DimensionError("Bloch coordinates need a 2-level state")
-    return to_dual(rho, gellmann_basis(2))[1:]
+    return to_dual(rho, gellmann_basis(2))[..., 1:]
 
 
 def bloch_decompose_along(rho: DensityState,
@@ -349,16 +355,13 @@ def bloch_decompose_along(rho: DensityState,
     root = np.sqrt(max(disc, 0.0))
     t_plus = -vd + root
     t_minus = -vd - root
-
-    def pure_at(t):
-        return PureDensity(qubit_from_bloch(*(v + t * d)))
-
     if t_plus - t_minus < 1e-10:
-        return ConvexDecomposition(np.array([1.0]), (pure_at(t_plus),))
-    p = -t_minus / (t_plus - t_minus)
-    return ConvexDecomposition(
-        np.array([p, 1.0 - p]), (pure_at(t_plus), pure_at(t_minus))
-    )
+        weights, t = np.array([1.0]), np.array([t_plus])
+    else:
+        p = -t_minus / (t_plus - t_minus)
+        weights, t = np.array([p, 1.0 - p]), np.array([t_plus, t_minus])
+    ends = qubit_from_bloch(*(v + t[:, None] * d).T)
+    return ConvexDecomposition(weights, tuple(PureDensity(ends)))
 
 
 def qutrit_star(a, b) -> np.ndarray:
@@ -391,27 +394,25 @@ def qutrit_pure_from_bloch(n_vec):
     if err > 1e-8:
         return Rejection("idempotency", f"max |n*n - n| = {float(err)!r}")
     traceless = np.einsum("a,aij->ij", n_vec, gellmann_basis(3).elements[1:])
-    op = (np.eye(3) + np.sqrt(3.0) * traceless) / 3.0
-    try:
-        return PureDensity(op)
-    except NotExtremalError:
-        return _certify_pure(op)
+    rho = certify_density((np.eye(3) + np.sqrt(3.0) * traceless) / 3.0)
+    why = _rejection(rho) if rho else rho
+    return PureDensity(rho) if why is None else why
 
 
 def weyl_reduce(rho: DensityState) -> np.ndarray:
-    """Sorted (descending) spectrum: the unitary-orbit label of the state.
+    """Sorted (descending) spectra (..., n): the unitary-orbit labels.
 
     Eigenvalues within tolerance below zero are clipped to zero.
     """
     return np.maximum(rho.spectrum, 0.0)
 
 
-def orbit_dimension(rho: DensityState) -> int:
-    """Dimension of the unitary (coadjoint) orbit through the state, the
-    rank of the Poisson distribution there: n^2 - sum_k m_k^2 for
-    eigenvalue multiplicities m_k, counted as the directions that
+def orbit_dimension(rho: DensityState) -> np.ndarray:
+    """Dimensions (...) of the unitary (coadjoint) orbits through the
+    states, the rank of the Poisson distribution there: n^2 - sum_k m_k^2
+    for eigenvalue multiplicities m_k, counted as the directions that
     basis.eigenpair_masks puts in D_lambda."""
-    return int(np.count_nonzero(eigenpair_masks(rho.spectrum)[0]))
+    return np.count_nonzero(eigenpair_masks(rho.spectrum)[0], axis=-1)
 
 
 @dataclass(frozen=True)

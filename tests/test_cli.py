@@ -124,12 +124,12 @@ def test_classify_prints_the_report_of_the_public_helpers(capsys, n):
         assert isinstance(rho, DensityState), kind
         want = serialize.dumps({
             "density": True,
-            "rank": rho.rank,
+            "rank": int(rho.rank),
             "spectrum": rho.spectrum.tolist(),
             "y": to_dual(rho.op, gellmann_basis(n)).tolist(),
             "weyl": weyl_reduce(rho).tolist(),
-            "orbit_dim": orbit_dimension(rho),
-            "face_dim": face_of(rho).dimension,
+            "orbit_dim": int(orbit_dimension(rho)),
+            "face_dim": int(face_of(rho).dimension),
         }) + "\n"
         assert run(capsys, "classify", "--json", op_json(a)) == (0, want), kind
 
@@ -806,12 +806,12 @@ def test_classify_coordinates_beyond_float_range_is_numeric_failure(capsys):
 
 
 @pytest.mark.parametrize("n, entry, words", [
-    (3, 1e308, "coordinates overflow"), (4, 7e307, "spectrum overflow")])
+    (3, 1e308, "spectrum overflow"), (4, 7e307, "spectrum overflow")])
 def test_classify_accepted_spectrum_beyond_float_range_is_numeric_failure(
         capsys, n, entry, words):
     # At --tol 1.7e308, trace one and a top eigenvalue that eigh returns as
-    # inf: certification accepts it (with rank 0), and y or the spectrum is
-    # refused after it, never a rejection with no failed test
+    # inf: certification refuses the spectrum, where it once accepted the
+    # matrix with rank 0, never a rejection with no failed test
     a = np.full((n, n), entry)
     np.fill_diagonal(a, 1.0 / n)
     code = cli.main(["classify", "--tol", "1.7e308", "--json", op_json(a)])

@@ -228,7 +228,7 @@ def test_distribution_dimension_inequalities(rng):
 
 def test_distribution_basis_operators_are_hermitian(rng):
     rep = distributions_at(rng.normal(size=4), B2)
-    for op in rep.basis_operators(B2, "1"):
+    for op in from_dual(rep.basis_1.T, B2):
         assert np.abs(op - op.conj().T).max() < 1e-12
 
 

@@ -1,5 +1,6 @@
 import ast
 import warnings
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +25,14 @@ from geomstates import (
     gellmann_basis,
     gl_act_cone,
     gl_act_states,
+    lambda_at,
     orbit_dimension,
     qubit_bloch_vector,
     qubit_from_bloch,
     qutrit_pure_from_bloch,
     qutrit_star,
     require_density,
+    riemann_jordan_at,
     spectral_oracle,
     tangency_check,
     to_dual,
@@ -303,6 +306,61 @@ def test_certify_densities_of_an_empty_stack(n, vectors):
 def test_certify_density_rejects_stack():
     with pytest.raises(DimensionError):
         certify_density(np.stack([np.eye(2) / 2] * 2))
+
+
+def test_certify_spectrum_beyond_float_range_is_overflow():
+    # Trace one, and a top eigenvalue that LAPACK returns as inf: at tol_psd
+    # 1.7e308 this was once accepted, with rank 0 and spectrum
+    # (inf, -1e308, -1e308), alone and in a stack.
+    a = np.full((3, 3), 1e308)
+    np.fill_diagonal(a, 1.0 / 3.0)
+    stack = np.stack([np.eye(3) / 3, a])
+    for call in (lambda: certify_density(a, tol_psd=1.7e308),
+                 lambda: certify_densities(stack, tol_psd=1.7e308),
+                 lambda: certify_densities(stack, 1.7e308, vectors=False)):
+        with pytest.raises(OverflowError, match="^spectrum overflow: "):
+            call()
+
+
+_KINDS = ["valid", "degenerate", "trace", "negative"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 12), shape=st.sampled_from([(), (3,), (2, 2), (0,)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_helpers_on_a_stack_are_the_helpers_on_each_member(n, shape, seed):
+    rng = np.random.default_rng(seed)
+    stack = np.array([
+        _sample_matrix(rng, n, rng.choice(_KINDS), rng.integers(1, n + 1))
+        for _ in range(int(np.prod(shape)))]).reshape(shape + (n, n))
+    basis = gellmann_basis(n)
+    rho = certify_densities(stack)
+    y = to_dual(rho, basis)
+    assert np.array_equal(to_dual(stack, basis), y)
+    helpers = [attrgetter(field) for field in (
+        "op", "rank", "spectrum", "eigvecs", "code", "violated", "trace",
+        "face_dimension")] + [weyl_reduce, orbit_dimension,
+                              lambda r: to_dual(r, basis)]
+    if n == 2:
+        helpers.append(qubit_bloch_vector)
+    on_stack = [f(rho) for f in helpers]
+    xi = from_dual(y, basis)
+    ranks = lambda_at(y, basis).rank(), riemann_jordan_at(y, basis).rank()
+    for i in np.ndindex(shape):
+        one = certify_densities(stack[i])
+        for f, got in zip(helpers, on_stack):
+            assert np.array_equal(np.asarray(got)[i], f(one))
+        assert np.array_equal(xi[i], from_dual(y[i], basis))
+        assert ranks[0][i] == lambda_at(y[i], basis).rank()
+        assert ranks[1][i] == riemann_jordan_at(y[i], basis).rank()
+        assert certify_density(stack[i]).violated == one.violated
+    if shape:  # the members along the first axis, records of their own
+        members = list(rho)
+        assert len(members) == shape[0]
+        for k, member in enumerate(members):
+            assert type(member) is DensityState
+            assert np.array_equal(member.eigvecs, rho.eigvecs[k])
+            assert np.array_equal(member.code, rho.code[k])
 
 
 def test_qubit_from_bloch_broadcasts():
@@ -590,6 +648,21 @@ def test_bloch_decompose_invalid_inputs(rng):
         bloch_decompose_along(require_density(np.eye(3) / 3), [1, 0, 0])
 
 
+@pytest.mark.parametrize("decompose, op", [
+    (convex_decompose_spectral, np.diag([0.5, 0.3, 0.2])),
+    (lambda rho: bloch_decompose_along(rho, [0.0, 0.0, 1.0]),
+     np.diag([0.75, 0.25]))])
+def test_decompositions_certify_their_components_in_one_stack(
+        monkeypatch, decompose, op):
+    rho, calls = require_density(op), []
+    certify = states.certify_densities
+    monkeypatch.setattr(states, "certify_densities", lambda a, *tol: (
+        calls.append(a.shape) or certify(a, *tol)))
+    dec = decompose(rho)
+    assert len(dec.components) == len(op)
+    assert calls == [(len(dec.components),) + op.shape]
+
+
 # -- pure states: the certified states of rank one -------------------------
 
 def _pure_verdict(op):
@@ -642,10 +715,23 @@ def test_pure_density_accepts_what_certification_finds_rank_one():
     assert np.array_equal(PureDensity(op).op, op)
 
 
-def test_pure_density_refuses_a_stack():
-    p = np.diag([1.0, 0.0])
+def test_pure_density_of_a_stack():
+    # One certify_densities call: each member is the PureDensity of its
+    # matrix, bit for bit; the first member not of rank one is named, and
+    # what is not a matrix is refused.
+    ops = np.stack([np.diag([1.0, 0.0]), np.full((2, 2), 0.5)])
+    pure = PureDensity(ops)
+    assert pure.rank.tolist() == [1, 1]
+    for got, op in zip(pure, ops):
+        want = PureDensity(op)
+        assert type(got) is PureDensity
+        for field in ("op", "rank", "spectrum", "eigvecs", "code", "trace"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+    with pytest.raises(NotExtremalError, match=r"^not a pure state: rank "
+                       r"\(rank 2, expected 1\)$"):
+        PureDensity(np.stack([ops[0], np.eye(2) / 2]))
     with pytest.raises(DimensionError, match="expected a square matrix"):
-        PureDensity(np.stack([p, p]))
+        PureDensity(np.array([1.0, 0.0]))
 
 
 @pytest.mark.parametrize("op, message", [
