@@ -255,14 +255,17 @@ def numerical_rank(values: np.ndarray) -> np.ndarray:
     return (values > TOL_RANK * values[..., :1]).sum(axis=-1)
 
 
+def finite(x, what: str, why: str):
+    """x if each entry is finite; else OverflowError("<what> overflow: <why>"),
+    the one refusal of a result that numpy or LAPACK gives as inf or NaN."""
+    if not np.isfinite(x).all():
+        raise OverflowError(f"{what} overflow: {why}")
+    return x
+
+
 def finite_spectrum(w: np.ndarray) -> np.ndarray:
-    """w, the eigenvalues from eigh or eigvalsh, if all are finite; else
-    OverflowError.  A finite operator whose spectrum is beyond the float
-    range gets inf from LAPACK, with no floating-point error to trap."""
-    if not np.isfinite(w).all():
-        raise OverflowError("spectrum overflow: an eigenvalue is beyond the "
-                            "float range")
-    return w
+    """finite of eigenvalues from eigh or eigvalsh, which may be inf."""
+    return finite(w, "spectrum", "an eigenvalue is beyond the float range")
 
 
 def eigenpair_masks(w: np.ndarray):
@@ -301,36 +304,22 @@ def structure_constants(basis: OrthogonalBasis) -> StructureConstants:
 
 def to_dual(a, basis: OrthogonalBasis) -> np.ndarray:
     """Coordinates y[..., mu] = Tr(b_mu A) / 2 of Hermitian A (..., n, n),
-    or of a certified states.DensityState's op, judged by its shape alone.
-
-    Raises OverflowError if a coordinate overflows, which numpy's einsum
-    does silently, with no floating-point error to trap.
-    """
+    or of a certified states.DensityState's op, judged by its shape alone."""
     n, op = basis.dim, getattr(a, "op", a)
     if np.shape(op)[-2:] != (n, n):
         raise DimensionError(
             f"expected an operator of shape ({n}, {n}), got {np.shape(op)}")
     if op is a:
         op = check_hermitian(a)
-    y = np.einsum("aij,...ji->...a", basis.elements, op).real / 2.0
-    if not np.isfinite(y).all():
-        raise OverflowError("coordinates overflow: a Tr(b_mu A) / 2 is "
-                            "beyond the float range")
-    return y
+    return finite(np.einsum("aij,...ji->...a", basis.elements, op).real / 2.0,
+                  "coordinates", "a Tr(b_mu A) / 2 is beyond the float range")
 
 
 def from_dual(y: np.ndarray, basis: OrthogonalBasis) -> np.ndarray:
-    """Hermitian matrices (..., n, n) sum_mu y[..., mu] b_mu of y (..., n^2).
-
-    Raises OverflowError if an entry of the sum overflows, which numpy's
-    einsum does silently, with no floating-point error to trap.
-    """
+    """Hermitian sum_mu y[..., mu] b_mu (..., n, n) of y (..., n^2)."""
     y = real_array(y, np.shape(y)[:-1] + (basis.size,), "coordinates")
-    a = np.einsum("...a,aij->...ij", y, basis.elements)
-    if not np.isfinite(a).all():
-        raise OverflowError("coordinates overflow: sum_mu y[mu] b_mu has a "
-                            "non-finite entry")
-    return a
+    return finite(np.einsum("...a,aij->...ij", y, basis.elements),
+                  "coordinates", "sum_mu y[mu] b_mu has a non-finite entry")
 
 
 def spectral_oracle(a: np.ndarray):

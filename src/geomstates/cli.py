@@ -35,7 +35,6 @@ from .states import (
     certify_density,
     bloch_decompose_along,
     convex_decompose_spectral,
-    face_of,
     orbit_dimension,
     qubit_from_bloch,
     weyl_reduce,
@@ -136,7 +135,7 @@ def cmd_classify(args) -> str:
             "y": to_dual(result, basis).tolist(),
             "weyl": weyl_reduce(result).tolist(),
             "orbit_dim": int(orbit_dimension(result)),
-            "face_dim": int(face_of(result).dimension),
+            "face_dim": int(result.face_dimension),
         }
     return serialize.dumps(report)
 

@@ -18,6 +18,7 @@ from .basis import (
     check_hermitian,
     eigenpair_masks,
     exact_scale,
+    finite,
     from_dual,
     pair_indices,
     real_array,
@@ -71,10 +72,13 @@ def _tensor_at(y: np.ndarray, basis: OrthogonalBasis, kind: str):
     y = np.asarray(y, dtype=float)
     xi = from_dual(y, basis)
     # Tr(xi b_nu b_mu) = conj(Tr(xi b_mu b_nu)): Lambda is Im, R is Re.
-    p = triple_traces(xi, basis.elements)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = triple_traces(xi, basis.elements)
     r = kind == "R"
     mask = eigenpair_masks(np.linalg.eigvalsh(xi))[r]
-    return TensorAtPoint(y, p.real if r else p.imag, kind, mask.sum(axis=-1))
+    matrix = finite(p.real if r else p.imag, "tensor",
+                    "a Tr(xi b_mu b_nu) is beyond the float range")
+    return TensorAtPoint(y, matrix, kind, mask.sum(axis=-1))
 
 
 def lambda_at(y: np.ndarray, basis: OrthogonalBasis) -> TensorAtPoint:

@@ -24,6 +24,7 @@ from .basis import (
     DimensionError,
     check_hermitian,
     exact_scale,
+    finite,
     finite_spectrum,
     real_array,
 )
@@ -78,7 +79,9 @@ class RealifiedState:
     def norm(self) -> float:
         """|psi|; OverflowError when it is beyond the float range."""
         x, k = self._scaled()
-        return math.ldexp(math.sqrt(x.dot(x)), k)
+        with np.errstate(over="ignore"):
+            norm = np.ldexp(math.sqrt(x.dot(x)), k)
+        return float(finite(norm, "norm", "|psi| is beyond the float range"))
 
     def unit(self) -> np.ndarray:
         """psi / |psi| as one real array (q, p), the same for psi * 2**e."""
@@ -149,7 +152,9 @@ def quadratic_function(a: np.ndarray, psi: RealifiedState) -> float:
     """f_A(psi) = <psi, A psi> / 2 (real for Hermitian A)."""
     a = check_hermitian(a, psi.dim)
     z = psi.to_complex()
-    return float((z.conj() @ (a @ z)).real) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = (z.conj() @ (a @ z)).real / 2.0
+    return float(finite(f, "f_A", "<psi, A psi> is beyond the float range"))
 
 
 def star_product(a: np.ndarray, b: np.ndarray, psi: RealifiedState) -> complex:
@@ -157,7 +162,10 @@ def star_product(a: np.ndarray, b: np.ndarray, psi: RealifiedState) -> complex:
     and g, w are Re, Im <.,.>.  Equals <psi, AB psi>."""
     z = psi.to_complex()
     a, b = check_hermitian(a, psi.dim), check_hermitian(b, psi.dim)
-    return complex(np.vdot(a @ z, b @ z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.vdot(a @ z, b @ z)
+    return complex(finite(s, "star product",
+                          "<A psi, B psi> is beyond the float range"))
 
 
 def bracket_g(a: np.ndarray, b: np.ndarray, psi: RealifiedState) -> float:
@@ -190,8 +198,8 @@ def flow_hamiltonian(a: np.ndarray, psi0: RealifiedState, t_final: float,
     z(t) = V diag(exp(itw)) V^dagger z0, so step (default 1e-3) only sets
     the sampling grid of n_steps = max(1, round(t_final / step)) equal
     intervals.  A grid of more than MAX_FLOW_SAMPLES samples is refused
-    before anything is allocated, and a spectrum of A beyond the float
-    range by basis.finite_spectrum, with OverflowError.
+    before anything is allocated, and a spectrum of A or an angle t w
+    beyond the float range by basis.finite, with OverflowError.
 
     The phases come by angle addition, exp(i(t_s + t_j)w) =
     exp(i t_s w) exp(i t_j w), with t_s a slice start and t_j one of the
@@ -200,11 +208,6 @@ def flow_hamiltonian(a: np.ndarray, psi0: RealifiedState, t_final: float,
     FLOW_SLICE samples is the direct exp(i t w) bit for bit; the later
     slices differ from it in their last bits, by about 2 eps * max|t w| at
     most.
-
-    An angle t w beyond the float range raises under np.errstate(over=
-    "raise") and otherwise warns "overflow encountered in multiply"; after
-    that warning the samples past the overflow carry no meaning, though
-    they may be finite.
 
     Returns (times, z): times of shape (T+1,) and the complex samples z of
     shape (T+1, n), endpoints included.
@@ -220,10 +223,8 @@ def flow_hamiltonian(a: np.ndarray, psi0: RealifiedState, t_final: float,
     n_steps = max(1, int(round(t_final / step)))
     times = np.arange(n_steps + 1) * (t_final / n_steps)
     w, v = np.linalg.eigh(a)
-    finite_spectrum(w)
-    # Neither the table nor a slice start forms the largest angle t w: formed
-    # here, an angle beyond the float range warns, or raises under errstate.
-    times[-1] * w
+    finite(float(times[-1]) * float(abs(finite_spectrum(w)).max()), "phase",
+           "an angle t w is beyond the float range")
     table = np.exp(1j * np.outer(times[:FLOW_SLICE], w))
     heads = (np.exp(1j * np.outer(times[::FLOW_SLICE], w))
              * (v.conj().T @ psi0.to_complex()))
@@ -248,7 +249,9 @@ def expectation_trace_samples(a: np.ndarray, psi0: RealifiedState,
     zc = z.conj()
     n2 = np.einsum("ti,ti->t", zc, z).real
     e = np.einsum("ti,ti->t", zc, z @ np.asarray(a).T).real / n2
-    norms = np.ldexp(np.sqrt(n2), k)
+    with np.errstate(over="ignore"):
+        norms = np.ldexp(np.sqrt(n2), k)
+    finite(norms, "norm", "|psi| is beyond the float range")
     return (np.column_stack([times, e, norms]),
             float(np.abs(norms - norms[0]).max()), float(np.abs(e - e[0]).max()))
 
@@ -278,8 +281,7 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
     [[Re A, -Im A], [Im A, Re A]] and Re<u, v> of complex vectors is the real
     dot product of the realified ones.
     The first step is the fixed step (default 0.1 / ||A||, with ||A|| the
-    largest |eigenvalue| from eigvalsh, which basis.finite_spectrum refuses
-    with OverflowError beyond the float range); after it, the
+    largest |eigenvalue| from eigvalsh); after it, the
     Barzilai-Borwein step <s, s> / |<s, r_k - r_(k-1)>| with
     s = x_k - x_(k-1) and the residual
     r = A x - e x, keeping the previous step when the denominator is 0,
@@ -314,11 +316,9 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
         step = default_step
     elif not (math.isfinite(step) and step > 0):
         raise ValueError("step must be finite and > 0")
-    else:
-        try:
-            step = math.ldexp(step, k)
-        except OverflowError:  # step * ||A|| is beyond the float range
-            step = math.inf
+    else:  # inf where step * ||A|| is beyond the float range
+        with np.errstate(over="ignore"):
+            step = float(np.ldexp(step, k))
     tol = 1e-9 * max(norm_a, 1e-300)
     sign = 1.0 if mode == "ascent" else -1.0
 

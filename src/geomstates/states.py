@@ -6,7 +6,7 @@ tangency check for curves inside a stratum.
 A DensityState is the certified record at any leading shape: certify_densities
 gives it for a stack, certify_density for one matrix, PureDensity at rank 1.
 weyl_reduce, orbit_dimension, face_dimension, qubit_bloch_vector and to_dual
-take stacks; face_of and the decompositions take one state."""
+take stacks; face_of and the decompositions take one state, not a stack."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from .basis import (
     check_hermitian,
     eigenpair_masks,
     exact_scale,
+    finite,
     finite_spectrum,
     gellmann_basis,
     numerical_rank,
@@ -265,8 +266,16 @@ class FaceDescriptor:
         return self.image_basis @ self.image_basis.conj().T
 
 
+def _one(rho: DensityState) -> DensityState:
+    """rho if it is one state; DimensionError for a stacked record."""
+    if np.ndim(rho.rank):
+        raise DimensionError(f"expected one state, got shape {rho.rank.shape}")
+    return rho
+
+
 def face_of(rho: DensityState) -> FaceDescriptor:
-    return FaceDescriptor(rho, rho.eigvecs[:, :rho.rank], rho.face_dimension)
+    return FaceDescriptor(rho, _one(rho).eigvecs[:, :rho.rank],
+                          rho.face_dimension)
 
 
 def face_contains(face: FaceDescriptor, candidate: DensityState,
@@ -304,7 +313,7 @@ class ConvexDecomposition:
 
 def convex_decompose_spectral(rho: DensityState) -> ConvexDecomposition:
     """Eigen-decomposition of a state into orthogonal pure components."""
-    v = rho.eigvecs.T[:rho.rank]
+    v = _one(rho).eigvecs.T[:rho.rank]
     comps = PureDensity(v[:, :, None] * v.conj()[:, None, :])
     return ConvexDecomposition(rho.spectrum[:rho.rank], tuple(comps))
 
@@ -343,7 +352,7 @@ def bloch_decompose_along(rho: DensityState,
     state, tangent direction) collapses to a single term.  d is scaled by
     basis.exact_scale before it is normalized, so d * 2**e gives the same line.
     """
-    v = qubit_bloch_vector(rho)
+    v = qubit_bloch_vector(_one(rho))
     d = exact_scale(real_array(direction, (3,), "direction"))[0]
     if not d.any():
         raise ValueError("direction must be nonzero")
@@ -366,15 +375,13 @@ def bloch_decompose_along(rho: DensityState,
 
 def qutrit_star(a, b) -> np.ndarray:
     """The symmetric product on 8-vectors: (a * b)_l = sqrt(3) d_ljk a_j b_k;
-    OverflowError if an entry overflows, which einsum does silently."""
+    an entry beyond the float range is refused by basis.finite."""
     a, b = real_array(a, (8,), "a"), real_array(b, (8,), "b")
     d8 = structure_constants(gellmann_basis(3)).d_traceless
     with np.errstate(over="ignore"):  # the scaling can overflow too
         out = np.sqrt(3.0) * np.einsum("ljk,j,k->l", d8, a, b)
-    if not np.isfinite(out).all():
-        raise OverflowError("product overflow: a sqrt(3) d_ljk a_j b_k is "
-                            "beyond the float range")
-    return out
+    return finite(out, "product",
+                  "a sqrt(3) d_ljk a_j b_k is beyond the float range")
 
 
 def qutrit_pure_from_bloch(n_vec):

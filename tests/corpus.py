@@ -458,6 +458,10 @@ def build_cases() -> list:
     add("classify-refused-coordinates-overflow",
         ["classify", "--tol", "1e308", "--json",
          json.dumps(_op([[0.5, 9e307], [9e307, 0.5]]))])
+    # a finite spectrum, but Tr(xi b_mu b_nu) overflows in its matmul
+    add("tensors-lambda-refused-tensor-overflow",
+        ["tensors", "--which", "lambda", "--json",
+         '{"dim": 2, "y": [1.2e308, 0, 0, 0]}'])
     return cases
 
 

@@ -313,34 +313,48 @@ def test_flow_bad_psi0_refused(capsys, mode, psi0):
     # t * eigenvalue overflows in the phase of exp(itA)
     ("--t-final", "1e308", "--step", "1e307",
      "--json", json.dumps({"A": operator_to_dict(np.diag([1.0, -3.0]))})),
+    # the same, only past sample 8,557 of 10,001, inside the last slice
+    ("--t-final", "7e307", "--step", "7e303",
+     "--json", json.dumps({"A": operator_to_dict(np.diag([1.0, -3.0]))})),
 ])
 def test_flow_overflow_is_numeric_failure(capsys, argv):
     code = cli.main(["flow", "--mode", "hamiltonian", *argv])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
-    assert captured.err.startswith("numeric failure: ")
-    assert captured.err.count("\n") == 1
+    what = ("norm overflow: |psi|" if argv[0] == "--json"
+            else "phase overflow: an angle t w")
+    assert captured.err == (f"numeric failure: {what} is beyond the float "
+                            "range\n")
 
 
 # Finite operators whose spectrum is beyond the float range: eigh returns
 # inf.  tensors --which lambda and R once exited 0 with rank 0, and the
-# other three exited 3 with numpy's text.
+# other three exited 3 with numpy's text.  At y = (1.2e308, 0, 0, 0) the
+# spectrum is finite but the matmul of Tr(xi b_mu b_nu) overflows: the
+# tensors once exited 3 with "overflow encountered in matmul".
 _HUGE_A = json.dumps({"A": operator_to_dict(1.2e308 * np.ones((2, 2)))})
+_SPECTRUM = "spectrum overflow: an eigenvalue is beyond the float range"
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv, err", [
     *[pytest.param(("tensors", "--which", which, "--json",
-                    json.dumps({"dim": 2, "y": [8e307] * 4})), id=which)
+                    json.dumps({"dim": 2, "y": [8e307] * 4})), _SPECTRUM,
+                   id=which)
       for which in ("lambda", "R", "distributions")],
-    *[pytest.param(("flow", "--mode", mode, "--json", _HUGE_A), id=mode)
+    *[pytest.param(("flow", "--mode", mode, "--json", _HUGE_A), _SPECTRUM,
+                   id=mode)
       for mode in ("hamiltonian", "gradient-eigensolve")],
+    *[pytest.param(("tensors", "--which", which, "--json",
+                    json.dumps({"dim": 2, "y": [1.2e308, 0, 0, 0]})),
+                   "tensor overflow: a Tr(xi b_mu b_nu) is beyond the float "
+                   "range", id=f"{which}-matrix")
+      for which in ("lambda", "R")],
 ])
-def test_spectrum_overflow_is_numeric_failure(capsys, argv):
+def test_spectrum_overflow_is_numeric_failure(capsys, argv, err):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     assert (code, captured.out) == (3, "")
-    assert captured.err == ("numeric failure: spectrum overflow: an "
-                            "eigenvalue is beyond the float range\n")
+    assert captured.err == f"numeric failure: {err}\n"
 
 
 @pytest.mark.parametrize("exp", [-565, 664])

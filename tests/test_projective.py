@@ -295,7 +295,7 @@ def test_norm_at_any_scale(x, want):
 
 
 def test_norm_beyond_the_float_range_raises():
-    with pytest.raises(OverflowError):
+    with pytest.raises(OverflowError, match=r"^norm overflow: "):
         RealifiedState([1e308, 1e308], [1e308, 1e308]).norm()  # 2e308
 
 

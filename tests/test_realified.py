@@ -72,6 +72,12 @@ def test_hermitian_split_dim_mismatch(rng):
 def test_quadratic_identity_unit():
     psi = RealifiedState([0.0, 1.0], [0.0, 0.0])
     assert abs(quadratic_function(np.eye(2), psi) - 0.5) < 1e-15
+    # <psi, A psi> = 1e600 at A = 1e200 I and |psi| = 1e200: refused in the
+    # library's words, never numpy's matmul warning (an error in this suite)
+    with pytest.raises(OverflowError, match=r"^f_A overflow: <psi, A psi> "
+                       r"is beyond the float range$"):
+        quadratic_function(1e200 * np.eye(2), RealifiedState([0, 1e200],
+                                                             [0, 0]))
 
 
 def test_quadratic_sigma3():
@@ -190,6 +196,11 @@ def test_brackets_refuse_mismatched_dimensions(rng, fn, dims):
 def test_star_product_identity():
     psi = RealifiedState([0.0, 0.0, 1.0], [0.0, 0.0, 0.0])
     assert abs(star_product(np.eye(3), np.eye(3), psi) - 1.0) < 1e-14
+    # <A psi, B psi> at A = B = 1e200 I and |psi| = 1e200, as above
+    big = 1e200 * np.eye(3)
+    with pytest.raises(OverflowError, match=r"^star product overflow: "
+                       r"<A psi, B psi> is beyond the float range$"):
+        star_product(big, big, RealifiedState([0, 0, 1e200], [0, 0, 0]))
 
 
 def test_star_product_matches_operator_product(rng):
@@ -461,12 +472,13 @@ def test_flow_phases_are_as_accurate_as_the_direct_formula(rng, w_max):
 
 def test_flow_phase_overflow_is_not_hidden_by_the_table():
     # t w overflows only past sample 8,557 of 10,001, beyond every slice
-    # start; the largest angle is still formed, with its warning
+    # start; the largest angle is still refused, whatever the errstate
     psi = RealifiedState([1.0, 0.0], [0.0, 1.0])
-    with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
-        flow_hamiltonian(np.diag([1.0, -3.0]), psi, 7e307, 7e303)
-    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-        flow_hamiltonian(np.diag([1.0, -3.0]), psi, 7e307, 7e303)
+    for err in ("ignore", "raise"):
+        with np.errstate(all=err), pytest.raises(
+                OverflowError, match=r"^phase overflow: an angle t w is "
+                r"beyond the float range$"):
+            flow_hamiltonian(np.diag([1.0, -3.0]), psi, 7e307, 7e303)
 
 
 @pytest.mark.parametrize("step", [0.0, -1.0, np.nan, np.inf])

@@ -829,6 +829,21 @@ def test_convex_decompose_spectral_of_a_pure_state(pure):
     assert np.array_equal(dec.components[0].op, rho.op)
 
 
+@pytest.mark.parametrize("helper", [
+    face_of, convex_decompose_spectral,
+    lambda rho: bloch_decompose_along(rho, [0.0, 0.0, 1.0])],
+    ids=["face_of", "convex_decompose_spectral", "bloch_decompose_along"])
+def test_one_state_helpers_refuse_a_stack(helper):
+    # each member alone runs; the record of both is refused in the
+    # library's words, not with numpy's TypeError
+    stack = certify_densities(np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])]))
+    for member in stack:
+        helper(member)
+    with pytest.raises(DimensionError,
+                       match=r"^expected one state, got shape \(2,\)$"):
+        helper(stack)
+
+
 # -- qutrit Bloch algebra ---------------------------------------------------
 
 def qutrit_n_vector(z):
