@@ -99,11 +99,13 @@ def real_array(x, shape: tuple, what: str) -> np.ndarray:
     return x
 
 
-def exact_scale(x):
+def exact_scale(x, axis=None):
     """(x * 2**-k, k) for a real or complex array or scalar x, k the binary
-    exponent of max|x| (0 for x = 0); exact where the result is normal."""
+    exponent of max|x| (0 for x = 0): a Python int, or one per member over
+    numpy's axis, kept broadcastable.  Exact where the result is normal."""
     x = np.asarray(x)
-    k = math.frexp(np.abs(x).max(initial=0.0))[1]
+    k = np.frexp(np.abs(x).max(axis=axis, keepdims=True, initial=0.0))[1]
+    k = k.item() if axis is None else k
     if np.iscomplexobj(x):
         return np.ldexp(x.real, -k) + 1j * np.ldexp(x.imag, -k), k
     return np.ldexp(x, -k), k
@@ -255,9 +257,12 @@ def numerical_rank(values: np.ndarray) -> np.ndarray:
     return (values > TOL_RANK * values[..., :1]).sum(axis=-1)
 
 
-def finite(x, what: str, why: str):
-    """x if each entry is finite; else OverflowError("<what> overflow: <why>"),
-    the one refusal of a result that numpy or LAPACK gives as inf or NaN."""
+def finite(x, what: str, why: str, k=None):
+    """x (times 2**k, k from exact_scale) if each entry is finite, else
+    OverflowError("<what> overflow: <why>"): the one float-range refusal."""
+    if k is not None:
+        with np.errstate(over="ignore"):
+            x = np.ldexp(x, k)
     if not np.isfinite(x).all():
         raise OverflowError(f"{what} overflow: {why}")
     return x
@@ -274,11 +279,10 @@ def eigenpair_masks(w: np.ndarray):
     Re and Im, then the diagonal (k, k): each is in D_lambda if |w_i - w_j|,
     in D_R if |w_i + w_j| is above TOL_RANK * max|w|, a cut doubled on the
     diagonal, where w_k + w_k = 2 w_k.  A non-finite w is refused by
-    finite_spectrum.  Each spectrum is read at the exact power-of-two scale
-    of its max|w|, so w_i +- w_j cannot overflow and no decision moves."""
-    top, e = np.frexp(abs(finite_spectrum(w)).max(axis=-1, keepdims=True))
+    finite_spectrum; each spectrum is read at its exact scale."""
+    w = exact_scale(finite_spectrum(w), axis=-1)[0]
     i, j, tol = _direction_pairs(w.shape[-1])
-    w, cut = np.ldexp(w, -e), tol * top  # top is max|w| at that scale
+    cut = tol * abs(w).max(axis=-1, keepdims=True)
     wi, wj = w.take(i, axis=-1), w.take(j, axis=-1)
     return abs(wi - wj) > cut, abs(wi + wj) > cut
 

@@ -70,14 +70,13 @@ class DistributionReport:
 def _tensor_at(y: np.ndarray, basis: OrthogonalBasis, kind: str):
     """Lambda or R at points y (..., n^2), with dim D_lambda or D_R as rank."""
     y = np.asarray(y, dtype=float)
-    xi = from_dual(y, basis)
+    xi, k = exact_scale(from_dual(y, basis), axis=(-2, -1))
     # Tr(xi b_nu b_mu) = conj(Tr(xi b_mu b_nu)): Lambda is Im, R is Re.
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = triple_traces(xi, basis.elements)
+    p = triple_traces(xi, basis.elements)
     r = kind == "R"
     mask = eigenpair_masks(np.linalg.eigvalsh(xi))[r]
     matrix = finite(p.real if r else p.imag, "tensor",
-                    "a Tr(xi b_mu b_nu) is beyond the float range")
+                    "a Tr(xi b_mu b_nu) is beyond the float range", k)
     return TensorAtPoint(y, matrix, kind, mask.sum(axis=-1))
 
 
@@ -120,7 +119,7 @@ def distributions_at(y: np.ndarray,
     and union.  D_0 is cross-checked in dimension against the span of
     (1/i)[A, xi^2]: the pairs with |w_i^2 - w_j^2|, the product of
     |w_i - w_j| and |w_i + w_j|, above TOL_RANK * max|w| times the larger
-    factor, |w_i| + |w_j|, with w read through basis.exact_scale.
+    factor, |w_i| + |w_j|, with w read at its exact scale.
     """
     y = real_array(y, (basis.size,), "coordinates")  # one point
     w, v = np.linalg.eigh(from_dual(y, basis))
@@ -132,7 +131,7 @@ def distributions_at(y: np.ndarray,
                           axis=1)
     in_l, in_r = eigenpair_masks(w)
     dim0 = int((in_l & in_r).sum())
-    w = exact_scale(w)[0]  # both sides scale as w^2: no square under/overflows
+    w = exact_scale(w)[0]
     cut = TOL_RANK * np.abs(w).max() * (np.abs(w[i]) + np.abs(w[j]))
     dim0_direct = 2 * int((np.abs(w[i] ** 2 - w[j] ** 2) > cut).sum())
     if dim0 != dim0_direct:

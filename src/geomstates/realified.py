@@ -72,16 +72,14 @@ class RealifiedState:
         return cls(z.real.copy(), z.imag.copy())
 
     def _scaled(self):
-        """basis.exact_scale of (q, p) as one array: the sum of squares of
-        the scaled entries is 0 only for psi = 0."""
+        """basis.exact_scale of (q, p) as one array, zero only for psi = 0."""
         return exact_scale(np.concatenate([self.q, self.p]))
 
     def norm(self) -> float:
         """|psi|; OverflowError when it is beyond the float range."""
         x, k = self._scaled()
-        with np.errstate(over="ignore"):
-            norm = np.ldexp(math.sqrt(x.dot(x)), k)
-        return float(finite(norm, "norm", "|psi| is beyond the float range"))
+        return float(finite(math.sqrt(x.dot(x)), "norm",
+                            "|psi| is beyond the float range", k))
 
     def unit(self) -> np.ndarray:
         """psi / |psi| as one real array (q, p), the same for psi * 2**e."""
@@ -150,11 +148,11 @@ def hermitian_split(psi1: RealifiedState, psi2: RealifiedState):
 
 def quadratic_function(a: np.ndarray, psi: RealifiedState) -> float:
     """f_A(psi) = <psi, A psi> / 2 (real for Hermitian A)."""
-    a = check_hermitian(a, psi.dim)
-    z = psi.to_complex()
-    with np.errstate(over="ignore", invalid="ignore"):
-        f = (z.conj() @ (a @ z)).real / 2.0
-    return float(finite(f, "f_A", "<psi, A psi> is beyond the float range"))
+    a, ka = exact_scale(check_hermitian(a, psi.dim))
+    x, k = psi._scaled()
+    z = _complex(x)
+    return float(finite((z.conj() @ (a @ z)).real / 2.0, "f_A",
+                        "<psi, A psi> is beyond the float range", ka + 2 * k))
 
 
 def star_product(a: np.ndarray, b: np.ndarray, psi: RealifiedState) -> complex:
@@ -178,16 +176,24 @@ def bracket_omega(a: np.ndarray, b: np.ndarray, psi: RealifiedState) -> float:
     return star_product(a, b, psi).imag
 
 
+def _vector_field(a: np.ndarray, psi: RealifiedState, turn: bool):
+    """A psi, or i A psi if turn, realified, at the exact scales of A, psi."""
+    a, ka = exact_scale(check_hermitian(a, psi.dim))
+    x, k = psi._scaled()
+    z = a @ _complex(x)
+    z = finite(_realify(1j * z if turn else z), "vector field",
+               "A psi is beyond the float range", ka + k)
+    return TangentVector(psi, z)
+
+
 def gradient_vf(a: np.ndarray, psi: RealifiedState) -> TangentVector:
     """Gradient vector field of f_A at psi: the realification of A psi."""
-    a = check_hermitian(a, psi.dim)
-    return TangentVector(psi, _realify(a @ psi.to_complex()))
+    return _vector_field(a, psi, False)
 
 
 def hamiltonian_vf(a: np.ndarray, psi: RealifiedState) -> TangentVector:
     """Hamiltonian vector field of f_A at psi: realification of i A psi."""
-    a = check_hermitian(a, psi.dim)
-    return TangentVector(psi, _realify(1j * (a @ psi.to_complex())))
+    return _vector_field(a, psi, True)
 
 
 def flow_hamiltonian(a: np.ndarray, psi0: RealifiedState, t_final: float,
@@ -198,8 +204,7 @@ def flow_hamiltonian(a: np.ndarray, psi0: RealifiedState, t_final: float,
     z(t) = V diag(exp(itw)) V^dagger z0, so step (default 1e-3) only sets
     the sampling grid of n_steps = max(1, round(t_final / step)) equal
     intervals.  A grid of more than MAX_FLOW_SAMPLES samples is refused
-    before anything is allocated, and a spectrum of A or an angle t w
-    beyond the float range by basis.finite, with OverflowError.
+    before anything is allocated.
 
     The phases come by angle addition, exp(i(t_s + t_j)w) =
     exp(i t_s w) exp(i t_j w), with t_s a slice start and t_j one of the
@@ -237,7 +242,7 @@ def expectation_trace_samples(a: np.ndarray, psi0: RealifiedState,
     """Hamiltonian flow with per-sample (t, e_A, norm) rows and the
     conservation drifts of both quantities.
 
-    The flow runs from the exact scaling psi0._scaled(), so e_A is the same
+    e_A is formed from psi0 and A at their exact scales, so it is the same
     for psi0 * 2**e and the norms are 2**e times; ZeroVectorError at 0.
 
     Returns (samples, norm_drift, e_drift) with samples of shape (T+1, 3).
@@ -246,12 +251,12 @@ def expectation_trace_samples(a: np.ndarray, psi0: RealifiedState,
     x, k = psi0._scaled()
     times, z = flow_hamiltonian(a, RealifiedState(*np.split(x, 2)), t_final,
                                 step)
+    a, ka = exact_scale(a)
     zc = z.conj()
     n2 = np.einsum("ti,ti->t", zc, z).real
-    e = np.einsum("ti,ti->t", zc, z @ np.asarray(a).T).real / n2
-    with np.errstate(over="ignore"):
-        norms = np.ldexp(np.sqrt(n2), k)
-    finite(norms, "norm", "|psi| is beyond the float range")
+    e = finite(np.einsum("ti,ti->t", zc, z @ a.T).real / n2, "e_A",
+               "<psi, A psi> / <psi, psi> is beyond the float range", ka)
+    norms = finite(np.sqrt(n2), "norm", "|psi| is beyond the float range", k)
     return (np.column_stack([times, e, norms]),
             float(np.abs(norms - norms[0]).max()), float(np.abs(e - e[0]).max()))
 
@@ -289,13 +294,9 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
     Renormalizes every iteration; stops when
     ||A psi - e psi|| < 1e-9 ||A||.
 
-    The iteration runs on A * 2**-k with k the binary exponent of ||A||, a
-    scaling that is exact, so the iterates do not depend on the magnitude
-    of A: no squared residual underflows for tiny A and no dot product
-    overflows for huge A.  A given step is multiplied by 2**k, and the
-    eigenvalue and the traced values are scaled back by 2**k.  The start is
-    psi0.unit(); a non-finite residual stops the iteration unconverged, with
-    the last finite iterate and its eigenvalue.
+    A is read at the exact scale k of ||A||, a given step taken times 2**k.
+    The start is psi0.unit(); a non-finite residual stops the iteration
+    unconverged, with the last finite iterate and its eigenvalue.
 
     mode: "ascent" climbs toward the largest eigenvalue, "descent" toward the
     smallest.  If trace is a list, (iteration, e_A, residual) triples are

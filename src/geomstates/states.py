@@ -243,8 +243,8 @@ def gl_act_cone(t: np.ndarray, xi: np.ndarray) -> np.ndarray:
 def gl_act_states(t: np.ndarray, rho: DensityState) -> DensityState:
     """Normalized GL action (T, rho) -> T rho T^dagger / Tr(T rho T^dagger).
 
-    Preserves the rank stratum.  T acts through basis.exact_scale, so T * 2**e
-    gives the same result and the trace test reads relative to max|T_ij|^2.
+    Preserves the rank stratum.  T is read at its exact scale, so the trace
+    test reads relative to max|T_ij|^2.
     """
     out = gl_act_cone(exact_scale(t)[0], rho.op)
     tr = np.trace(out).real
@@ -349,8 +349,7 @@ def bloch_decompose_along(rho: DensityState,
     The line through the state's ball point in the given direction meets the
     pure-state sphere of radius 1/2 in two points; they are the components
     and the weights are the unique convex coefficients.  A tangency (pure
-    state, tangent direction) collapses to a single term.  d is scaled by
-    basis.exact_scale before it is normalized, so d * 2**e gives the same line.
+    state, tangent direction) collapses to a single term.
     """
     v = qubit_bloch_vector(_one(rho))
     d = exact_scale(real_array(direction, (3,), "direction"))[0]
@@ -374,8 +373,7 @@ def bloch_decompose_along(rho: DensityState,
 
 
 def qutrit_star(a, b) -> np.ndarray:
-    """The symmetric product on 8-vectors: (a * b)_l = sqrt(3) d_ljk a_j b_k;
-    an entry beyond the float range is refused by basis.finite."""
+    """Symmetric product on 8-vectors: (a * b)_l = sqrt(3) d_ljk a_j b_k."""
     a, b = real_array(a, (8,), "a"), real_array(b, (8,), "b")
     d8 = structure_constants(gellmann_basis(3)).d_traceless
     with np.errstate(over="ignore"):  # the scaling can overflow too
@@ -483,11 +481,9 @@ def tangency_check(samples, k: int) -> TangencyReport:
                 f"sample at t={t} is not a state: {cert.violated[i]}")
         raise InvalidCurveError(
             f"sample at t={t} has rank {cert.rank[i]}, expected {k}")
-    # The velocity X = d / (2 h) of the central difference d, through
-    # exact_scale: d' / h' = X * 2**-e has entries below 2, so no quotient
-    # or square overflows, whatever the step.  Past e = -1000 (X below
-    # 2**-999) the floor stays sqrt(2) * 2**1000, and the residual reads
-    # below n * 2**-999 instead of its smaller exact value.
+    # X = d / (2 h) is read as d' / h' = X * 2**-e at exact scales; past
+    # e = -1000 the floor stays sqrt(2) * 2**1000, so a residual of X below
+    # 2**-999 reads below n * 2**-999 instead of its smaller exact value.
     d, kd = exact_scale(stack[2:] - stack[:-2])
     h, kh = exact_scale(hs[0])
     floor = math.ldexp(math.sqrt(2.0), min(kh + 1 - kd, 1000))

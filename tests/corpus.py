@@ -17,7 +17,8 @@ its id, exit code, the first word of its stderr and its own SHA-256.
     PYTHONPATH=src python tests/corpus.py --against CORPUS.json
 
 runs the corpus and prints the id of each case whose exit code, first
-stderr word or SHA-256 differs from that record, exiting 1 if any does.  The
+stderr word or SHA-256 differs from that record, with its exit code and
+first stderr word before and after, exiting 1 if any does.  The
 Tier-1 test test_corpus.py checks the exit codes and first words, which do
 not depend on LAPACK's last bits, and the SHA-256 of the refusals that come
 before any such bits, in the library's own words; a change that alters
@@ -405,7 +406,8 @@ def build_cases() -> list:
         add(f"tensors-{which}-refused-operator-overflow",
             ["tensors", "--which", which, "--json",
              '{"dim": 2, "y": [1e308, 1e308, 1e308, 1e308]}'])
-    # finite operators whose top eigenvalue overflows: eigh returns inf
+    # finite operators whose top eigenvalue overflows: eigh returns inf;
+    # lambda and R read xi at its exact scale and print their matrix
     for which in ("distributions", "lambda", "R"):
         add(f"tensors-{which}-refused-spectrum-overflow",
             ["tensors", "--which", which, "--json",
@@ -458,10 +460,16 @@ def build_cases() -> list:
     add("classify-refused-coordinates-overflow",
         ["classify", "--tol", "1e308", "--json",
          json.dumps(_op([[0.5, 9e307], [9e307, 0.5]]))])
-    # a finite spectrum, but Tr(xi b_mu b_nu) overflows in its matmul
+    # a finite spectrum, where Tr(xi b_mu b_nu) once overflowed in its
+    # matmul: Lambda is 0
     add("tensors-lambda-refused-tensor-overflow",
         ["tensors", "--which", "lambda", "--json",
          '{"dim": 2, "y": [1.2e308, 0, 0, 0]}'])
+    # e_A = 1.7e308 is representable, but not n2 * e_A at psi's scale
+    add("flow-hamiltonian-e-A-near-float-max",
+        ["flow", "--mode", "hamiltonian", "--t-final", "0.001", "--json",
+         json.dumps({"A": _op(np.full((12, 12), 1.7e308 / 12)),
+                     "psi0": {"dim": 12, "q": [1.0] * 12, "p": [0.0] * 12}})])
     return cases
 
 
@@ -552,15 +560,24 @@ def record(results) -> dict:
             "case_list": listing}
 
 
+def _outcome(case) -> str:
+    """A case's exit code and first stderr word, "absent" for no case."""
+    if case is None:
+        return "absent"
+    return f"{case['exit']} {case['stderr_word']}".rstrip()
+
+
 def changed(old: dict, new: dict) -> list:
-    """Ids of the cases whose exit code, first stderr word or SHA-256
-    differ between two records, in case order; a case only one record
+    """One line per case whose exit code, first stderr word or SHA-256
+    differ between two records, in case order: its id and its outcome in
+    each record, as in "0661-... 3 numeric -> 0"; a case only one record
     holds counts as changed."""
     keys = ("exit", "stderr_word", "sha256")
-    was, now = ({c["id"]: [c[k] for k in keys] for c in r["case_list"]}
-                for r in (old, new))
-    return sorted(i for i in was.keys() | now.keys()
-                  if was.get(i) != now.get(i))
+    was, now = ({c["id"]: c for c in r["case_list"]} for r in (old, new))
+    return [f"{i} {_outcome(was.get(i))} -> {_outcome(now.get(i))}"
+            for i in sorted(was.keys() | now.keys())
+            if [was.get(i, {}).get(k) for k in keys]
+            != [now.get(i, {}).get(k) for k in keys]]
 
 
 if __name__ == "__main__":

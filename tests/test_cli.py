@@ -329,32 +329,61 @@ def test_flow_overflow_is_numeric_failure(capsys, argv):
 
 # Finite operators whose spectrum is beyond the float range: eigh returns
 # inf.  tensors --which lambda and R once exited 0 with rank 0, and the
-# other three exited 3 with numpy's text.  At y = (1.2e308, 0, 0, 0) the
-# spectrum is finite but the matmul of Tr(xi b_mu b_nu) overflows: the
-# tensors once exited 3 with "overflow encountered in matmul".
+# other three exited 3 with numpy's text; distributions and the flows now
+# refuse it in the library's words.  Lambda and R read xi at its exact
+# scale, so at y = 8e307 (1, 1, 1, 1) and at y = (1.2e308, 0, 0, 0), where
+# the matmul of Tr(xi b_mu b_nu) once overflowed, they exit 0 and print
+# 2**k times the matrix at y * 2**-k (err None).  R at (1.2e308, 0, 0, 0)
+# has 2.4e308 on its diagonal, a true overflow.
 _HUGE_A = json.dumps({"A": operator_to_dict(1.2e308 * np.ones((2, 2)))})
 _SPECTRUM = "spectrum overflow: an eigenvalue is beyond the float range"
 
 
 @pytest.mark.parametrize("argv, err", [
     *[pytest.param(("tensors", "--which", which, "--json",
-                    json.dumps({"dim": 2, "y": [8e307] * 4})), _SPECTRUM,
+                    json.dumps({"dim": 2, "y": [8e307] * 4})), err,
                    id=which)
-      for which in ("lambda", "R", "distributions")],
+      for which, err in (("lambda", None), ("R", None),
+                         ("distributions", _SPECTRUM))],
     *[pytest.param(("flow", "--mode", mode, "--json", _HUGE_A), _SPECTRUM,
                    id=mode)
       for mode in ("hamiltonian", "gradient-eigensolve")],
     *[pytest.param(("tensors", "--which", which, "--json",
-                    json.dumps({"dim": 2, "y": [1.2e308, 0, 0, 0]})),
-                   "tensor overflow: a Tr(xi b_mu b_nu) is beyond the float "
-                   "range", id=f"{which}-matrix")
-      for which in ("lambda", "R")],
+                    json.dumps({"dim": 2, "y": [1.2e308, 0, 0, 0]})), err,
+                   id=f"{which}-matrix")
+      for which, err in (("lambda", None),
+                         ("R", "tensor overflow: a Tr(xi b_mu b_nu) is "
+                          "beyond the float range"))],
 ])
 def test_spectrum_overflow_is_numeric_failure(capsys, argv, err):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
-    assert (code, captured.out) == (3, "")
-    assert captured.err == f"numeric failure: {err}\n"
+    if err is not None:
+        assert (code, captured.out) == (3, "")
+        assert captured.err == f"numeric failure: {err}\n"
+        return
+    assert (code, captured.err) == (0, "")
+    y = np.ldexp(json.loads(argv[-1])["y"], -8).tolist()
+    small = run(capsys, *argv[:-1], json.dumps({"dim": 2, "y": y}))
+    got, want = (json.loads(out) for out in (captured.out, small[1]))
+    assert got["rank"] == want["rank"]
+    assert np.array_equal(got["matrix"], np.ldexp(want["matrix"], 8))
+
+
+def test_flow_e_a_column_at_the_float_range(capsys):
+    # e_A = 1.7e308 is representable, but n2 * e_A, with n2 = |psi|^2 at
+    # psi's exact scale, is not: the column once overflowed and the drift
+    # exited 3 with numpy's "invalid value encountered in subtract".  It is
+    # formed at A's exact scale.
+    a = np.full((12, 12), 1.7e308 / 12)
+    payload = json.dumps({"A": operator_to_dict(a), "psi0": {
+        "dim": 12, "q": [1.0] * 12, "p": [0.0] * 12}})
+    code, out = run(capsys, "flow", "--mode", "hamiltonian", "--t-final",
+                    "0.001", "--json", payload)
+    report = json.loads(out)
+    assert code == 0
+    assert report["e_A_drift"] <= 1e-12 * 1.7e308
+    assert report["norm_drift"] <= 1e-12
 
 
 @pytest.mark.parametrize("exp", [-565, 664])

@@ -16,9 +16,10 @@ RECORD = json.loads(
 # never numpy's, json's, argparse's or the operating system's, which change
 # with their versions, and never a digit that LAPACK's last bits move.  Most
 # come before any LAPACK call or inexact arithmetic; the overflow refusals
-# (0609, 0610, 0636, 0637-0639 and 0661) name what overflowed, not a value.
+# (0609, 0610, 0636 and 0637-0639) name what overflowed, not a value.
 # The one exception is 0143-0144: the --input/--json either-or is stated
-# once, as an argparse group, so its refusal is argparse's text.
+# once, as an argparse group, so its refusal is argparse's text.  0661 left
+# the list: Lambda at its point is no longer refused but printed, as 0.
 PINNED = (
     "0128-classify-refused-nan",
     "0129-classify-refused-inf",
@@ -86,7 +87,6 @@ PINNED = (
     "0645-option-refused-classify-tol-global",
     "0646-option-refused-flow-seed-global",
     "0650-option-refused-decompose-tol-nan",
-    "0661-tensors-lambda-refused-tensor-overflow",
 )
 
 
@@ -119,8 +119,12 @@ def test_changed_names_each_differing_case():
     new = json.loads(json.dumps(RECORD))
     cases = new["case_list"]
     cases[3]["sha256"] = "0" * 64
-    cases[7]["stderr_word"] = "numeric"
+    cases[7].update(exit=3, stderr_word="numeric")
     removed = cases.pop(9)
+    cases.append({"id": "9999-appended", "exit": 2, "stderr_word": "error",
+                  "sha256": "0" * 64})
     assert corpus.changed(RECORD, RECORD) == []
-    assert corpus.changed(RECORD, new) == sorted(
-        c["id"] for c in (cases[3], cases[7], removed))
+    assert corpus.changed(RECORD, new) == [
+        f"{cases[3]['id']} 0 -> 0", f"{cases[7]['id']} 0 -> 3 numeric",
+        f"{removed['id']} 0 -> absent", "9999-appended absent -> 2 error"]
+    assert corpus.changed(new, RECORD)[1] == f"{cases[7]['id']} 3 numeric -> 0"

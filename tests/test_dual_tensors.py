@@ -447,12 +447,21 @@ def test_overflowing_spectrum_refused(fn):
     # 8e307 * (1 + sqrt 3), is not: eigh returns inf, and the rank cut
     # TOL_RANK * max|w| was inf too, so Lambda and R once read rank 0 and
     # distributions_at dims (0, 0, 0, 0), with RuntimeWarnings.
+    # distributions_at reads that spectrum and refuses it.  Lambda and R,
+    # once refused too, read xi at its exact scale: their matrix is 2**k
+    # times the one at y * 2**-k, and their rank is the same.
     y = np.full(4, 8e307)
     assert np.isfinite(from_dual(y, B2)).all()
     for mode in ("ignore", "raise"):
-        with np.errstate(all=mode), pytest.raises(
-                OverflowError, match="^spectrum overflow: "):
-            fn(y, B2)
+        with np.errstate(all=mode):
+            if fn is distributions_at:
+                with pytest.raises(OverflowError,
+                                   match="^spectrum overflow: "):
+                    fn(y, B2)
+            else:
+                got, small = fn(y, B2), fn(np.ldexp(y, -8), B2)
+                assert np.array_equal(got.matrix, np.ldexp(small.matrix, 8))
+                assert got.rank() == small.rank()
     # below the overflow the point keeps the dimensions of (1, 1, 1, 1)
     assert distributions_at(y / 4.0, B2).dims == (2, 4, 2, 4)
 

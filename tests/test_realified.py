@@ -225,6 +225,23 @@ def test_vector_fields_identity(rng):
     assert np.allclose(ham.to_complex(), 1j * psi.to_complex())
 
 
+@pytest.mark.parametrize("vf, turn", [(gradient_vf, False),
+                                      (hamiltonian_vf, True)])
+def test_vector_fields_at_the_float_range(rng, vf, turn):
+    # A psi = 1e400 at A = 1e200 I and psi = (0, 1e200): refused in the
+    # library's words, never numpy's matmul warning (an error in this suite)
+    # nor TangentVector's input refusal of the inf components
+    with pytest.raises(OverflowError, match=r"^vector field overflow: "):
+        vf(1e200 * np.eye(2), RealifiedState([0, 1e200], [0, 0]))
+    # where nothing leaves the float range, the direct product bit for bit
+    a = 1e200 * random_hermitian(rng, 2)
+    psi = RealifiedState([0, 1e-200], [0, 0])
+    z = a @ psi.to_complex()
+    z = 1j * z if turn else z
+    assert (vf(a, psi).components.tobytes()
+            == np.concatenate([z.real, z.imag]).tobytes())
+
+
 def test_gradient_against_finite_differences(rng):
     a = random_hermitian(rng, 3)
     psi = random_state(rng, 3)
