@@ -106,9 +106,16 @@ def exact_scale(x, axis=None):
     x = np.asarray(x)
     k = np.frexp(np.abs(x).max(axis=axis, keepdims=True, initial=0.0))[1]
     k = k.item() if axis is None else k
-    if np.iscomplexobj(x):
-        return np.ldexp(x.real, -k) + 1j * np.ldexp(x.imag, -k), k
-    return np.ldexp(x, -k), k
+    return _ldexp(x, -k), k
+
+
+def _ldexp(x, k):
+    """x * 2**k, a complex x part by part (by assignment: no 0 * inf)."""
+    if not np.iscomplexobj(x):
+        return np.ldexp(x, k)
+    out = np.array(np.ldexp(x.real, k), dtype=complex)
+    out.imag = np.ldexp(x.imag, k)
+    return out
 
 
 @dataclass(frozen=True)
@@ -258,19 +265,19 @@ def numerical_rank(values: np.ndarray) -> np.ndarray:
 
 
 def finite(x, what: str, why: str, k=None):
-    """x (times 2**k, k from exact_scale) if each entry is finite, else
+    """x, real or complex (times 2**k, k from exact_scale), if finite, else
     OverflowError("<what> overflow: <why>"): the one float-range refusal."""
     if k is not None:
         with np.errstate(over="ignore"):
-            x = np.ldexp(x, k)
+            x = _ldexp(x, k)
     if not np.isfinite(x).all():
         raise OverflowError(f"{what} overflow: {why}")
     return x
 
 
-def finite_spectrum(w: np.ndarray) -> np.ndarray:
-    """finite of eigenvalues from eigh or eigvalsh, which may be inf."""
-    return finite(w, "spectrum", "an eigenvalue is beyond the float range")
+def finite_spectrum(w: np.ndarray, k=None) -> np.ndarray:
+    """finite of eigenvalues (times 2**k) from eigh or eigvalsh."""
+    return finite(w, "spectrum", "an eigenvalue is beyond the float range", k)
 
 
 def eigenpair_masks(w: np.ndarray):
@@ -330,11 +337,11 @@ def spectral_oracle(a: np.ndarray):
     """Eigenvalues (descending) and matching orthonormal eigenvector columns.
 
     This is the reference decomposition every other spectral claim in the
-    package is tested against.
+    package is tested against.  A is read at its exact scale.
     """
-    a = check_hermitian(a)
+    a, k = exact_scale(check_hermitian(a))
     if a.ndim != 2:
         raise DimensionError(f"expected a single matrix, got shape {a.shape}")
     w, v = np.linalg.eigh(a)
     order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
+    return finite_spectrum(w[order], k), v[:, order]

@@ -69,8 +69,9 @@ class DistributionReport:
 
 def _tensor_at(y: np.ndarray, basis: OrthogonalBasis, kind: str):
     """Lambda or R at points y (..., n^2), with dim D_lambda or D_R as rank."""
-    y = np.asarray(y, dtype=float)
-    xi, k = exact_scale(from_dual(y, basis), axis=(-2, -1))
+    y = real_array(y, np.shape(y)[:-1] + (basis.size,), "coordinates")
+    ys, k = exact_scale(y[..., None], axis=(-2, -1))  # one k per point
+    xi = from_dual(ys[..., 0], basis)
     # Tr(xi b_nu b_mu) = conj(Tr(xi b_mu b_nu)): Lambda is Im, R is Re.
     p = triple_traces(xi, basis.elements)
     r = kind == "R"
@@ -119,10 +120,10 @@ def distributions_at(y: np.ndarray,
     and union.  D_0 is cross-checked in dimension against the span of
     (1/i)[A, xi^2]: the pairs with |w_i^2 - w_j^2|, the product of
     |w_i - w_j| and |w_i + w_j|, above TOL_RANK * max|w| times the larger
-    factor, |w_i| + |w_j|, with w read at its exact scale.
+    factor, |w_i| + |w_j|, with xi formed from y at its exact scale.
     """
     y = real_array(y, (basis.size,), "coordinates")  # one point
-    w, v = np.linalg.eigh(from_dual(y, basis))
+    w, v = np.linalg.eigh(from_dual(exact_scale(y)[0], basis))
     m = v.conj().T @ basis.elements @ v  # M[mu] = V^dagger b_mu V
     i, j = pair_indices(basis.dim)
     # Column c holds the y-coordinates (1/2)Tr(b_mu X_c) of direction X_c.
@@ -131,7 +132,6 @@ def distributions_at(y: np.ndarray,
                           axis=1)
     in_l, in_r = eigenpair_masks(w)
     dim0 = int((in_l & in_r).sum())
-    w = exact_scale(w)[0]
     cut = TOL_RANK * np.abs(w).max() * (np.abs(w[i]) + np.abs(w[j]))
     dim0_direct = 2 * int((np.abs(w[i] ** 2 - w[j] ** 2) > cut).sum())
     if dim0 != dim0_direct:
@@ -151,17 +151,13 @@ def pushforward_check(psi: RealifiedState, a: np.ndarray, b: np.ndarray):
     linear functions of A and B.
     """
     psi.unit()  # ZeroVectorError at psi = 0
-    a = check_hermitian(a)
-    b = check_hermitian(b)
+    a, b = check_hermitian(a), check_hermitian(b)
     lhs = star_product(a, b, psi)
     z = psi.to_complex()
-    xi = np.outer(z, z.conj())
-    ab = a @ b
-    ba = b @ a
+    xi, ab, ba = np.outer(z, z.conj()), a @ b, b @ a
     r_val = float(np.trace(xi @ (ab + ba)).real) / 2.0
     l_val = float((np.trace(xi @ (ab - ba)) / 2j).real)
-    rhs = PAIRING_SCALE * complex(r_val, l_val)
-    return lhs, rhs
+    return lhs, PAIRING_SCALE * complex(r_val, l_val)
 
 
 def calibrate_pairing_scale(rng=None, dim: int = 2) -> float:

@@ -9,10 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import DimensionError, check_hermitian, real_array
+from .basis import DimensionError, check_hermitian, finite, real_array
 from .realified import RealifiedState, TangentVector, _complex
 from .realified import ZeroVectorError  # noqa: F401  raised by unit()
-from .states import NotExtremalError, PureDensity  # noqa: F401  re-export
+from .states import NotExtremalError, PureDensity, _one  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,10 @@ def projected_hermitian(psi: RealifiedState, v: TangentVector,
     u = _complex(psi.unit())
     vc = _complex(real_array(v.components, (2 * psi.dim,), "v"))
     wc = _complex(real_array(w.components, (2 * psi.dim,), "w"))
-    nrm = psi.norm()  # nrm * nrm scales exactly with psi; pow(nrm, 2) may not
-    return complex(vc.conj() @ wc - (vc.conj() @ u) * (u.conj() @ wc)) / (
-        nrm * nrm)
+    nrm = psi.norm()  # nrm * nrm would be 0 at |psi| = 1e-300, or inf
+    h = complex(vc.conj() @ wc - (vc.conj() @ u) * (u.conj() @ wc))
+    return complex(finite(h / nrm / nrm, "tensor",
+                          "<v, w> / <psi, psi> is beyond the float range"))
 
 
 def transition_probability(rho1: PureDensity, rho2: PureDensity) -> float:
@@ -83,6 +84,6 @@ def transition_probability(rho1: PureDensity, rho2: PureDensity) -> float:
     Symmetric, valued in [0, 1], and equal to 1 exactly when the two
     projectors coincide.
     """
-    if rho1.dim != rho2.dim:
+    if _one(rho1).dim != _one(rho2).dim:
         raise DimensionError("state dimensions differ")
     return float(np.trace(rho1.op @ rho2.op).real)

@@ -123,9 +123,7 @@ class KaehlerTriple:
 
     @property
     def j_matrix(self) -> np.ndarray:
-        n = self.dim
-        z = np.zeros((n, n))
-        i = np.eye(n)
+        z, i = np.zeros((self.dim, self.dim)), np.eye(self.dim)
         return np.block([[z, -i], [i, z]])
 
     @property
@@ -141,9 +139,8 @@ def hermitian_split(psi1: RealifiedState, psi2: RealifiedState):
     """(Re, Im) of the Hermitian product <psi1, psi2>, antilinear in psi1."""
     if psi1.dim != psi2.dim:
         raise DimensionError("state dimensions differ")
-    g_val = float(psi1.q @ psi2.q + psi1.p @ psi2.p)
-    w_val = float(psi1.q @ psi2.p - psi1.p @ psi2.q)
-    return g_val, w_val
+    return (float(psi1.q @ psi2.q + psi1.p @ psi2.p),
+            float(psi1.q @ psi2.p - psi1.p @ psi2.q))
 
 
 def quadratic_function(a: np.ndarray, psi: RealifiedState) -> float:
@@ -158,12 +155,12 @@ def quadratic_function(a: np.ndarray, psi: RealifiedState) -> float:
 def star_product(a: np.ndarray, b: np.ndarray, psi: RealifiedState) -> complex:
     """(G + i Omega)(df_A, df_B) at psi: <A psi, B psi>, as grad f_A is A psi
     and g, w are Re, Im <.,.>.  Equals <psi, AB psi>."""
-    z = psi.to_complex()
-    a, b = check_hermitian(a, psi.dim), check_hermitian(b, psi.dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = np.vdot(a @ z, b @ z)
-    return complex(finite(s, "star product",
-                          "<A psi, B psi> is beyond the float range"))
+    (a, ka), (b, kb) = (exact_scale(check_hermitian(m, psi.dim))
+                        for m in (a, b))
+    x, k = psi._scaled()
+    s = np.vdot(a @ _complex(x), b @ _complex(x))
+    return complex(finite(s, "star product", "<A psi, B psi> is beyond the "
+                          "float range", ka + kb + 2 * k))
 
 
 def bracket_g(a: np.ndarray, b: np.ndarray, psi: RealifiedState) -> float:
@@ -200,11 +197,12 @@ def flow_hamiltonian(a: np.ndarray, psi0: RealifiedState, t_final: float,
                      step: float | None = None):
     """The Hamiltonian flow z(t) = exp(itA) z0 of f_A, sampled on a grid.
 
-    The propagator is exact: with A = V diag(w) V^dagger, one eigh gives
-    z(t) = V diag(exp(itw)) V^dagger z0, so step (default 1e-3) only sets
-    the sampling grid of n_steps = max(1, round(t_final / step)) equal
-    intervals.  A grid of more than MAX_FLOW_SAMPLES samples is refused
-    before anything is allocated.
+    The propagator is exact: with A = V diag(w) V^dagger, one eigh of A at
+    its exact scale gives z(t) = V diag(exp(itw)) V^dagger z0, the same for
+    A * 2**e at t * 2**-e.  So step (default 1e-3) only sets the sampling
+    grid of n_steps = max(1, round(t_final / step)) equal intervals.  A grid
+    of more than MAX_FLOW_SAMPLES samples is refused before anything is
+    allocated.
 
     The phases come by angle addition, exp(i(t_s + t_j)w) =
     exp(i t_s w) exp(i t_j w), with t_s a slice start and t_j one of the
@@ -217,7 +215,7 @@ def flow_hamiltonian(a: np.ndarray, psi0: RealifiedState, t_final: float,
     Returns (times, z): times of shape (T+1,) and the complex samples z of
     shape (T+1, n), endpoints included.
     """
-    a = check_hermitian(a, psi0.dim)
+    a, ka = exact_scale(check_hermitian(a, psi0.dim))
     step = 1e-3 if step is None else step
     if not (math.isfinite(t_final) and math.isfinite(step) and step > 0):
         raise ValueError("need a finite t_final and a finite step > 0")
@@ -228,7 +226,8 @@ def flow_hamiltonian(a: np.ndarray, psi0: RealifiedState, t_final: float,
     n_steps = max(1, int(round(t_final / step)))
     times = np.arange(n_steps + 1) * (t_final / n_steps)
     w, v = np.linalg.eigh(a)
-    finite(float(times[-1]) * float(abs(finite_spectrum(w)).max()), "phase",
+    w = finite_spectrum(w, ka)
+    finite(float(times[-1]) * float(abs(w).max()), "phase",
            "an angle t w is beyond the float range")
     table = np.exp(1j * np.outer(times[:FLOW_SLICE], w))
     heads = (np.exp(1j * np.outer(times[::FLOW_SLICE], w))
@@ -264,12 +263,8 @@ def expectation_trace_samples(a: np.ndarray, psi0: RealifiedState,
 def _realified_operator(a: np.ndarray) -> np.ndarray:
     """The real symmetric (2n, 2n) matrix [[Re A, -Im A], [Im A, Re A]]:
     Hermitian A acting on the realified coordinates x = (q, p)."""
-    n = a.shape[0]
-    out = np.empty((2 * n, 2 * n))
-    out[:n, :n] = out[n:, n:] = a.real
-    out[n:, :n] = a.imag
-    out[:n, n:] = -a.imag
-    return out
+    return np.concatenate([np.concatenate([a.real, -a.imag], axis=1),
+                           np.concatenate([a.imag, a.real], axis=1)])
 
 
 def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
@@ -286,15 +281,14 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
     [[Re A, -Im A], [Im A, Re A]] and Re<u, v> of complex vectors is the real
     dot product of the realified ones.
     The first step is the fixed step (default 0.1 / ||A||, with ||A|| the
-    largest |eigenvalue| from eigvalsh); after it, the
-    Barzilai-Borwein step <s, s> / |<s, r_k - r_(k-1)>| with
-    s = x_k - x_(k-1) and the residual
-    r = A x - e x, keeping the previous step when the denominator is 0,
-    and taking the default step when s = 0.
-    Renormalizes every iteration; stops when
-    ||A psi - e psi|| < 1e-9 ||A||.
+    largest |eigenvalue| from eigvalsh); after it, the Barzilai-Borwein step
+    <s, s> / |<s, r_k - r_(k-1)>| with s = x_k - x_(k-1) and the residual
+    r = A x - e x, keeping the previous step when the denominator is 0, and
+    taking the default step when s = 0.  Renormalizes every iteration; stops
+    when ||A psi - e psi|| < 1e-9 ||A||.
 
-    A is read at the exact scale k of ||A||, a given step taken times 2**k.
+    A is read at its exact scale, then at the scale 2**k of ||A||, a given
+    step taken times 2**k: A * 2**e gives 2**e e and the same state.
     The start is psi0.unit(); a non-finite residual stops the iteration
     unconverged, with the last finite iterate and its eigenvalue.
 
@@ -304,14 +298,15 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
 
     Returns (eigenvalue, state, converged).
     """
-    a = check_hermitian(a, psi0.dim)
+    a, ka = exact_scale(check_hermitian(a, psi0.dim))
     x = psi0.unit()
     if mode not in ("ascent", "descent"):
         raise ValueError(f"unknown mode {mode!r}")
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
-    w = finite_spectrum(np.linalg.eigvalsh(a))
-    norm_a, k = exact_scale(max(-w[0], w[-1]))  # in [0.5, 1), or 0 for A = 0
+    w = np.linalg.eigvalsh(a)  # of A * 2**-ka
+    norm_a, k = exact_scale(finite_spectrum(max(-w[0], w[-1]), ka))
+    a_hat = np.ldexp(_realified_operator(a), ka - k)  # norm_a in [0.5, 1) or 0
     default_step = 0.1 / max(norm_a, 1e-300)
     if step is None:
         step = default_step
@@ -322,8 +317,6 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
             step = float(np.ldexp(step, k))
     tol = 1e-9 * max(norm_a, 1e-300)
     sign = 1.0 if mode == "ascent" else -1.0
-
-    a_hat = np.ldexp(_realified_operator(a), -k)
     n = psi0.dim
     converged = False
     e = 0.0
@@ -352,4 +345,5 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
         x_prev, r_prev, e_prev = x, r, e
         x = x + sign * step * r
         x = x / math.sqrt(x.dot(x))
-    return math.ldexp(e, k), RealifiedState(x[:n], x[n:]), converged
+    return (float(finite_spectrum(e, k)), RealifiedState(x[:n], x[n:]),
+            converged)

@@ -86,6 +86,8 @@ class DensityState:
 
     def __iter__(self):
         """The members along the first axis, not certified again."""
+        if not np.ndim(self.rank):
+            raise DimensionError("expected a stack of states, got shape ()")
         for k in range(len(self.rank)):
             member = object.__new__(type(self))
             DensityState.__init__(member, *(None if f is None else f[k]
@@ -225,9 +227,9 @@ def gl_act_cone(t: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
     Preserves the signature (number of positive/negative eigenvalues) of xi.
     Raises ValueError for a non-finite T, SingularTransformError for an
-    ill-conditioned one.
+    ill-conditioned one; T is read at its exact scale.
     """
-    t = np.asarray(t, dtype=complex)
+    t, k = exact_scale(np.asarray(t, dtype=complex))
     xi = check_hermitian(xi)
     if t.shape != xi.shape or t.ndim != 2:
         raise DimensionError("transform and operand dimensions differ: need "
@@ -237,7 +239,8 @@ def gl_act_cone(t: np.ndarray, xi: np.ndarray) -> np.ndarray:
         raise ValueError("transform entries must be finite")
     if np.linalg.cond(t) > 1e12:
         raise SingularTransformError("transform is singular or ill-conditioned")
-    return t @ xi @ t.conj().T
+    return finite(t @ xi @ t.conj().T, "action",
+                  "T xi T^dagger is beyond the float range", 2 * k)
 
 
 def gl_act_states(t: np.ndarray, rho: DensityState) -> DensityState:
@@ -322,16 +325,15 @@ def qubit_from_bloch(y1, y2, y3) -> np.ndarray:
     """The 2x2 Hermitian trace-one matrix with ball coordinates (y1,y2,y3).
 
     The coordinates broadcast against each other; array arguments give a
-    stack of shape (..., 2, 2).
+    stack of shape (..., 2, 2).  NaN or inf is a ValueError.
     """
-    y1, y2, y3 = np.asarray(y1), np.asarray(y2), np.asarray(y3)
-    # Each entry is computed on its operands' own shape, then broadcast.
-    shape = np.broadcast(y1, y2, y3).shape
-    out = np.empty(shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = 0.5 + y3
-    out[..., 0, 1] = y2 + 1j * y1
-    out[..., 1, 0] = y2 - 1j * y1
-    out[..., 1, 1] = 0.5 - y3
+    y1, y2, y3 = (real_array(y, np.shape(y), "ball coordinates")
+                  for y in (y1, y2, y3))
+    # parts by assignment, broadcast; 0.0 +- y1 is +0 at y1 = -0 or +0
+    out = np.zeros(np.broadcast(y1, y2, y3).shape + (2, 2), dtype=complex)
+    out.real[..., 0, 0], out.real[..., 1, 1] = 0.5 + y3, 0.5 - y3
+    out.real[..., 0, 1] = out.real[..., 1, 0] = y2
+    out.imag[..., 0, 1], out.imag[..., 1, 0] = 0.0 + y1, 0.0 - y1
     return out
 
 
@@ -374,12 +376,11 @@ def bloch_decompose_along(rho: DensityState,
 
 def qutrit_star(a, b) -> np.ndarray:
     """Symmetric product on 8-vectors: (a * b)_l = sqrt(3) d_ljk a_j b_k."""
-    a, b = real_array(a, (8,), "a"), real_array(b, (8,), "b")
+    (a, ka), (b, kb) = (exact_scale(real_array(x, (8,), name))
+                        for x, name in ((a, "a"), (b, "b")))
     d8 = structure_constants(gellmann_basis(3)).d_traceless
-    with np.errstate(over="ignore"):  # the scaling can overflow too
-        out = np.sqrt(3.0) * np.einsum("ljk,j,k->l", d8, a, b)
-    return finite(out, "product",
-                  "a sqrt(3) d_ljk a_j b_k is beyond the float range")
+    return finite(np.sqrt(3.0) * np.einsum("ljk,j,k->l", d8, a, b), "product",
+                  "a sqrt(3) d_ljk a_j b_k is beyond the float range", ka + kb)
 
 
 def qutrit_pure_from_bloch(n_vec):
@@ -391,7 +392,8 @@ def qutrit_pure_from_bloch(n_vec):
     certification's verdict ("rank" for a state not of rank one).
     """
     n_vec = real_array(n_vec, (8,), "n")
-    nrm = np.linalg.norm(n_vec)
+    x, k = exact_scale(n_vec)
+    nrm = finite(np.linalg.norm(x), "norm", "|n| is beyond the float range", k)
     if abs(nrm - 1.0) > 1e-8:
         return Rejection("norm", f"|n| = {float(nrm)!r}, expected 1")
     star = qutrit_star(n_vec, n_vec)

@@ -470,6 +470,24 @@ def build_cases() -> list:
         ["flow", "--mode", "hamiltonian", "--t-final", "0.001", "--json",
          json.dumps({"A": _op(np.full((12, 12), 1.7e308 / 12)),
                      "psi0": {"dim": 12, "q": [1.0] * 12, "p": [0.0] * 12}})])
+    # y_0 = 1.79e308 makes sum_mu y[mu] b_mu overflow, but Lambda does not
+    # depend on y_0 and the distributions not on y's scale: both print
+    for which in ("lambda", "distributions"):
+        add(f"tensors-{which}-y0-near-float-max",
+            ["tensors", "--which", which, "--json",
+             '{"dim": 2, "y": [1.79e308, 0, 0, 1e306]}'])
+    # a non-diagonal A at 2**+-600, where LAPACK would rescale it by a
+    # factor that is not a power of two; the flow's t at 2**600 in turn
+    a4, psi = _operator(rng, 4, "random"), rng.normal(size=(2, 4))
+    psi0 = {"dim": 4, "q": psi[0].tolist(), "p": psi[1].tolist()}
+    for mode, e, times in (("gradient-eigensolve", 600, ()),
+                           ("hamiltonian", -600, ("--t-final",
+                                                  repr(2.0 ** 600), "--step",
+                                                  repr(2.0 ** 600 / 16)))):
+        scaled = np.ldexp(a4.real, e) + 1j * np.ldexp(a4.imag, e)
+        add(f"flow-{mode}-A-2e{e}", ["flow", "--mode", mode, *times,
+                                     "--json", json.dumps({"A": _op(scaled),
+                                                           "psi0": psi0})])
     return cases
 
 

@@ -429,13 +429,20 @@ def test_non_finite_point_refused(fn, bad):
 def test_overflowing_point_refused(fn):
     # Finite coordinates whose operator overflows: einsum returns inf with
     # no floating-point error, and distributions_at once read all four
-    # dimensions as 0.  The refusal is an ArithmeticError (a numeric
-    # failure, exit 3 in the CLI), not a ValueError, under any errstate.
+    # dimensions as 0.  from_dual refuses it with an ArithmeticError (a
+    # numeric failure, exit 3 in the CLI), not a ValueError, under any
+    # errstate.  The maps read y at its exact scale first: distributions_at
+    # gives the dimensions of (1, 1, 1, 1), and Lambda and R, whose entries
+    # are 2e308 and more there, refuse a true overflow.
     y = np.full(4, 1e308)
     for mode in ("ignore", "raise"):
-        with np.errstate(all=mode), pytest.raises(
-                OverflowError, match="^coordinates overflow: "):
-            fn(y, B2)
+        with np.errstate(all=mode):
+            if fn is distributions_at:
+                assert fn(y, B2).dims == (2, 4, 2, 4)
+                continue
+            what = "coordinates" if fn is from_dual else "tensor"
+            with pytest.raises(OverflowError, match=f"^{what} overflow: "):
+                fn(y, B2)
     # below the overflow the point keeps the dimensions of (1, 1, 1, 1)
     assert distributions_at(y / 10.0, B2).dims == (2, 4, 2, 4)
 
@@ -446,18 +453,20 @@ def test_overflowing_spectrum_refused(fn):
     # A finite point whose operator is finite but whose top eigenvalue,
     # 8e307 * (1 + sqrt 3), is not: eigh returns inf, and the rank cut
     # TOL_RANK * max|w| was inf too, so Lambda and R once read rank 0 and
-    # distributions_at dims (0, 0, 0, 0), with RuntimeWarnings.
-    # distributions_at reads that spectrum and refuses it.  Lambda and R,
-    # once refused too, read xi at its exact scale: their matrix is 2**k
+    # distributions_at dims (0, 0, 0, 0), with RuntimeWarnings.  All three,
+    # once refused, read y at its exact scale: distributions_at has the
+    # dimensions and bases of y * 2**-k, and Lambda and R's matrix is 2**k
     # times the one at y * 2**-k, and their rank is the same.
     y = np.full(4, 8e307)
     assert np.isfinite(from_dual(y, B2)).all()
     for mode in ("ignore", "raise"):
         with np.errstate(all=mode):
             if fn is distributions_at:
-                with pytest.raises(OverflowError,
-                                   match="^spectrum overflow: "):
-                    fn(y, B2)
+                got, small = fn(y, B2), fn(np.ldexp(y, -8), B2)
+                assert got.dims == small.dims == (2, 4, 2, 4)
+                for name in ("lambda", "r", "0", "1"):
+                    assert np.array_equal(getattr(got, f"basis_{name}"),
+                                          getattr(small, f"basis_{name}"))
             else:
                 got, small = fn(y, B2), fn(np.ldexp(y, -8), B2)
                 assert np.array_equal(got.matrix, np.ldexp(small.matrix, 8))

@@ -20,6 +20,7 @@ from geomstates import (
     spectral_oracle,
     star_product,
 )
+from geomstates.basis import exact_scale
 from geomstates.realified import (
     FLOW_SLICE,
     InvalidStartError,
@@ -411,10 +412,13 @@ def test_hamiltonian_flow_runs_backward_in_time():
 
 def direct_flow(a, psi0, t_final, step):
     """(times, z, w) from one exp(i t w) per sample and eigenvalue: the
-    formula that the angle-addition table replaced, kept as the reference."""
+    formula that the angle-addition table replaced, kept as the reference.
+    Like the library, it runs eigh on A at its exact scale."""
     n_steps = max(1, int(round(t_final / step)))
     times = np.arange(n_steps + 1) * (t_final / n_steps)
-    w, v = np.linalg.eigh(np.asarray(a, dtype=complex))
+    a, k = exact_scale(np.asarray(a, dtype=complex))
+    w, v = np.linalg.eigh(a)
+    w = np.ldexp(w, k)
     phases = np.exp(1j * np.outer(times, w))
     return times, (phases * (v.conj().T @ psi0.to_complex())) @ v.T, w
 
