@@ -102,7 +102,14 @@ def real_array(x, shape: tuple, what: str) -> np.ndarray:
 def exact_scale(x, axis=None):
     """(x * 2**-k, k) for a real or complex array or scalar x, k the binary
     exponent of max|x| (0 for x = 0): a Python int, or one per member over
-    numpy's axis, kept broadcastable.  Exact where the result is normal."""
+    numpy's axis, kept broadcastable.  Exact where the result is normal.
+
+    A float x (Python or numpy) gives a Python float and an int k, by
+    math.frexp and math.ldexp.  Where k = 0 the value is x itself, not a
+    copy (ldexp by 0 is the identity), so callers only read it."""
+    if isinstance(x, float) and axis is None:
+        k = math.frexp(x)[1]
+        return _ldexp(x, -k), k
     x = np.asarray(x)
     k = np.frexp(np.abs(x).max(axis=axis, keepdims=True, initial=0.0))[1]
     k = k.item() if axis is None else k
@@ -110,11 +117,21 @@ def exact_scale(x, axis=None):
 
 
 def _ldexp(x, k):
-    """x * 2**k, a complex x part by part (by assignment: no 0 * inf)."""
+    """x * 2**k, +-inf past the float range; x itself for a Python-int k of
+    0, a float x by math.ldexp, a complex x part by part into one output
+    (no 0 * inf)."""
+    if isinstance(k, int) and k == 0:
+        return x
+    if isinstance(x, float):
+        try:
+            return math.ldexp(x, k)
+        except OverflowError:
+            return math.copysign(math.inf, x)
     if not np.iscomplexobj(x):
         return np.ldexp(x, k)
-    out = np.array(np.ldexp(x.real, k), dtype=complex)
-    out.imag = np.ldexp(x.imag, k)
+    out = np.empty_like(x)
+    np.ldexp(x.real, k, out=out.real)
+    np.ldexp(x.imag, k, out=out.imag)
     return out
 
 
@@ -251,11 +268,13 @@ class StructureConstants:
 
 def triple_traces(xi: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """P[..., a, b] = Tr(xi b_a b_b) for xi of shape (..., n, n) and a basis
-    stack of shape (m, n, n): one batched matmul, then one GEMM."""
+    stack of shape (m, n, n): one batched matmul, then one GEMM over the
+    flattened leading axes (a stacked product would make one per matrix)."""
     m, n = stack.shape[0], stack.shape[-1]
-    left = (xi[..., None, :, :] @ stack).reshape(*xi.shape[:-2], m, n * n)
+    left = (xi[..., None, :, :] @ stack).reshape(-1, n * n)
     # Tr(X b) = sum_ij X_ij b_ji, so contract against the transposed stack.
-    return left @ stack.transpose(0, 2, 1).reshape(m, n * n).T
+    right = stack.transpose(0, 2, 1).reshape(m, n * n).T
+    return (left @ right).reshape(*xi.shape[:-2], m, m)
 
 
 def numerical_rank(values: np.ndarray) -> np.ndarray:
@@ -266,11 +285,20 @@ def numerical_rank(values: np.ndarray) -> np.ndarray:
 
 def finite(x, what: str, why: str, k=None):
     """x, real or complex (times 2**k, k from exact_scale), if finite, else
-    OverflowError("<what> overflow: <why>"): the one float-range refusal."""
-    if k is not None:
-        with np.errstate(over="ignore"):
-            x = _ldexp(x, k)
-    if not np.isfinite(x).all():
+    OverflowError("<what> overflow: <why>"): the one float-range refusal.
+
+    A float x (Python or numpy) is scaled by math.ldexp to a Python float
+    and checked by math.isfinite; a Python-int k of 0 hands back x itself,
+    only checked."""
+    if isinstance(x, float):
+        x = x if k is None else _ldexp(x, k)
+        ok = math.isfinite(x)
+    else:
+        if k is not None:
+            with np.errstate(over="ignore"):
+                x = _ldexp(x, k)
+        ok = np.isfinite(x).all()
+    if not ok:
         raise OverflowError(f"{what} overflow: {why}")
     return x
 

@@ -338,10 +338,10 @@ def critical_point_eigensolve(a: np.ndarray, psi0: RealifiedState,
         if it > 0:
             s = x - x_prev
             denom = abs(float(s.dot(r - r_prev)))
-            if not np.count_nonzero(s):  # the last step did not move x
-                step = default_step
-            elif denom > 0.0:
+            if denom > 0.0:  # so s != 0
                 step = float(s.dot(s)) / denom
+            elif not np.count_nonzero(s):  # the last step did not move x
+                step = default_step
         x_prev, r_prev, e_prev = x, r, e
         x = x + sign * step * r
         x = x / math.sqrt(x.dot(x))

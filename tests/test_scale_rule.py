@@ -20,10 +20,11 @@ from geomstates import (
     lambda_at,
     riemann_jordan_at,
 )
-from geomstates.basis import eigenpair_masks
+from geomstates.basis import _ldexp, eigenpair_masks, exact_scale, finite
 from geomstates.realified import expectation_trace_samples
 
 TINY = np.finfo(float).tiny
+DBL_MAX = np.finfo(float).max
 
 
 def _parts(rng, shape, zeros=0.0):
@@ -110,3 +111,66 @@ def test_maps_scale_by_powers_of_two_exactly(n, seed, s, e):
                         (s + e, 2, lambda: (np.diag(d), _state(psi, s + e)))):
         _check(lambda: expectation_trace_samples(*arg(), 0.0)[0][:, col],
                want[:, col], u)
+
+
+# -- floats and k = 0: the rule at scalar cost ------------------------------
+# A Python float, a numpy float64 and a 0-d array of the same value: the
+# first two take math.frexp/math.ldexp, the last numpy's.
+EDGES = (0.0, -0.0, 5e-324, 2.0**-1022, 1.0, 2.0**1023, DBL_MAX, np.inf,
+         -np.inf, np.nan)
+FORMS = (float, np.float64, np.array)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("x", EDGES)
+def test_exact_scale_is_the_same_on_every_float_form(x):
+    (want, k), *others = (exact_scale(form(x)) for form in FORMS)
+    assert type(k) is int
+    for got, got_k in others:
+        assert got_k == k and _bits(got) == _bits(want)  # -0.0 and NaN too
+
+
+@pytest.mark.parametrize("x", EDGES)
+@pytest.mark.parametrize("k", [0, -1, 1, -1074])
+def test_finite_is_the_same_on_every_float_form(x, k):
+    results = []
+    for form in FORMS:
+        try:
+            results.append(_bits(finite(form(x), "x", "y", k)))
+        except OverflowError as exc:
+            results.append(str(exc))
+    assert results[1:] == results[:-1]
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_finite_refuses_past_the_range_in_its_own_words(form):
+    # math.ldexp would raise "math range error"; finite says what overflowed
+    with pytest.raises(OverflowError, match="^x overflow: y$"):
+        finite(form(DBL_MAX), "x", "y", 1)
+    with np.errstate(over="ignore"):  # as numpy's ldexp: +-inf, signed
+        assert _bits(_ldexp(form(-DBL_MAX), 1)) == _bits(-np.inf)
+
+
+def test_k_zero_hands_back_the_array_itself():
+    z = np.array([[[1 + 2j, -0.0 - 3j], [np.inf + 0j, 0.5j]]] * 3)
+    assert _ldexp(z, 0) is z
+    finite_rows = z[:, :1]
+    assert finite(finite_rows, "x", "y", 0) is finite_rows
+
+
+@pytest.mark.parametrize("axis", [None, -1, (-2, -1)])
+def test_complex_scaling_is_part_by_part(axis):
+    # one k per member; the overflowing real part of (DBL_MAX, 0) goes to
+    # inf and the zero imaginary part stays 0, not 0 * inf = NaN
+    z = np.array([[[DBL_MAX + 0j, 0.25 - 0.5j]], [[-3 + 0j, 2**-1074j]]])
+    x, k = exact_scale(z, axis=axis)
+    assert x.dtype == z.dtype and x is not z
+    for u in (0, 1, -1075):
+        with np.errstate(over="ignore"):
+            got = _ldexp(x, k + u)
+            want = (np.ldexp(x.real, k + u), np.ldexp(x.imag, k + u))
+        assert _bits(got.real) == _bits(want[0])
+        assert _bits(got.imag) == _bits(want[1])
