@@ -43,9 +43,7 @@ from .dual_tensors import (
     riemann_jordan_at,
 )
 from .projective import (
-    Ray,
     connection_form,
-    expectation,
     momentum_map,
     projected_hermitian,
     transition_probability,

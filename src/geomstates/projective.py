@@ -1,35 +1,17 @@
-"""The ray space: gauge-fixed rays, the momentum map onto rank-one
-projectors, expectation values, the connection one-form, the projected
-Hermitian tensor, and transition probabilities between extremal states.
-The maps take psi at any finite scale, through RealifiedState.unit and norm."""
+"""The ray space: the momentum map onto rank-one projectors, the connection
+one-form, the projected Hermitian tensor, and transition probabilities
+between extremal states.  The maps take psi at any finite scale, through
+RealifiedState.unit, and read tangent vectors at their exact scale."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .basis import DimensionError, check_hermitian, finite, real_array
+from .basis import DimensionError, exact_scale, finite, real_array
 from .realified import RealifiedState, TangentVector, _complex
-from .realified import ZeroVectorError  # noqa: F401  raised by unit()
-from .states import NotExtremalError, PureDensity, _one  # noqa: F401
-
-
-@dataclass(frozen=True)
-class Ray:
-    """Equivalence class of a nonzero vector under nonzero complex scaling.
-
-    The stored representative is the unit vector whose first nonvanishing
-    coordinate is real and positive.
-    """
-
-    representative: RealifiedState
-
-    @classmethod
-    def from_state(cls, psi: RealifiedState) -> "Ray":
-        z = _complex(psi.unit())
-        zk = z[np.argmax(np.abs(z) > 1e-14)]  # a unit z has an entry that big
-        return cls(RealifiedState.from_complex(z * (zk.conjugate() / abs(zk))))
+from .states import PureDensity, _one
 
 
 def momentum_map(psi: RealifiedState) -> PureDensity:
@@ -41,13 +23,6 @@ def momentum_map(psi: RealifiedState) -> PureDensity:
     return PureDensity(np.outer(u, u.conj()))
 
 
-def expectation(a: np.ndarray, psi: RealifiedState) -> float:
-    """e_A(psi) = <psi, A psi> / <psi, psi>; scale invariant."""
-    a = check_hermitian(a, psi.dim)
-    u = _complex(psi.unit())
-    return float((u.conj() @ (a @ u)).real)
-
-
 def connection_form(psi: RealifiedState, v: TangentVector) -> complex:
     """theta(psi)(v) = <psi, v> / <psi, psi>.
 
@@ -55,8 +30,11 @@ def connection_form(psi: RealifiedState, v: TangentVector) -> complex:
     direction is 1 and on its J-rotation is i.
     """
     u = _complex(psi.unit())
-    vc = _complex(real_array(v.components, (2 * psi.dim,), "v"))
-    return complex(u.conj() @ vc) / psi.norm()
+    x, k = psi._scaled()
+    vs, kv = exact_scale(real_array(v.components, (2 * psi.dim,), "v"))
+    t = complex(u.conj() @ _complex(vs)) / math.sqrt(x.dot(x))
+    return complex(finite(t, "tensor", "<psi, v> / <psi, psi> is beyond the "
+                          "float range", kv - k))
 
 
 def projected_hermitian(psi: RealifiedState, v: TangentVector,
@@ -70,12 +48,14 @@ def projected_hermitian(psi: RealifiedState, v: TangentVector,
     rescaling psi.
     """
     u = _complex(psi.unit())
-    vc = _complex(real_array(v.components, (2 * psi.dim,), "v"))
-    wc = _complex(real_array(w.components, (2 * psi.dim,), "w"))
-    nrm = psi.norm()  # nrm * nrm would be 0 at |psi| = 1e-300, or inf
+    x, k = psi._scaled()
+    vs, kv = exact_scale(real_array(v.components, (2 * psi.dim,), "v"))
+    ws, kw = exact_scale(real_array(w.components, (2 * psi.dim,), "w"))
+    vc, wc = _complex(vs), _complex(ws)
+    nrm = math.sqrt(x.dot(x))
     h = complex(vc.conj() @ wc - (vc.conj() @ u) * (u.conj() @ wc))
-    return complex(finite(h / nrm / nrm, "tensor",
-                          "<v, w> / <psi, psi> is beyond the float range"))
+    return complex(finite(h / nrm / nrm, "tensor", "<v, w> / <psi, psi> is "
+                          "beyond the float range", kv + kw - 2 * k))
 
 
 def transition_probability(rho1: PureDensity, rho2: PureDensity) -> float:

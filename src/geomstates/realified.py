@@ -101,9 +101,6 @@ class TangentVector:
         object.__setattr__(self, "components", real_array(
             self.components, (2 * self.base.dim,), "tangent components"))
 
-    def to_complex(self) -> np.ndarray:
-        return _complex(self.components)
-
 
 def _realify(z: np.ndarray) -> np.ndarray:
     return np.concatenate([z.real, z.imag])

@@ -281,25 +281,14 @@ def face_of(rho: DensityState) -> FaceDescriptor:
                           rho.face_dimension)
 
 
-def face_contains(face: FaceDescriptor, candidate: DensityState,
-                  mode: str = "image") -> bool:
-    """Membership of a state in a face, to 1e-9 in the largest entry.
-
-    mode "image": candidate supported on the image of the base state,
-    i.e. Ker(base) contained in Ker(candidate).  This is the predicate that
-    satisfies the face axioms (any segment of states with an interior point
-    in the face lies in it).
-
-    mode "kernel": the literal reversed inclusion Ker(candidate) contained
-    in Ker(base), exposed so tests can demonstrate it fails the axioms.
-    """
-    if mode == "image":
-        p, x = face.projector(), candidate.op
-    elif mode == "kernel":
-        p, x = face_of(candidate).projector(), face.base.op
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    x = check_hermitian(x, len(p))
+def face_contains(face: FaceDescriptor, candidate: DensityState) -> bool:
+    """Membership of a state in a face, to 1e-9 in the largest entry: the
+    candidate is supported on the image of the base state, i.e.
+    Ker(base) contained in Ker(candidate).  This predicate satisfies the
+    face axioms (any segment of states with an interior point in the face
+    lies in it)."""
+    p = face.projector()
+    x = check_hermitian(candidate.op, len(p))
     return bool(np.abs((np.eye(len(p)) - p) @ x).max() <= 1e-9)
 
 

@@ -19,7 +19,6 @@ from geomstates import (
     certify_density,
     check_hermitian,
     critical_point_eigensolve,
-    expectation,
     flow_hamiltonian,
     from_dual,
     gellmann_basis,
@@ -522,7 +521,6 @@ def test_check_hermitian_matches_the_scaled_skew_rule(n, seed, kinds, exp,
                  id="star_product_b"),
     pytest.param(gradient_vf, id="gradient_vf"),
     pytest.param(hamiltonian_vf, id="hamiltonian_vf"),
-    pytest.param(expectation, id="expectation"),
     pytest.param(lambda a, psi: flow_hamiltonian(a, psi, 1.0),
                  id="flow_hamiltonian"),
     pytest.param(lambda a, psi: expectation_trace_samples(a, psi, 1.0),

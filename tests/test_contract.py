@@ -21,7 +21,9 @@ float range.  Inputs are drawn with parts 0 or of magnitude in [1/4, 1), so
 that they stay exact at every scale drawn."""
 
 import dataclasses
+import re
 import traceback
+import types
 import warnings
 from collections import namedtuple
 from pathlib import Path
@@ -225,7 +227,6 @@ ROWS = (
         ("state", "operator", "operator"), each(2, 1, 1), tuple),
     Row("connection_form", g.connection_form, ("state", "tangent"),
         each(-1, 1)),
-    Row("expectation", g.expectation, ("operator", "state"), each(1, 0)),
     Row("momentum_map", g.momentum_map, ("state",), each(0),
         lambda r: (r.op,)),
     Row("projected_hermitian", g.projected_hermitian,
@@ -327,6 +328,17 @@ def test_every_reexported_function_has_a_row():
     names = {name for name, obj in vars(geomstates).items()
              if callable(obj) and not isinstance(obj, type)}
     assert names <= set(BY_NAME)
+
+
+def test_readme_names_every_public_name_once_with_a_reason():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("\n## Public names\n")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `(\w+)` \|(.*)\|$", table, re.MULTILINE)
+    public = [name for name, obj in vars(geomstates).items()
+              if not name.startswith("_")
+              and not isinstance(obj, types.ModuleType)]
+    assert sorted(name for name, _ in rows) == sorted(public)
+    assert all(reason.strip() for _, reason in rows)
 
 
 @pytest.mark.parametrize("row", ROWS, ids=lambda row: row.name)

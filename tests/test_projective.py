@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from geomstates import (
     DimensionError,
     PureDensity,
-    Ray,
     RealifiedState,
     TangentVector,
     connection_form,
     critical_point_eigensolve,
-    expectation,
     gellmann_basis,
     momentum_map,
     projected_hermitian,
@@ -21,8 +19,9 @@ from geomstates import (
     quadratic_function,
     transition_probability,
 )
-from geomstates import projective, realified
-from geomstates.projective import NotExtremalError, ZeroVectorError
+from geomstates import realified
+from geomstates.realified import ZeroVectorError, expectation_trace_samples
+from geomstates.states import NotExtremalError
 
 from conftest import (
     operator_of_kind,
@@ -79,18 +78,24 @@ def test_momentum_map_pullback_is_quadratic_function(rng):
         assert abs(pairing - quadratic_function(a, psi)) < 1e-10
 
 
+def _expectation(a, psi):
+    """e_A(psi) = <psi, A psi> / <psi, psi>, where the library forms it: the
+    first e_A sample of a flow."""
+    return expectation_trace_samples(a, psi, 0.0)[0][0, 1]
+
+
 def test_expectation_examples(rng):
     psi = random_state(rng, 3)
-    assert abs(expectation(np.eye(3), psi) - 1.0) < 1e-12
+    assert abs(_expectation(np.eye(3), psi) - 1.0) < 1e-12
     e2 = RealifiedState([0.0, 1.0], [0.0, 0.0])
-    assert abs(expectation(SIGMA[3], e2) + 1.0) < 1e-14
+    assert abs(_expectation(SIGMA[3], e2) + 1.0) < 1e-14
 
 
 def test_expectation_equals_trace_form(rng):
     for _ in range(100):
         a = random_hermitian(rng, 2)
         psi = random_state(rng, 2)
-        assert abs(expectation(a, psi)
+        assert abs(_expectation(a, psi)
                    - np.trace(momentum_map(psi).op @ a).real) < 1e-12
 
 
@@ -115,6 +120,9 @@ def test_projected_tensor_annihilates_vertical(rng):
     for vz in (z, 1j * z):
         v = tangent(psi, vz)
         assert abs(projected_hermitian(psi, v, v)) < 1e-12
+    # <v, v> = 1e600 alone is beyond the float range; read at exact scale,
+    # the vertical v still gives 0, with no warning
+    assert projected_hermitian(_TINY, _ALONG, _ALONG) == 0
 
 
 def test_projected_tensor_horizontal_unit():
@@ -173,20 +181,6 @@ def test_non_extremal_rejected():
         PureDensity(np.eye(2) / 2)
 
 
-def test_ray_gauge(rng):
-    psi = random_state(rng, 3)
-    ray = Ray.from_state(psi)
-    z = ray.representative.to_complex()
-    assert abs(np.linalg.norm(z) - 1.0) < 1e-12
-    first = z[np.abs(z) > 1e-12][0]
-    assert abs(first.imag) < 1e-12 and first.real > 0
-
-
-def test_ray_zero_rejected():
-    with pytest.raises(ZeroVectorError):
-        Ray.from_state(RealifiedState([0.0, 0.0], [0.0, 0.0]))
-
-
 # -- scale: the maps read psi through RealifiedState.unit and norm ---------
 
 def _state_of_kind(rng, n, kind, phase):
@@ -230,18 +224,16 @@ def test_ray_maps_bit_identical_at_any_scale(n, seed, kind, phase, e):
     big = RealifiedState(_assume_exact(psi.q, e), _assume_exact(psi.p, e))
     a = random_hermitian(rng, n)
     assert np.array_equal(momentum_map(big).op, momentum_map(psi).op)
-    assert expectation(a, big) == expectation(a, psi)
-    want, got = (Ray.from_state(x).representative for x in (psi, big))
-    assert np.array_equal(got.q, want.q) and np.array_equal(got.p, want.p)
+    assert _expectation(a, big) == _expectation(a, psi)
 
 
 @settings(max_examples=150, deadline=None)
-@given(e=st.integers(-300, 300), **SCALE_DRAWS)
+@given(e=st.integers(-1000, 1000), **SCALE_DRAWS)
 def test_ray_tensors_bit_identical_when_psi_v_w_scale_together(
         n, seed, kind, phase, e):
     # theta and the projected tensor are homogeneous of degree 0 in
-    # (psi, v, w) together; <v, w> stays in range up to |e| = 300, while
-    # <psi, psi>^2 leaves it beyond |e| = 256.
+    # (psi, v, w) together, and read each at its exact scale, so they hold
+    # wherever psi, v and w scale exactly.
     rng = np.random.default_rng(seed)
     psi = _state_of_kind(rng, n, kind, phase)
     v, w = (tangent(psi, rng.normal(size=n) + 1j * rng.normal(size=n))
@@ -314,16 +306,14 @@ def test_pushforward_accepts_a_tiny_state():
 
 
 def test_one_zero_vector_error():
-    assert (projective.ZeroVectorError is realified.ZeroVectorError
-            is realified.InvalidStartError)
+    assert realified.ZeroVectorError is realified.InvalidStartError
     assert issubclass(ZeroVectorError, ValueError)
 
 
 @pytest.mark.parametrize("call", [
     lambda psi: psi.unit(),
-    Ray.from_state,
     momentum_map,
-    lambda psi: expectation(np.eye(2), psi),
+    lambda psi: expectation_trace_samples(np.eye(2), psi, 1.0),
     lambda psi: connection_form(psi, tangent(psi, np.ones(2))),
     lambda psi: projected_hermitian(psi, tangent(psi, np.ones(2)),
                                     tangent(psi, np.ones(2))),
@@ -339,6 +329,11 @@ _PSI2 = RealifiedState([0.6, 0.8], [0.0, 0.0])
 _V2 = TangentVector(_PSI2, [1.0, 0.0, 0.0, 0.0])
 _V3 = TangentVector(RealifiedState([1.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
                     [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+# at psi = (1e-300, 0), <psi, v> / <psi, psi> = 1e600 along psi, and
+# <v, v> / <psi, psi> = 1e1200 across it
+_TINY = RealifiedState([1e-300, 0.0], [0.0, 0.0])
+_ALONG = TangentVector(_TINY, [1e300, 0.0, 0.0, 0.0])
+_ACROSS = TangentVector(_TINY, [0.0, 1e300, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -358,6 +353,12 @@ _V3 = TangentVector(RealifiedState([1.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
     pytest.param(lambda: projected_hermitian(_PSI2, _V2, _V3), DimensionError,
                  r"^w must have shape \(4,\), got \(6,\)$",
                  id="projected-w-dims"),
+    pytest.param(lambda: connection_form(_TINY, _ALONG), OverflowError,
+                 r"^tensor overflow: <psi, v> / <psi, psi> is beyond the "
+                 "float range$", id="connection-overflow"),
+    pytest.param(lambda: projected_hermitian(_TINY, _ACROSS, _ACROSS),
+                 OverflowError, "^tensor overflow: <v, w> / <psi, psi> is "
+                 "beyond the float range$", id="projected-overflow"),
 ])
 def test_projective_refusals(call, error, message):
     with pytest.raises(error, match=message):

@@ -560,15 +560,15 @@ def test_face_axiom_selects_image_predicate(rng, capsys):
     a = require_density(np.diag([0.7, 0.3, 0.0]).astype(complex))
     b = require_density(np.diag([0.3, 0.7, 0.0]).astype(complex))
     mid = require_density((a.op + b.op) / 2)
-    assert face_contains(face, mid, mode="image")
-    assert face_contains(face, a, mode="image")
-    assert face_contains(face, b, mode="image")
-    # the kernel reading admits full-rank states into a boundary face,
-    # violating the segment axiom (segments leave the face)
+    assert face_contains(face, mid)
+    assert face_contains(face, a)
+    assert face_contains(face, b)
+    # a full-rank state is outside the boundary face; the kernel reading
+    # would admit it, and segments through it would leave the face
     full = require_density(np.diag([0.4, 0.4, 0.2]).astype(complex))
-    assert face_contains(face, full, mode="kernel")
+    assert not face_contains(face, full)
     print("face predicate satisfying the segment axiom: image inclusion "
-          "(Ker rho subset of Ker A); literal reversed reading fails")
+          "(Ker rho subset of Ker A)")
 
 
 # -- decompositions --------------------------------------------------------
@@ -746,7 +746,6 @@ def test_pure_density_names_the_failed_test(op, message):
 
 def test_pure_density_is_one_class_for_projective_and_states():
     assert projective.PureDensity is states.PureDensity
-    assert projective.NotExtremalError is states.NotExtremalError
 
 
 def test_states_sits_below_the_ray_space():
@@ -1246,14 +1245,10 @@ _PURE_STATE = require_density(_PURE)
     pytest.param(lambda: qutrit_pure_from_bloch(np.ones(3)), DimensionError,
                  r"^n must have shape \(8,\), got \(3,\)$",
                  id="qutrit-bloch-shape"),
-    pytest.param(lambda: face_contains(face_of(require_density(_PURE)),
-                                       require_density(_PURE), mode="span"),
-                 ValueError, "unknown mode 'span'", id="face-mode"),
-    *[pytest.param(lambda mode=mode: face_contains(
-        face_of(_PURE_STATE), require_density(np.eye(3) / 3), mode=mode),
-        DimensionError, rf"^expected an operator of shape \({m}, {m}\), "
-        rf"got \({k}, {k}\)$", id=f"face-{mode}-dims")
-      for mode, m, k in [("image", 2, 3), ("kernel", 3, 2)]],
+    pytest.param(lambda: face_contains(
+        face_of(_PURE_STATE), require_density(np.eye(3) / 3)),
+        DimensionError, r"^expected an operator of shape \(2, 2\), "
+        r"got \(3, 3\)$", id="face-image-dims"),
 ])
 def test_states_refusals(call, error, message):
     with pytest.raises(error, match=message):
