@@ -28,8 +28,7 @@ print()
 print("Interior point decomposed along a Bloch-line direction:")
 rho = require_density(qubit_from_bloch(0.1, 0.0, 0.2))
 dec = bloch_decompose_along(rho, [0.0, 0.0, 1.0])
-for w, comp in zip(dec.weights, dec.components):
-    y = qubit_bloch_vector(comp)
+for w, y in zip(dec.weights, qubit_bloch_vector(dec.components)):
     print(f"  weight {w:.4f} at boundary point {np.round(y, 4)} "
           f"(radius {np.linalg.norm(y):.4f})")
 residual = np.abs(dec.reconstruct() - rho.op).max()

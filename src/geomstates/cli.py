@@ -153,7 +153,7 @@ def cmd_decompose(args) -> str:
     report = {
         "mode": args.mode,
         "weights": dec.weights.tolist(),
-        "components": [serialize.operator_to_dict(c.op) for c in dec.components],
+        "components": [serialize.operator_to_dict(c) for c in dec.components.op],
         "residual": residual,
     }
     return serialize.dumps(report)

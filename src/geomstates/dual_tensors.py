@@ -49,22 +49,19 @@ class TensorAtPoint:
 
 @dataclass(frozen=True)
 class DistributionReport:
-    """Dimensions and orthonormal y-coordinate bases of the four tangent
-    distributions at a point."""
+    """Orthonormal y-coordinate bases of the four tangent distributions at a
+    point; dims are their column counts."""
 
     point: np.ndarray
-    dim_lambda: int
-    dim_r: int
-    dim_0: int
-    dim_1: int
     basis_lambda: np.ndarray  # columns are orthonormal y-vectors
     basis_r: np.ndarray
     basis_0: np.ndarray
     basis_1: np.ndarray
 
     @property
-    def dims(self):
-        return (self.dim_lambda, self.dim_r, self.dim_0, self.dim_1)
+    def dims(self) -> tuple:
+        return tuple(b.shape[1] for b in (self.basis_lambda, self.basis_r,
+                                          self.basis_0, self.basis_1))
 
 
 def _tensor_at(y: np.ndarray, basis: OrthogonalBasis, kind: str):
@@ -91,20 +88,24 @@ def riemann_jordan_at(y: np.ndarray, basis: OrthogonalBasis) -> TensorAtPoint:
     return _tensor_at(y, basis, "R")
 
 
+def _endo(xi: np.ndarray, a: np.ndarray, sign: float) -> np.ndarray:
+    """A xi + sign xi A, each member of xi and A read at its exact scale."""
+    xi, kx = exact_scale(check_hermitian(xi), axis=(-2, -1))
+    a, ka = exact_scale(check_hermitian(a, xi.shape[-1]))
+    return finite(a @ xi + sign * (xi @ a), "endomorphism",
+                  "A xi +- xi A is beyond the float range", kx + ka)
+
+
 def jtilde_endo(xi: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Hamiltonian direction at xi generated by A: (1/i)[A, xi]; at each
     point of a stack xi of shape (..., n, n)."""
-    xi = check_hermitian(xi)
-    a = check_hermitian(a, xi.shape[-1])
-    return -1j * (a @ xi - xi @ a)
+    return -1j * _endo(xi, a, -1.0)
 
 
 def r_endo(xi: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Gradient direction at xi generated by A: [A, xi]_+; at each point of
     a stack xi of shape (..., n, n)."""
-    xi = check_hermitian(xi)
-    a = check_hermitian(a, xi.shape[-1])
-    return a @ xi + xi @ a
+    return _endo(xi, a, 1.0)
 
 
 def distributions_at(y: np.ndarray,
@@ -139,8 +140,8 @@ def distributions_at(y: np.ndarray,
             "intersection dimension disagrees with the [A, xi^2] span "
             f"({dim0} vs {dim0_direct})"
         )
-    bases = [dirs[:, s] for s in (in_l, in_r, in_l & in_r, in_l | in_r)]
-    return DistributionReport(y, *(b.shape[1] for b in bases), *bases)
+    return DistributionReport(y, *(dirs[:, s] for s in (
+        in_l, in_r, in_l & in_r, in_l | in_r)))
 
 
 def pushforward_check(psi: RealifiedState, a: np.ndarray, b: np.ndarray):

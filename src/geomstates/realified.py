@@ -133,11 +133,15 @@ class KaehlerTriple:
 
 
 def hermitian_split(psi1: RealifiedState, psi2: RealifiedState):
-    """(Re, Im) of the Hermitian product <psi1, psi2>, antilinear in psi1."""
+    """(Re, Im) of the Hermitian product <psi1, psi2>, antilinear in psi1,
+    with both states read at their exact scales."""
     if psi1.dim != psi2.dim:
         raise DimensionError("state dimensions differ")
-    return (float(psi1.q @ psi2.q + psi1.p @ psi2.p),
-            float(psi1.q @ psi2.p - psi1.p @ psi2.q))
+    (x1, k1), (x2, k2) = psi1._scaled(), psi2._scaled()
+    (q1, p1), (q2, p2) = np.split(x1, 2), np.split(x2, 2)
+    return tuple(float(finite(x, "product", "<psi1, psi2> is beyond the "
+                              "float range", k1 + k2))
+                 for x in (q1 @ q2 + p1 @ p2, q1 @ p2 - p1 @ q2))
 
 
 def quadratic_function(a: np.ndarray, psi: RealifiedState) -> float:

@@ -39,11 +39,8 @@ def operator_to_dict(a: np.ndarray) -> dict:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a single matrix, got shape {a.shape}")
-    return {
-        "dim": int(a.shape[0]),
-        "re": a.real.tolist(),
-        "im": a.imag.tolist(),
-    }
+    return {"dim": int(a.shape[0]), "re": a.real.tolist(),
+            "im": a.imag.tolist()}
 
 
 @functools.lru_cache(maxsize=None)  # an ABC test costs ~0.7 us per call
@@ -124,19 +121,10 @@ def tensor_to_dict(t: TensorAtPoint) -> dict:
 
 
 def distributions_to_dict(r: DistributionReport) -> dict:
-    return {
-        "y": r.point.tolist(),
-        "dims": {
-            "lambda": r.dim_lambda,
-            "R": r.dim_r,
-            "D0": r.dim_0,
-            "D1": r.dim_1,
-        },
-        "basis_lambda": r.basis_lambda.T.tolist(),
-        "basis_R": r.basis_r.T.tolist(),
-        "basis_D0": r.basis_0.T.tolist(),
-        "basis_D1": r.basis_1.T.tolist(),
-    }
+    names = ("lambda", "R", "D0", "D1")  # of "dims" and of the bases
+    bases = (r.basis_lambda, r.basis_r, r.basis_0, r.basis_1)
+    return {"y": r.point.tolist(), "dims": dict(zip(names, r.dims)),
+            **{f"basis_{k}": b.T.tolist() for k, b in zip(names, bases)}}
 
 
 # -- CSV writers --------------------------------------------------------

@@ -6,7 +6,8 @@ tangency check for curves inside a stratum.
 A DensityState is the certified record at any leading shape: certify_densities
 gives it for a stack, certify_density for one matrix, PureDensity at rank 1.
 weyl_reduce, orbit_dimension, face_dimension, qubit_bloch_vector and to_dual
-take stacks; face_of and the decompositions take one state, not a stack."""
+take stacks; face_of and the decompositions take one state, not a stack, and
+a decomposition's components are one PureDensity of shape (k,)."""
 
 from __future__ import annotations
 
@@ -83,16 +84,6 @@ class DensityState:
     def face_dimension(self) -> np.ndarray:
         """(...) rank^2 - 1: the face dimension, -1 (empty) where rejected."""
         return self.rank * self.rank - 1
-
-    def __iter__(self):
-        """The members along the first axis, not certified again."""
-        if not np.ndim(self.rank):
-            raise DimensionError("expected a stack of states, got shape ()")
-        for k in range(len(self.rank)):
-            member = object.__new__(type(self))
-            DensityState.__init__(member, *(None if f is None else f[k]
-                                            for f in vars(self).values()))
-            yield member
 
 
 _MINOR_CONDITIONS = ("a >= 0", "b >= 0", "c >= 0", "|f|^2 <= bc",
@@ -258,27 +249,28 @@ def gl_act_states(t: np.ndarray, rho: DensityState) -> DensityState:
 
 @dataclass(frozen=True)
 class FaceDescriptor:
-    """The face of the convex body through a given state: the density
-    states supported on the image of the base state."""
+    """The face through a state: the density states supported on the image
+    of the base state, of dimension base.face_dimension."""
 
     base: DensityState
     image_basis: np.ndarray  # (n, k) orthonormal columns spanning Im rho
-    dimension: int  # k^2 - 1
 
     def projector(self) -> np.ndarray:
         return self.image_basis @ self.image_basis.conj().T
 
 
-def _one(rho: DensityState) -> DensityState:
-    """rho if it is one state; DimensionError for a stacked record."""
+def _one(rho: DensityState, vectors: bool = False) -> DensityState:
+    """rho if it is one state, with eigenvectors if vectors; DimensionError
+    for a stacked record, ValueError for one certified without them."""
     if np.ndim(rho.rank):
         raise DimensionError(f"expected one state, got shape {rho.rank.shape}")
+    if vectors and rho.eigvecs is None:
+        raise ValueError("state was certified without eigenvectors")
     return rho
 
 
 def face_of(rho: DensityState) -> FaceDescriptor:
-    return FaceDescriptor(rho, _one(rho).eigvecs[:, :rho.rank],
-                          rho.face_dimension)
+    return FaceDescriptor(rho, _one(rho, True).eigvecs[:, :rho.rank])
 
 
 def face_contains(face: FaceDescriptor, candidate: DensityState) -> bool:
@@ -294,20 +286,22 @@ def face_contains(face: FaceDescriptor, candidate: DensityState) -> bool:
 
 @dataclass(frozen=True)
 class ConvexDecomposition:
-    """rho = sum_i weights[i] * components[i] with extremal components."""
+    """rho = sum_i weights[i] * components.op[i] with extremal components."""
 
-    weights: np.ndarray
-    components: tuple  # PureDensity instances
+    weights: np.ndarray  # (k,)
+    components: PureDensity  # (k,), certified in one call
 
     def reconstruct(self) -> np.ndarray:
-        return sum(w * c.op for w, c in zip(self.weights, self.components))
+        """The weighted sum, its terms added left to right."""
+        terms = self.weights[:, None, None] * self.components.op
+        return np.cumsum(terms, axis=0)[-1]
 
 
 def convex_decompose_spectral(rho: DensityState) -> ConvexDecomposition:
     """Eigen-decomposition of a state into orthogonal pure components."""
-    v = _one(rho).eigvecs.T[:rho.rank]
+    v = _one(rho, True).eigvecs.T[:rho.rank]
     comps = PureDensity(v[:, :, None] * v.conj()[:, None, :])
-    return ConvexDecomposition(rho.spectrum[:rho.rank], tuple(comps))
+    return ConvexDecomposition(rho.spectrum[:rho.rank], comps)
 
 
 def qubit_from_bloch(y1, y2, y3) -> np.ndarray:
@@ -352,15 +346,14 @@ def bloch_decompose_along(rho: DensityState,
     if disc < -1e-12:
         raise ValueError("line misses the pure-state sphere")
     root = np.sqrt(max(disc, 0.0))
-    t_plus = -vd + root
-    t_minus = -vd - root
+    t_plus, t_minus = -vd + root, -vd - root
     if t_plus - t_minus < 1e-10:
         weights, t = np.array([1.0]), np.array([t_plus])
     else:
         p = -t_minus / (t_plus - t_minus)
         weights, t = np.array([p, 1.0 - p]), np.array([t_plus, t_minus])
     ends = qubit_from_bloch(*(v + t[:, None] * d).T)
-    return ConvexDecomposition(weights, tuple(PureDensity(ends)))
+    return ConvexDecomposition(weights, PureDensity(ends))
 
 
 def qutrit_star(a, b) -> np.ndarray:

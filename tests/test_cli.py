@@ -129,7 +129,7 @@ def test_classify_prints_the_report_of_the_public_helpers(capsys, n):
             "y": to_dual(rho.op, gellmann_basis(n)).tolist(),
             "weyl": weyl_reduce(rho).tolist(),
             "orbit_dim": int(orbit_dimension(rho)),
-            "face_dim": int(face_of(rho).dimension),
+            "face_dim": int(face_of(rho).base.face_dimension),
         }) + "\n"
         assert run(capsys, "classify", "--json", op_json(a)) == (0, want), kind
 

@@ -250,7 +250,7 @@ ROWS = (
         each(1, 2)),
     Row("bloch_decompose_along", g.bloch_decompose_along,
         ("density", "traceless"), each(None, 0),
-        lambda r: (r.weights, *(c.op for c in r.components)), ns=(2, 2)),
+        lambda r: (r.weights, r.components.op), ns=(2, 2)),
     Row("certify_densities", g.certify_densities, ("stack",)),
     Row("certify_density", g.certify_density, ("operator",)),
     Row("require_density", g.require_density, ("operator",)),
@@ -272,7 +272,6 @@ ROWS = (
     Row("qutrit_star", g.qutrit_star, ("traceless", "traceless"),
         each(1, 1), ns=(3, 3)),
     Row("tangency_check", lambda s: g.tangency_check(s, 1), ("curve",)),
-    Row("DensityState.__iter__", list, ("density",)),
 )
 BY_NAME = {row.name: row for row in ROWS}
 
@@ -415,6 +414,23 @@ def test_flows_scale_exactly_in_a_at_two_to_the_600(name):
             _check_scaling(row, row.scalings[0], n, n, u)
 
 
+EDGE = [(BY_NAME[name], s) for name in ("jtilde_endo", "r_endo",
+                                        "hermitian_split")
+        for s in BY_NAME[name].scalings]
+
+
+@pytest.mark.parametrize("row, scaling", EDGE,
+                         ids=[f"{r.name}-{r.scalings.index(s)}"
+                              for r, s in EDGE])
+def test_products_scale_at_the_edge_of_the_float_range(row, scaling):
+    """Scalings by 2**u just below the float limit, where products formed
+    from unscaled arguments overflowed or refused a representable result."""
+    for n in (2, 3, 5):
+        for seed in range(4):
+            for u in (1020, 1022, 1023):
+                _check_scaling(row, scaling, n, seed, u)
+
+
 def _refuses(exc_type, match, call, *args):
     with pytest.raises(exc_type, match=match) as info:
         call(*args)
@@ -449,8 +465,3 @@ def test_qubit_from_bloch_refuses_non_finite_coordinates(bad):
         _refuses(ValueError, "^ball coordinates must be finite$",
                  g.qubit_from_bloch, *coords)
 
-
-def test_iterating_one_record_is_refused():
-    _refuses(geomstates.DimensionError,
-             r"^expected a stack of states, got shape \(\)$",
-             list, g.certify_density(np.eye(2) / 2))

@@ -156,9 +156,7 @@ def test_endomorphisms_commute(rng):
 def test_distributions_central_point():
     y = np.array([1.0, 0, 0, 0])
     rep = distributions_at(y, B2)
-    assert rep.dim_lambda == 0
-    assert rep.dim_0 == 0
-    assert rep.dim_r == 4
+    assert rep.dims[:3] == (0, 4, 0)
 
 
 def test_distributions_generic_qubit():
@@ -168,7 +166,7 @@ def test_distributions_generic_qubit():
 
 def test_distributions_pure_qubit():
     rep = distributions_at(np.array([0.5, 0, 0, 0.5]), B2)
-    assert rep.dim_0 == rep.dim_lambda == 2
+    assert rep.dims[2] == rep.dims[0] == 2
 
 
 def test_distributions_where_xi_squared_is_scalar(rng):
@@ -221,9 +219,10 @@ def test_distributions_with_small_distinct_eigenvalues(rng, w):
 def test_distribution_dimension_inequalities(rng):
     for _ in range(10):
         rep = distributions_at(rng.normal(size=9), B3)
-        assert rep.dim_0 <= min(rep.dim_lambda, rep.dim_r)
-        assert rep.dim_1 <= rep.dim_lambda + rep.dim_r
-        assert rep.dim_1 <= 9
+        dim_lambda, dim_r, dim_0, dim_1 = rep.dims
+        assert dim_0 <= min(dim_lambda, dim_r)
+        assert dim_1 <= dim_lambda + dim_r
+        assert dim_1 <= 9
 
 
 def test_distribution_basis_operators_are_hermitian(rng):
@@ -313,12 +312,13 @@ def test_distributions_closed_forms(n, data, scale, seed):
     n0 = int((w == 0).sum())
     # dim D_lambda = n^2 - sum m_k^2 (unitary orbit), dim D_1 = n^2 - n_0^2
     # (GL orbit); D_R misses the ordered pairs with w_i + w_j = 0.
-    assert rep.dim_lambda == n * n - int((mult ** 2).sum())
-    assert rep.dim_1 == n * n - n0 ** 2
-    assert rep.dim_r == n * n - int((w[:, None] + w == 0).sum())
-    assert rep.dim_0 == int(((w[:, None] != w) & (w[:, None] + w != 0)).sum())
-    assert lambda_at(y, basis).rank() == rep.dim_lambda
-    assert riemann_jordan_at(y, basis).rank() == rep.dim_r
+    dim_lambda, dim_r, dim_0, dim_1 = rep.dims
+    assert dim_lambda == n * n - int((mult ** 2).sum())
+    assert dim_1 == n * n - n0 ** 2
+    assert dim_r == n * n - int((w[:, None] + w == 0).sum())
+    assert dim_0 == int(((w[:, None] != w) & (w[:, None] + w != 0)).sum())
+    assert lambda_at(y, basis).rank() == dim_lambda
+    assert riemann_jordan_at(y, basis).rank() == dim_r
     got = (rep.basis_lambda, rep.basis_r, rep.basis_0, rep.basis_1)
     for b in got:
         assert np.abs(b.T @ b - np.eye(b.shape[1])).max(initial=0.0) < 1e-12
@@ -333,7 +333,7 @@ def test_distributions_closed_forms(n, data, scale, seed):
         mult = np.unique(p, return_counts=True)[1]
         assert orbit_dimension(rho) == n * n - int((mult ** 2).sum())
         assert orbit_dimension(rho) == \
-            distributions_at(to_dual(rho.op, basis), basis).dim_lambda
+            distributions_at(to_dual(rho.op, basis), basis).dims[0]
 
 
 def test_d1_matches_gl_orbit_tangent_rank(rng):
@@ -362,7 +362,7 @@ def test_d1_matches_gl_orbit_tangent_rank(rng):
         m = np.array(cols).T
         s = np.linalg.svd(m, compute_uv=False)
         fd_rank = int(np.sum(s > 1e-9 * s[0]))
-        assert fd_rank == rep.dim_1
+        assert fd_rank == rep.dims[3]
 
 
 def test_pushforward_identity_samples(rng):

@@ -354,13 +354,6 @@ def test_helpers_on_a_stack_are_the_helpers_on_each_member(n, shape, seed):
         assert ranks[0][i] == lambda_at(y[i], basis).rank()
         assert ranks[1][i] == riemann_jordan_at(y[i], basis).rank()
         assert certify_density(stack[i]).violated == one.violated
-    if shape:  # the members along the first axis, records of their own
-        members = list(rho)
-        assert len(members) == shape[0]
-        for k, member in enumerate(members):
-            assert type(member) is DensityState
-            assert np.array_equal(member.eigvecs, rho.eigvecs[k])
-            assert np.array_equal(member.code, rho.code[k])
 
 
 def test_qubit_from_bloch_broadcasts():
@@ -520,9 +513,9 @@ def test_gl_action_keeps_signature_and_rank_across_n(n, seed, kind):
 
 def test_face_dimensions():
     pure = require_density(np.diag([1.0, 0, 0]).astype(complex))
-    assert face_of(pure).dimension == 0
+    assert face_of(pure).base.face_dimension == 0
     mixed = require_density(np.eye(3) / 3)
-    assert face_of(mixed).dimension == 8
+    assert face_of(mixed).base.face_dimension == 8
 
 
 def test_face_membership_example():
@@ -584,7 +577,7 @@ def test_spectral_decomposition_pure(rng):
 def test_spectral_decomposition_mixed_qubit():
     dec = convex_decompose_spectral(require_density(np.eye(2) / 2))
     assert np.allclose(sorted(dec.weights), [0.5, 0.5])
-    overlap = np.trace(dec.components[0].op @ dec.components[1].op).real
+    overlap = np.trace(dec.components.op[0] @ dec.components.op[1]).real
     assert abs(overlap) < 1e-12
 
 
@@ -592,8 +585,8 @@ def test_spectral_decomposition_explicit_qubit():
     rho = require_density(qubit_from_bloch(0.0, 0.0, 0.25))
     dec = convex_decompose_spectral(rho)
     assert np.allclose(dec.weights, [0.75, 0.25])
-    assert np.allclose(dec.components[0].op, np.diag([1.0, 0.0]), atol=1e-12)
-    assert np.allclose(dec.components[1].op, np.diag([0.0, 1.0]), atol=1e-12)
+    assert np.allclose(dec.components.op[0], np.diag([1.0, 0.0]), atol=1e-12)
+    assert np.allclose(dec.components.op[1], np.diag([0.0, 1.0]), atol=1e-12)
 
 
 def test_spectral_decomposition_reconstructs(rng):
@@ -601,8 +594,34 @@ def test_spectral_decomposition_reconstructs(rng):
     dec = convex_decompose_spectral(rho)
     assert np.abs(dec.reconstruct() - rho.op).max() < 1e-10
     assert dec.weights.sum() == pytest.approx(1.0, abs=1e-12)
-    for c in dec.components:
-        assert require_density(c.op).rank == 1
+    for c in dec.components.op:
+        assert require_density(c).rank == 1
+
+
+def _spectral_cases(rng, n):
+    """A full-rank, a rank-deficient and a degenerate state at n."""
+    u = np.linalg.qr(random_hermitian(rng, n)
+                     + 1j * random_hermitian(rng, n))[0]
+    w = rng.integers(1, 3, size=n).astype(float)  # eigenvalues 1 and 2
+    m = (u * (w / w.sum())) @ u.conj().T
+    return [random_density(rng, n), random_density(rng, n, rank=n // 2),
+            require_density((m + m.conj().T) / 2)]
+
+
+def test_reconstruct_adds_its_terms_left_to_right():
+    # reconstruct() is w_0 c_0 + w_1 c_1 + ..., each term added to the sum
+    # of those before it: the decompose command's residual depends on it.
+    rng = np.random.default_rng(3)
+    for n in range(2, 13):
+        for _ in range(3):
+            for rho in _spectral_cases(rng, n):
+                dec = convex_decompose_spectral(rho)
+                terms = [w * c for w, c in zip(dec.weights,
+                                               dec.components.op)]
+                want = terms[0]
+                for term in terms[1:]:
+                    want = want + term
+                assert dec.reconstruct().tobytes() == want.tobytes()
 
 
 def test_bloch_decompose_center(rng):
@@ -610,8 +629,7 @@ def test_bloch_decompose_center(rng):
     d = rng.normal(size=3)
     dec = bloch_decompose_along(rho, d)
     assert np.allclose(dec.weights, [0.5, 0.5])
-    y1 = qubit_bloch_vector(require_density(dec.components[0].op))
-    y2 = qubit_bloch_vector(require_density(dec.components[1].op))
+    y1, y2 = qubit_bloch_vector(dec.components)
     assert np.allclose(y1, -y2, atol=1e-12)
     assert abs(np.linalg.norm(y1) - 0.5) < 1e-12
 
@@ -620,8 +638,8 @@ def test_bloch_decompose_explicit():
     rho = require_density(qubit_from_bloch(0.0, 0.0, 0.25))
     dec = bloch_decompose_along(rho, [0.0, 0.0, 1.0])
     assert np.allclose(dec.weights, [0.75, 0.25])
-    assert np.allclose(dec.components[0].op, np.diag([1.0, 0.0]), atol=1e-12)
-    assert np.allclose(dec.components[1].op, np.diag([0.0, 1.0]), atol=1e-12)
+    assert np.allclose(dec.components.op[0], np.diag([1.0, 0.0]), atol=1e-12)
+    assert np.allclose(dec.components.op[1], np.diag([0.0, 1.0]), atol=1e-12)
 
 
 def test_bloch_decompose_tangent_single_term():
@@ -659,8 +677,9 @@ def test_decompositions_certify_their_components_in_one_stack(
     monkeypatch.setattr(states, "certify_densities", lambda a, *tol: (
         calls.append(a.shape) or certify(a, *tol)))
     dec = decompose(rho)
-    assert len(dec.components) == len(op)
-    assert calls == [(len(dec.components),) + op.shape]
+    assert type(dec.components) is PureDensity
+    assert dec.components.op.shape == (len(op),) + op.shape
+    assert calls == [dec.components.op.shape]
 
 
 # -- pure states: the certified states of rank one -------------------------
@@ -722,11 +741,12 @@ def test_pure_density_of_a_stack():
     ops = np.stack([np.diag([1.0, 0.0]), np.full((2, 2), 0.5)])
     pure = PureDensity(ops)
     assert pure.rank.tolist() == [1, 1]
-    for got, op in zip(pure, ops):
+    assert type(pure) is PureDensity
+    for k, op in enumerate(ops):
         want = PureDensity(op)
-        assert type(got) is PureDensity
         for field in ("op", "rank", "spectrum", "eigvecs", "code", "trace"):
-            assert np.array_equal(getattr(got, field), getattr(want, field))
+            assert np.array_equal(getattr(pure, field)[k],
+                                  getattr(want, field))
     with pytest.raises(NotExtremalError, match=r"^not a pure state: rank "
                        r"\(rank 2, expected 1\)$"):
         PureDensity(np.stack([ops[0], np.eye(2) / 2]))
@@ -761,38 +781,45 @@ def test_states_sits_below_the_ray_space():
 
 def _pure_states_built_by_the_library(rng, n):
     """The momentum map's image at n, the spectral components of a mixed
-    state at n, and the Bloch-line components of a qubit state."""
+    state at n, and the Bloch-line components of a qubit state: records of
+    shape (), (k,) and (k,)."""
     psi = RealifiedState(*rng.normal(size=(2, n)))
     y = rng.normal(size=3)
     qubit = require_density(qubit_from_bloch(
         *(y / np.linalg.norm(y) * rng.uniform(0.0, 0.49))))
     return [projective.momentum_map(psi),
-            *convex_decompose_spectral(random_density(rng, n)).components,
-            *bloch_decompose_along(qubit, rng.normal(size=3)).components]
+            convex_decompose_spectral(random_density(rng, n)).components,
+            bloch_decompose_along(qubit, rng.normal(size=3)).components]
 
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
 def test_pure_states_are_the_density_states_they_certify_as(n, seed):
-    for rho in _pure_states_built_by_the_library(np.random.default_rng(seed),
-                                                 n):
-        assert isinstance(rho, PureDensity)
-        assert isinstance(rho, DensityState)
-        want = certify_density(rho.op)
-        for got in (rho, PureDensity(rho.op)):
-            assert type(got) is PureDensity and got.rank == want.rank == 1
-            for field in ("op", "spectrum", "eigvecs"):
-                assert (getattr(got, field).tobytes()
-                        == getattr(want, field).tobytes())
-        # the rank-one stratum: a point face, an orbit CP^(m-1) of real
-        # dimension 2m - 2, and a single extremal component
-        m = rho.dim
-        assert face_of(rho).dimension == 0
-        assert orbit_dimension(rho) == 2 * m - 2
-        assert np.array_equal(weyl_reduce(rho), np.maximum(rho.spectrum, 0.0))
-        dec = convex_decompose_spectral(rho)
-        assert dec.weights.tolist() == [rho.spectrum[0]]
-        assert len(dec.components) == 1
+    for record in _pure_states_built_by_the_library(
+            np.random.default_rng(seed), n):
+        assert type(record) is PureDensity
+        assert (record.rank == 1).all()
+        for i in np.ndindex(record.rank.shape):
+            _check_one_pure_state(record, i)
+
+
+def _check_one_pure_state(record, i):
+    """Member i of a PureDensity is the state certify_density finds."""
+    rho = PureDensity(record.op[i])
+    want = certify_density(rho.op)
+    assert type(rho) is PureDensity and rho.rank == want.rank == 1
+    for field in ("op", "spectrum", "eigvecs"):
+        for got in (getattr(record, field)[i], getattr(rho, field)):
+            assert got.tobytes() == getattr(want, field).tobytes()
+    # the rank-one stratum: a point face, an orbit CP^(m-1) of real
+    # dimension 2m - 2, and a single extremal component
+    m = rho.dim
+    assert face_of(rho).image_basis.shape == (m, 1)
+    assert orbit_dimension(rho) == 2 * m - 2
+    assert np.array_equal(weyl_reduce(rho), np.maximum(rho.spectrum, 0.0))
+    dec = convex_decompose_spectral(rho)
+    assert dec.weights.tolist() == [rho.spectrum[0]]
+    assert dec.components.op.shape == (1, m, m)
 
 
 _PURE_DIAGONAL = [
@@ -806,7 +833,7 @@ _PURE_DIAGONAL = [
 @pytest.mark.parametrize("pure", _PURE_DIAGONAL)
 def test_face_of_a_pure_state(pure):
     face = face_of(pure())
-    assert face.dimension == 0
+    assert face.base.face_dimension == 0
     assert np.array_equal(face.projector(), np.diag([0.0, 1.0, 0.0]))
 
 
@@ -825,7 +852,7 @@ def test_convex_decompose_spectral_of_a_pure_state(pure):
     rho = pure()
     dec = convex_decompose_spectral(rho)
     assert dec.weights.tolist() == [1.0]
-    assert np.array_equal(dec.components[0].op, rho.op)
+    assert np.array_equal(dec.components.op, rho.op[None])
 
 
 @pytest.mark.parametrize("helper", [
@@ -835,9 +862,10 @@ def test_convex_decompose_spectral_of_a_pure_state(pure):
 def test_one_state_helpers_refuse_a_stack(helper):
     # each member alone runs; the record of both is refused in the
     # library's words, not with numpy's TypeError
-    stack = certify_densities(np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])]))
-    for member in stack:
-        helper(member)
+    ops = np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])])
+    stack = certify_densities(ops)
+    for op in ops:
+        helper(certify_density(op))
     with pytest.raises(DimensionError,
                        match=r"^expected one state, got shape \(2,\)$"):
         helper(stack)
@@ -1157,9 +1185,7 @@ def test_bloch_line_bit_identical_at_any_direction_scale(seed, e, zero):
     assume(np.array_equal(_times_two_to(scaled, -e), d))  # an exact scaling
     want, got = (bloch_decompose_along(rho, x) for x in (d, scaled))
     assert np.array_equal(got.weights, want.weights)
-    assert len(got.components) == len(want.components)
-    for c_got, c_want in zip(got.components, want.components):
-        assert np.array_equal(c_got.op, c_want.op)
+    assert np.array_equal(got.components.op, want.components.op)
 
 
 @pytest.mark.parametrize("c", [1e-8, 1e-100, 1e160])
@@ -1249,6 +1275,11 @@ _PURE_STATE = require_density(_PURE)
         face_of(_PURE_STATE), require_density(np.eye(3) / 3)),
         DimensionError, r"^expected an operator of shape \(2, 2\), "
         r"got \(3, 3\)$", id="face-image-dims"),
+    *[pytest.param(lambda f=f: f(certify_densities(np.eye(2) / 2,
+                                                   vectors=False)),
+                   ValueError, "^state was certified without eigenvectors$",
+                   id=f"{f.__name__}-no-eigenvectors")
+      for f in (face_of, convex_decompose_spectral)],
 ])
 def test_states_refusals(call, error, message):
     with pytest.raises(error, match=message):
