@@ -51,7 +51,6 @@ from .projective import (
 from .realified import (
     KaehlerTriple,
     RealifiedState,
-    TangentVector,
     bracket_g,
     bracket_omega,
     critical_point_eigensolve,

@@ -24,7 +24,7 @@ from .basis import (
     real_array,
     triple_traces,
 )
-from .realified import RealifiedState, star_product
+from .realified import RealifiedState, _complex, star_product
 
 # Global scale between the contravariant Hermitian tensor on the realified
 # Hilbert space and the pushed-forward (R + i Lambda) on the dual, fixed once
@@ -152,13 +152,17 @@ def pushforward_check(psi: RealifiedState, a: np.ndarray, b: np.ndarray):
     linear functions of A and B.
     """
     psi.unit()  # ZeroVectorError at psi = 0
-    a, b = check_hermitian(a), check_hermitian(b)
-    lhs = star_product(a, b, psi)
-    z = psi.to_complex()
+    lhs = star_product(a, b, psi)  # checks A and B against psi's dimension
+    (a, ka), (b, kb) = (exact_scale(np.asarray(m, dtype=complex))
+                        for m in (a, b))
+    x, k = psi._scaled()
+    z = _complex(x)
     xi, ab, ba = np.outer(z, z.conj()), a @ b, b @ a
     r_val = float(np.trace(xi @ (ab + ba)).real) / 2.0
     l_val = float((np.trace(xi @ (ab - ba)) / 2j).real)
-    return lhs, PAIRING_SCALE * complex(r_val, l_val)
+    return lhs, complex(finite(PAIRING_SCALE * complex(r_val, l_val),
+                               "pushforward", "(R + i Lambda)(A, B) is "
+                               "beyond the float range", ka + kb + 2 * k))
 
 
 def calibrate_pairing_scale(rng=None, dim: int = 2) -> float:

@@ -1,7 +1,8 @@
 """The ray space: the momentum map onto rank-one projectors, the connection
 one-form, the projected Hermitian tensor, and transition probabilities
 between extremal states.  The maps take psi at any finite scale, through
-RealifiedState.unit, and read tangent vectors at their exact scale."""
+RealifiedState.unit, and tangent vectors as float arrays (q, p) of shape
+(2n,), read at their exact scale."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import math
 import numpy as np
 
 from .basis import DimensionError, exact_scale, finite, real_array
-from .realified import RealifiedState, TangentVector, _complex
+from .realified import RealifiedState, _complex
 from .states import PureDensity, _one
 
 
@@ -23,7 +24,7 @@ def momentum_map(psi: RealifiedState) -> PureDensity:
     return PureDensity(np.outer(u, u.conj()))
 
 
-def connection_form(psi: RealifiedState, v: TangentVector) -> complex:
+def connection_form(psi: RealifiedState, v: np.ndarray) -> complex:
     """theta(psi)(v) = <psi, v> / <psi, psi>.
 
     Vertical directions are recovered exactly: theta on the dilation
@@ -31,14 +32,14 @@ def connection_form(psi: RealifiedState, v: TangentVector) -> complex:
     """
     u = _complex(psi.unit())
     x, k = psi._scaled()
-    vs, kv = exact_scale(real_array(v.components, (2 * psi.dim,), "v"))
+    vs, kv = exact_scale(real_array(v, (2 * psi.dim,), "v"))
     t = complex(u.conj() @ _complex(vs)) / math.sqrt(x.dot(x))
     return complex(finite(t, "tensor", "<psi, v> / <psi, psi> is beyond the "
                           "float range", kv - k))
 
 
-def projected_hermitian(psi: RealifiedState, v: TangentVector,
-                        w: TangentVector) -> complex:
+def projected_hermitian(psi: RealifiedState, v: np.ndarray,
+                        w: np.ndarray) -> complex:
     """The Hermitian tensor that descends to the ray space, evaluated on
     (v, w):
 
@@ -49,8 +50,8 @@ def projected_hermitian(psi: RealifiedState, v: TangentVector,
     """
     u = _complex(psi.unit())
     x, k = psi._scaled()
-    vs, kv = exact_scale(real_array(v.components, (2 * psi.dim,), "v"))
-    ws, kw = exact_scale(real_array(w.components, (2 * psi.dim,), "w"))
+    vs, kv = exact_scale(real_array(v, (2 * psi.dim,), "v"))
+    ws, kw = exact_scale(real_array(w, (2 * psi.dim,), "w"))
     vc, wc = _complex(vs), _complex(ws)
     nrm = math.sqrt(x.dot(x))
     h = complex(vc.conj() @ wc - (vc.conj() @ u) * (u.conj() @ wc))

@@ -3,8 +3,9 @@ functions, their brackets, associated vector fields, the exact Hamiltonian
 flow, and the projected gradient eigensolver.
 
 A complex vector psi with components q_k + i p_k is carried around as the
-pair of real arrays (q, p).  The complex structure acts as multiplication
-by i: (q, p) -> (-p, q).
+pair of real arrays (q, p), and a tangent vector, such as a vector field's
+value, as one float array (q, p) of shape (2n,).  The complex structure
+acts as multiplication by i: (q, p) -> (-p, q).
 
 Sign conventions: the Hermitian product is antilinear in its *first*
 argument, g = Re<.,.> and w = Im<.,.>.  With that choice the compatibility
@@ -41,9 +42,6 @@ FLOW_SLICE = 2048
 
 class ZeroVectorError(ValueError):
     """A nonzero vector was required."""
-
-
-InvalidStartError = ZeroVectorError  # a zero start of the eigensolver
 
 
 @dataclass(frozen=True)
@@ -88,22 +86,6 @@ class RealifiedState:
         if not n2:
             raise ZeroVectorError("psi must be nonzero")
         return x / math.sqrt(n2)
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """Tangent vector at a point, components in (d/dq, d/dp) order."""
-
-    base: RealifiedState
-    components: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", real_array(
-            self.components, (2 * self.base.dim,), "tangent components"))
-
-
-def _realify(z: np.ndarray) -> np.ndarray:
-    return np.concatenate([z.real, z.imag])
 
 
 def _complex(x: np.ndarray) -> np.ndarray:
@@ -153,25 +135,34 @@ def quadratic_function(a: np.ndarray, psi: RealifiedState) -> float:
                         "<psi, A psi> is beyond the float range", ka + 2 * k))
 
 
-def star_product(a: np.ndarray, b: np.ndarray, psi: RealifiedState) -> complex:
-    """(G + i Omega)(df_A, df_B) at psi: <A psi, B psi>, as grad f_A is A psi
-    and g, w are Re, Im <.,.>.  Equals <psi, AB psi>."""
+def _star(a: np.ndarray, b: np.ndarray, psi: RealifiedState):
+    """(<A psi, B psi> * 2**-k, k), with A, B and psi read at exact scale."""
     (a, ka), (b, kb) = (exact_scale(check_hermitian(m, psi.dim))
                         for m in (a, b))
     x, k = psi._scaled()
-    s = np.vdot(a @ _complex(x), b @ _complex(x))
+    return np.vdot(a @ _complex(x), b @ _complex(x)), ka + kb + 2 * k
+
+
+def star_product(a: np.ndarray, b: np.ndarray, psi: RealifiedState) -> complex:
+    """(G + i Omega)(df_A, df_B) at psi: <A psi, B psi>, as grad f_A is A psi
+    and g, w are Re, Im <.,.>.  Equals <psi, AB psi>."""
+    s, k = _star(a, b, psi)
     return complex(finite(s, "star product", "<A psi, B psi> is beyond the "
-                          "float range", ka + kb + 2 * k))
+                          "float range", k))
 
 
 def bracket_g(a: np.ndarray, b: np.ndarray, psi: RealifiedState) -> float:
     """G(df_A, df_B) at psi; equals f_{AB+BA}(psi)."""
-    return star_product(a, b, psi).real
+    s, k = _star(a, b, psi)
+    return float(finite(s.real, "bracket g", "Re <A psi, B psi> is beyond "
+                        "the float range", k))
 
 
 def bracket_omega(a: np.ndarray, b: np.ndarray, psi: RealifiedState) -> float:
     """Omega(df_A, df_B) at psi; equals f_{-i[A,B]}(psi)."""
-    return star_product(a, b, psi).imag
+    s, k = _star(a, b, psi)
+    return float(finite(s.imag, "bracket omega", "Im <A psi, B psi> is "
+                        "beyond the float range", k))
 
 
 def _vector_field(a: np.ndarray, psi: RealifiedState, turn: bool):
@@ -179,18 +170,18 @@ def _vector_field(a: np.ndarray, psi: RealifiedState, turn: bool):
     a, ka = exact_scale(check_hermitian(a, psi.dim))
     x, k = psi._scaled()
     z = a @ _complex(x)
-    z = finite(_realify(1j * z if turn else z), "vector field",
-               "A psi is beyond the float range", ka + k)
-    return TangentVector(psi, z)
+    z = 1j * z if turn else z
+    return finite(np.concatenate([z.real, z.imag]), "vector field",
+                  "A psi is beyond the float range", ka + k)
 
 
-def gradient_vf(a: np.ndarray, psi: RealifiedState) -> TangentVector:
-    """Gradient vector field of f_A at psi: the realification of A psi."""
+def gradient_vf(a: np.ndarray, psi: RealifiedState) -> np.ndarray:
+    """Gradient vector field of f_A at psi: A psi realified, (q, p)."""
     return _vector_field(a, psi, False)
 
 
-def hamiltonian_vf(a: np.ndarray, psi: RealifiedState) -> TangentVector:
-    """Hamiltonian vector field of f_A at psi: realification of i A psi."""
+def hamiltonian_vf(a: np.ndarray, psi: RealifiedState) -> np.ndarray:
+    """Hamiltonian vector field of f_A at psi: i A psi realified, (q, p)."""
     return _vector_field(a, psi, True)
 
 

@@ -45,6 +45,20 @@ def bracket_sample(n, seed, kind, exps):
     return a, b, psi
 
 
+def exact_parts(rng, shape, zeros=0.0):
+    """Reals 0 (with probability zeros) or of magnitude in [1/4, 1): exact
+    when scaled by 2**u for u in [-1000, 1024]."""
+    x = rng.uniform(0.25, 1.0, shape) * rng.choice([-1.0, 1.0], shape)
+    return np.where(rng.random(shape) < zeros, 0.0, x)
+
+
+def exact_hermitian(rng, n):
+    """A Hermitian matrix whose entries' parts are drawn by exact_parts; an
+    entry and its mirror are conjugates, not sums, so no part cancels."""
+    a = np.triu(exact_parts(rng, (n, n)) + 1j * exact_parts(rng, (n, n)), 1)
+    return a + a.conj().T + np.diag(exact_parts(rng, n))
+
+
 def random_state(rng, n):
     return RealifiedState(rng.normal(size=n), rng.normal(size=n))
 

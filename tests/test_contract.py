@@ -34,25 +34,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import geomstates
-from geomstates import (
-    PureDensity,
-    RealifiedState,
-    TangentVector,
-    gellmann_basis,
-)
+from geomstates import PureDensity, RealifiedState, gellmann_basis
 from geomstates.basis import MAX_BASIS_N
+
+from conftest import exact_hermitian, exact_parts
 
 TINY = np.finfo(float).tiny
 PACKAGE = Path(geomstates.__file__).resolve().parent
 FAULTS = ("n+1", "ndim-", "ndim+", "empty", "nan", "inf", "-inf", "huge",
           "tiny")
 VALUE_FAULTS = ("nan", "inf", "-inf", "huge", "tiny")
-
-
-def _parts(rng, shape, zeros=0.0):
-    """Reals 0 (with probability zeros) or of magnitude in [1/4, 1)."""
-    x = rng.uniform(0.25, 1.0, shape) * rng.choice([-1.0, 1.0], shape)
-    return np.where(rng.random(shape) < zeros, 0.0, x)
 
 
 def _ldexp(x, u):
@@ -64,33 +55,22 @@ def _ldexp(x, u):
         return np.ldexp(x, u)
 
 
-def _hermitian(rng, n):
-    """Conjugate mirror entries, not sums, so that no part cancels."""
-    a = np.triu(_parts(rng, (n, n)) + 1j * _parts(rng, (n, n)), 1)
-    return a + a.conj().T + np.diag(_parts(rng, n))
-
-
 def _density(rng, n):
-    m = _hermitian(rng, n)
+    m = exact_hermitian(rng, n)
     rho = m @ m
     return rho / rho.trace().real
 
 
 def _pure(rng, n):
-    u = _parts(rng, n) + 1j * _parts(rng, n)
+    u = exact_parts(rng, n) + 1j * exact_parts(rng, n)
     u = u / np.linalg.norm(u)
     return np.outer(u, u.conj())
 
 
 def _transform(rng, n):
     """Well conditioned: 1/2 on the diagonal, off-diagonal parts below 2**-6."""
-    t = _ldexp(_parts(rng, (n, n)) + 1j * _parts(rng, (n, n)), -6)
+    t = _ldexp(exact_parts(rng, (n, n)) + 1j * exact_parts(rng, (n, n)), -6)
     return t + np.eye(n) / 2
-
-
-def _tangent(x):
-    half = np.zeros(np.shape(x)[-1] // 2)
-    return TangentVector(RealifiedState(half, half), x)
 
 
 def _curve(rng, n, fault=None):
@@ -125,17 +105,19 @@ def _dimension(rng, n, fault=None):
 Kind = namedtuple("Kind", "make wrap faults fault", defaults=(None,))
 _same = lambda x: x  # noqa: E731
 KINDS = {
-    "operator": Kind(_hermitian, _same, FAULTS),
-    "stack": Kind(lambda rng, n: np.stack([_hermitian(rng, n)] * 2), _same,
-                  FAULTS),
-    "state": Kind(lambda rng, n: _parts(rng, 2 * n),
+    "operator": Kind(exact_hermitian, _same, FAULTS),
+    "stack": Kind(lambda rng, n: np.stack([exact_hermitian(rng, n)] * 2),
+                  _same, FAULTS),
+    "state": Kind(lambda rng, n: exact_parts(rng, 2 * n),
                   lambda x: RealifiedState(*np.split(x, 2, axis=-1)),
                   ("n+1", "ndim+") + VALUE_FAULTS),
-    "tangent": Kind(lambda rng, n: _parts(rng, 2 * n), _tangent,
+    "tangent": Kind(lambda rng, n: exact_parts(rng, 2 * n), _same,
                     ("n+1", "ndim+") + VALUE_FAULTS),
-    "dual": Kind(lambda rng, n: _parts(rng, n * n, zeros=0.3), _same, FAULTS),
-    "traceless": Kind(lambda rng, n: _parts(rng, n * n - 1), _same, FAULTS),
-    "coordinate": Kind(lambda rng, n: _parts(rng, 3) / 4, _same,
+    "dual": Kind(lambda rng, n: exact_parts(rng, n * n, zeros=0.3), _same,
+                 FAULTS),
+    "traceless": Kind(lambda rng, n: exact_parts(rng, n * n - 1), _same,
+                      FAULTS),
+    "coordinate": Kind(lambda rng, n: exact_parts(rng, 3) / 4, _same,
                        FAULTS[1:]),  # broadcast scalars: no n to mismatch
     "time": Kind(lambda rng, n: np.array(rng.uniform(0.25, 1.0)), float,
                  VALUE_FAULTS),
@@ -241,8 +223,7 @@ ROWS = (
     Row("flow_hamiltonian", _flow, ("operator", "state", "time"),
         (Scaling((1, 0, -1), (-1, 0), _top), Scaling((0, 1, 0), (0, 1))),
         tuple, ns=(2, 12)),
-    *(Row(f.__name__, f, ("operator", "state"), each(1, 1),
-          lambda r: (r.components,))
+    *(Row(f.__name__, f, ("operator", "state"), each(1, 1))
       for f in (g.gradient_vf, g.hamiltonian_vf)),
     Row("hermitian_split", g.hermitian_split, ("state", "state"),
         each(1, 1), tuple),
@@ -414,9 +395,11 @@ def test_flows_scale_exactly_in_a_at_two_to_the_600(name):
             _check_scaling(row, row.scalings[0], n, n, u)
 
 
-EDGE = [(BY_NAME[name], s) for name in ("jtilde_endo", "r_endo",
-                                        "hermitian_split")
-        for s in BY_NAME[name].scalings]
+# Every scaling but flow_hamiltonian's (A, t): there the step t 2**-u / 8
+# is subnormal, so the returned sample times are rounded, and the samples
+# belong to the rounded times, not to 2**-u times the unscaled ones.
+EDGE = [(row, s) for row, s in SCALED
+        if s is not BY_NAME["flow_hamiltonian"].scalings[0]]
 
 
 @pytest.mark.parametrize("row, scaling", EDGE,
@@ -428,7 +411,8 @@ def test_products_scale_at_the_edge_of_the_float_range(row, scaling):
     for n in (2, 3, 5):
         for seed in range(4):
             for u in (1020, 1022, 1023):
-                _check_scaling(row, scaling, n, seed, u)
+                if row.ns[0] <= n <= row.ns[1]:
+                    _check_scaling(row, scaling, n, seed, u)
 
 
 def _refuses(exc_type, match, call, *args):

@@ -9,7 +9,6 @@ from geomstates import (
     DimensionError,
     PureDensity,
     RealifiedState,
-    TangentVector,
     connection_form,
     critical_point_eigensolve,
     gellmann_basis,
@@ -19,7 +18,6 @@ from geomstates import (
     quadratic_function,
     transition_probability,
 )
-from geomstates import realified
 from geomstates.realified import ZeroVectorError, expectation_trace_samples
 from geomstates.states import NotExtremalError
 
@@ -34,8 +32,9 @@ from conftest import (
 SIGMA = gellmann_basis(2).elements
 
 
-def tangent(psi, z):
-    return TangentVector(psi, np.concatenate([np.real(z), np.imag(z)]))
+def tangent(z):
+    """The realification (q, p) of a complex vector z."""
+    return np.concatenate([np.real(z), np.imag(z)])
 
 
 def test_momentum_map_basis_vector():
@@ -102,8 +101,8 @@ def test_expectation_equals_trace_form(rng):
 def test_connection_form_vertical_directions(rng):
     psi = random_state(rng, 3)
     z = psi.to_complex()
-    assert abs(connection_form(psi, tangent(psi, z)) - 1.0) < 1e-12
-    assert abs(connection_form(psi, tangent(psi, 1j * z)) - 1j) < 1e-12
+    assert abs(connection_form(psi, tangent(z)) - 1.0) < 1e-12
+    assert abs(connection_form(psi, tangent(1j * z)) - 1j) < 1e-12
 
 
 def test_connection_form_horizontal(rng):
@@ -111,14 +110,14 @@ def test_connection_form_horizontal(rng):
     z = psi.to_complex()
     v = rng.normal(size=3) + 1j * rng.normal(size=3)
     v -= (z.conj() @ v) / (z.conj() @ z) * z
-    assert abs(connection_form(psi, tangent(psi, v))) < 1e-12
+    assert abs(connection_form(psi, tangent(v))) < 1e-12
 
 
 def test_projected_tensor_annihilates_vertical(rng):
     psi = random_state(rng, 3)
     z = psi.to_complex()
     for vz in (z, 1j * z):
-        v = tangent(psi, vz)
+        v = tangent(vz)
         assert abs(projected_hermitian(psi, v, v)) < 1e-12
     # <v, v> = 1e600 alone is beyond the float range; read at exact scale,
     # the vertical v still gives 0, with no warning
@@ -127,7 +126,7 @@ def test_projected_tensor_annihilates_vertical(rng):
 
 def test_projected_tensor_horizontal_unit():
     psi = RealifiedState([1.0, 0.0], [0.0, 0.0])
-    v = tangent(psi, np.array([0.0, 1.0], dtype=complex))
+    v = tangent(np.array([0.0, 1.0], dtype=complex))
     assert abs(projected_hermitian(psi, v, v) - 1.0) < 1e-14
 
 
@@ -139,9 +138,8 @@ def test_projected_tensor_scale_invariance(rng):
     scaled = RealifiedState.from_complex(lam * psi.to_complex())
     vz = rng.normal(size=3) + 1j * rng.normal(size=3)
     wz = rng.normal(size=3) + 1j * rng.normal(size=3)
-    a = projected_hermitian(psi, tangent(psi, vz), tangent(psi, wz))
-    b = projected_hermitian(scaled, tangent(scaled, lam * vz),
-                            tangent(scaled, lam * wz))
+    a = projected_hermitian(psi, tangent(vz), tangent(wz))
+    b = projected_hermitian(scaled, tangent(lam * vz), tangent(lam * wz))
     assert abs(a - b) < 1e-12
 
 
@@ -151,7 +149,7 @@ def test_projected_tensor_psd_on_horizontal(rng):
     for _ in range(100):
         v = rng.normal(size=3) + 1j * rng.normal(size=3)
         v -= (z.conj() @ v) / (z.conj() @ z) * z
-        val = projected_hermitian(psi, tangent(psi, v), tangent(psi, v))
+        val = projected_hermitian(psi, tangent(v), tangent(v))
         assert val.real >= -1e-12
 
 
@@ -236,11 +234,10 @@ def test_ray_tensors_bit_identical_when_psi_v_w_scale_together(
     # wherever psi, v and w scale exactly.
     rng = np.random.default_rng(seed)
     psi = _state_of_kind(rng, n, kind, phase)
-    v, w = (tangent(psi, rng.normal(size=n) + 1j * rng.normal(size=n))
+    v, w = (tangent(rng.normal(size=n) + 1j * rng.normal(size=n))
             for _ in range(2))
     big = RealifiedState(_assume_exact(psi.q, e), _assume_exact(psi.p, e))
-    bv, bw = (TangentVector(big, _assume_exact(t.components, e))
-              for t in (v, w))
+    bv, bw = (_assume_exact(t, e) for t in (v, w))
     assert connection_form(big, bv) == connection_form(psi, v)
     assert projected_hermitian(big, bv, bw) == projected_hermitian(psi, v, w)
 
@@ -305,8 +302,17 @@ def test_pushforward_accepts_a_tiny_state():
     assert np.isfinite(lhs) and np.isfinite(rhs)
 
 
+def test_pushforward_reads_its_operands_at_exact_scale():
+    # AB + BA and |psi><psi| (AB - BA) overflow when formed from A at
+    # 2**1022, though both sides of the identity are near 3e307
+    a = np.array([[1, 2j], [-2j, 0.5]]) * 2.0**1022
+    b = np.array([[0.5, 1.0], [1.0, -0.75]])
+    psi = RealifiedState.from_complex([0.75 + 0.25j, 0.5 - 0.5j])
+    lhs, rhs = pushforward_check(psi, a, b)
+    assert np.isfinite(rhs) and rhs == lhs
+
+
 def test_one_zero_vector_error():
-    assert realified.ZeroVectorError is realified.InvalidStartError
     assert issubclass(ZeroVectorError, ValueError)
 
 
@@ -314,9 +320,9 @@ def test_one_zero_vector_error():
     lambda psi: psi.unit(),
     momentum_map,
     lambda psi: expectation_trace_samples(np.eye(2), psi, 1.0),
-    lambda psi: connection_form(psi, tangent(psi, np.ones(2))),
-    lambda psi: projected_hermitian(psi, tangent(psi, np.ones(2)),
-                                    tangent(psi, np.ones(2))),
+    lambda psi: connection_form(psi, tangent(np.ones(2))),
+    lambda psi: projected_hermitian(psi, tangent(np.ones(2)),
+                                    tangent(np.ones(2))),
     lambda psi: pushforward_check(psi, np.eye(2), np.eye(2)),
     lambda psi: critical_point_eigensolve(np.eye(2), psi),
 ])
@@ -326,14 +332,13 @@ def test_every_entry_point_refuses_the_zero_vector(call):
 
 
 _PSI2 = RealifiedState([0.6, 0.8], [0.0, 0.0])
-_V2 = TangentVector(_PSI2, [1.0, 0.0, 0.0, 0.0])
-_V3 = TangentVector(RealifiedState([1.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
-                    [1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+_V2 = np.array([1.0, 0.0, 0.0, 0.0])
+_V3 = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 # at psi = (1e-300, 0), <psi, v> / <psi, psi> = 1e600 along psi, and
 # <v, v> / <psi, psi> = 1e1200 across it
 _TINY = RealifiedState([1e-300, 0.0], [0.0, 0.0])
-_ALONG = TangentVector(_TINY, [1e300, 0.0, 0.0, 0.0])
-_ACROSS = TangentVector(_TINY, [0.0, 1e300, 0.0, 0.0])
+_ALONG = np.array([1e300, 0.0, 0.0, 0.0])
+_ACROSS = np.array([0.0, 1e300, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -343,7 +348,7 @@ _ACROSS = TangentVector(_TINY, [0.0, 1e300, 0.0, 0.0])
         id="transition-dims"),
     pytest.param(lambda: PureDensity(np.diag([2.0, 0.0])), NotExtremalError,
                  "trace must be 1", id="pure-trace"),
-    # a tangent vector at a point of another space
+    # a tangent vector of another dimension than psi
     pytest.param(lambda: connection_form(_PSI2, _V3), DimensionError,
                  r"^v must have shape \(4,\), got \(6,\)$",
                  id="connection-dims"),
@@ -370,7 +375,7 @@ def test_projected_hermitian_squares_the_norm_exactly():
     # against 21.51...416 after rescaling); x * x rounds both alike
     x = 4.638819309046799
     psi = RealifiedState([x, 0.0], [0.0, 0.0])
-    v = TangentVector(psi, [0.0, 1.0, 0.0, 0.0])
+    v = np.array([0.0, 1.0, 0.0, 0.0])
     big = _times_two_to(psi, -150)
-    bv = TangentVector(big, np.ldexp(v.components, -150))
+    bv = np.ldexp(v, -150)
     assert projected_hermitian(big, bv, bv) == projected_hermitian(psi, v, v)

@@ -23,22 +23,10 @@ from geomstates import (
 from geomstates.basis import _ldexp, eigenpair_masks, exact_scale, finite
 from geomstates.realified import expectation_trace_samples
 
+from conftest import exact_hermitian, exact_parts
+
 TINY = np.finfo(float).tiny
 DBL_MAX = np.finfo(float).max
-
-
-def _parts(rng, shape, zeros=0.0):
-    """Reals 0 (with probability zeros) or of magnitude in [1/4, 1)."""
-    x = rng.uniform(0.25, 1.0, shape) * rng.choice([-1.0, 1.0], shape)
-    return np.where(rng.random(shape) < zeros, 0.0, x)
-
-
-def _hermitian(rng, n):
-    """A Hermitian matrix whose entries' parts are drawn by _parts; an entry
-    and its mirror are conjugates, not sums, so no part cancels."""
-    m = _parts(rng, (n, n)) + 1j * _parts(rng, (n, n))
-    a = np.triu(m, 1)
-    return a + a.conj().T + np.diag(_parts(rng, n))
 
 
 def _state(x, u):
@@ -76,7 +64,7 @@ def test_maps_scale_by_powers_of_two_exactly(n, seed, s, e):
     # Each point is read at its exact scale, so where from_dual refuses the
     # operator sum_mu y[mu] b_mu as beyond the range, they still follow the
     # rule.
-    y = _parts(rng, (2, n * n), zeros=0.3)
+    y = exact_parts(rng, (2, n * n), zeros=0.3)
     ys = np.ldexp(y, us[:, None])
     for fn in (lambda_at, riemann_jordan_at):
         ref = fn(y, basis)
@@ -86,26 +74,26 @@ def test_maps_scale_by_powers_of_two_exactly(n, seed, s, e):
             assert np.array_equal(fn(ys, basis).rank(), ref.rank())
 
     # the D_lambda and D_R masks of two spectra, one per scale (d = 0)
-    w = _parts(rng, (2, n), zeros=0.3)
+    w = exact_parts(rng, (2, n), zeros=0.3)
     for got, want in zip(eigenpair_masks(np.ldexp(w, us[:, None])),
                          eigenpair_masks(w)):
         assert np.array_equal(got, want)
 
     # |psi| (d = 1) and both vector fields (d = 1 in A and in psi); A's
     # scale stops at 2**1023, where each |A_ij| is still finite
-    psi = RealifiedState(_parts(rng, n), _parts(rng, n))
-    a, ua = _hermitian(rng, n), min(s, 1023)
+    psi = RealifiedState(exact_parts(rng, n), exact_parts(rng, n))
+    a, ua = exact_hermitian(rng, n), min(s, 1023)
     scaled = np.ldexp(a.real, ua) + 1j * np.ldexp(a.imag, ua)
     _check(lambda: _state(psi, s + e).norm(), psi.norm(), s + e)
     for vf in (gradient_vf, hamiltonian_vf):
-        _check(lambda: vf(scaled, _state(psi, s + e)).components,
-               vf(a, psi).components, ua + s + e)
+        _check(lambda: vf(scaled, _state(psi, s + e)), vf(a, psi),
+               ua + s + e)
 
     # the e_A column (d = 1 in A) and the norm column (d = 1 in psi) of a
     # flow of length 0, whose samples are psi itself.  A is diagonal: its
     # eigenvectors are then exact at any scale, where LAPACK rescales a
     # matrix beyond about 1e+-150 by a factor that is not a power of two.
-    d = _parts(rng, n, zeros=0.3)
+    d = exact_parts(rng, n, zeros=0.3)
     want = expectation_trace_samples(np.diag(d), psi, 0.0)[0]
     for u, col, arg in ((s, 1, lambda: (np.diag(np.ldexp(d, s)), psi)),
                         (s + e, 2, lambda: (np.diag(d), _state(psi, s + e)))):
