@@ -33,8 +33,6 @@ from .basis import (
 from .dual_tensors import (
     DistributionReport,
     TensorAtPoint,
-    PAIRING_SCALE,
-    calibrate_pairing_scale,
     distributions_at,
     jtilde_endo,
     lambda_at,

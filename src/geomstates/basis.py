@@ -343,15 +343,18 @@ def structure_constants(basis: OrthogonalBasis) -> StructureConstants:
 
 def to_dual(a, basis: OrthogonalBasis) -> np.ndarray:
     """Coordinates y[..., mu] = Tr(b_mu A) / 2 of Hermitian A (..., n, n),
-    or of a certified states.DensityState's op, judged by its shape alone."""
-    n, op = basis.dim, getattr(a, "op", a)
+    each A read at its exact scale, or of a certified states.DensityState's
+    op (entries at most 1), judged by its shape alone."""
+    n, op, k = basis.dim, getattr(a, "op", a), None
     if np.shape(op)[-2:] != (n, n):
         raise DimensionError(
             f"expected an operator of shape ({n}, {n}), got {np.shape(op)}")
     if op is a:
-        op = check_hermitian(a)
+        op, k = exact_scale(check_hermitian(a), axis=(-2, -1))
+        k = k[..., 0]
     return finite(np.einsum("aij,...ji->...a", basis.elements, op).real / 2.0,
-                  "coordinates", "a Tr(b_mu A) / 2 is beyond the float range")
+                  "coordinates", "a Tr(b_mu A) / 2 is beyond the float range",
+                  k)
 
 
 def from_dual(y: np.ndarray, basis: OrthogonalBasis) -> np.ndarray:

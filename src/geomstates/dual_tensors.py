@@ -26,11 +26,6 @@ from .basis import (
 )
 from .realified import RealifiedState, _complex, star_product
 
-# Global scale between the contravariant Hermitian tensor on the realified
-# Hilbert space and the pushed-forward (R + i Lambda) on the dual, fixed once
-# by the n=2 calibration in calibrate_pairing_scale().
-PAIRING_SCALE = 1.0
-
 
 @dataclass(frozen=True)
 class TensorAtPoint:
@@ -148,8 +143,8 @@ def pushforward_check(psi: RealifiedState, a: np.ndarray, b: np.ndarray):
     """Both sides of the momentum-map pushforward identity.
 
     lhs: (G + i Omega)(df_A, df_B) at psi, the star product <A psi, B psi>.
-    rhs: PAIRING_SCALE * (R + i Lambda) at xi = |psi><psi| evaluated on the
-    linear functions of A and B.
+    rhs: (R + i Lambda) at xi = |psi><psi| evaluated on the linear functions
+    of A and B.
     """
     psi.unit()  # ZeroVectorError at psi = 0
     lhs = star_product(a, b, psi)  # checks A and B against psi's dimension
@@ -160,27 +155,6 @@ def pushforward_check(psi: RealifiedState, a: np.ndarray, b: np.ndarray):
     xi, ab, ba = np.outer(z, z.conj()), a @ b, b @ a
     r_val = float(np.trace(xi @ (ab + ba)).real) / 2.0
     l_val = float((np.trace(xi @ (ab - ba)) / 2j).real)
-    return lhs, complex(finite(PAIRING_SCALE * complex(r_val, l_val),
-                               "pushforward", "(R + i Lambda)(A, B) is "
-                               "beyond the float range", ka + kb + 2 * k))
-
-
-def calibrate_pairing_scale(rng=None, dim: int = 2) -> float:
-    """Recompute the global pairing scale from random samples at ``dim``.
-
-    Kept as a function so tests can confirm the frozen PAIRING_SCALE value
-    and that the constant does not depend on the dimension.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    ratios = []
-    for _ in range(20):
-        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        a = (m + m.conj().T) / 2
-        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        b = (m + m.conj().T) / 2
-        psi = RealifiedState(rng.normal(size=dim), rng.normal(size=dim))
-        lhs, rhs = pushforward_check(psi, a, b)
-        unscaled = rhs / PAIRING_SCALE
-        if abs(unscaled) > 1e-6:
-            ratios.append((lhs / unscaled).real)
-    return float(np.mean(ratios))
+    return lhs, complex(finite(complex(r_val, l_val), "pushforward",
+                               "(R + i Lambda)(A, B) is beyond the float "
+                               "range", ka + kb + 2 * k))

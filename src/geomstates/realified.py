@@ -194,7 +194,8 @@ def flow_hamiltonian(a: np.ndarray, psi0: RealifiedState, t_final: float,
     A * 2**e at t * 2**-e.  So step (default 1e-3) only sets the sampling
     grid of n_steps = max(1, round(t_final / step)) equal intervals.  A grid
     of more than MAX_FLOW_SAMPLES samples is refused before anything is
-    allocated.
+    allocated.  z0 is read at its exact scale too, so z0 * 2**e gives
+    2**e z(t).
 
     The phases come by angle addition, exp(i(t_s + t_j)w) =
     exp(i t_s w) exp(i t_j w), with t_s a slice start and t_j one of the
@@ -222,10 +223,13 @@ def flow_hamiltonian(a: np.ndarray, psi0: RealifiedState, t_final: float,
     finite(float(times[-1]) * float(abs(w).max()), "phase",
            "an angle t w is beyond the float range")
     table = np.exp(1j * np.outer(times[:FLOW_SLICE], w))
+    x, k = psi0._scaled()
     heads = (np.exp(1j * np.outer(times[::FLOW_SLICE], w))
-             * (v.conj().T @ psi0.to_complex()))
+             * (v.conj().T @ _complex(x)))
     phases = (table * heads[:, None, :]).reshape(-1, w.size)[:n_steps + 1]
-    return times, phases @ v.T
+    z = phases @ v.T  # |z(t)| = |psi0 * 2**-k|, so finite at k = 0
+    return times, z if k == 0 else finite(z, "flow", "a sample z(t) is "
+                                          "beyond the float range", k)
 
 
 def expectation_trace_samples(a: np.ndarray, psi0: RealifiedState,

@@ -218,10 +218,10 @@ def gl_act_cone(t: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
     Preserves the signature (number of positive/negative eigenvalues) of xi.
     Raises ValueError for a non-finite T, SingularTransformError for an
-    ill-conditioned one; T is read at its exact scale.
+    ill-conditioned one; T and xi are read at their exact scales.
     """
     t, k = exact_scale(np.asarray(t, dtype=complex))
-    xi = check_hermitian(xi)
+    xi, kxi = exact_scale(check_hermitian(xi))
     if t.shape != xi.shape or t.ndim != 2:
         raise DimensionError("transform and operand dimensions differ: need "
                              f"one n x n matrix each, got {t.shape} and "
@@ -231,7 +231,7 @@ def gl_act_cone(t: np.ndarray, xi: np.ndarray) -> np.ndarray:
     if np.linalg.cond(t) > 1e12:
         raise SingularTransformError("transform is singular or ill-conditioned")
     return finite(t @ xi @ t.conj().T, "action",
-                  "T xi T^dagger is beyond the float range", 2 * k)
+                  "T xi T^dagger is beyond the float range", 2 * k + kxi)
 
 
 def gl_act_states(t: np.ndarray, rho: DensityState) -> DensityState:

@@ -559,9 +559,9 @@ def test_operator_on_another_space_refused(call):
                    "range$", id=f"masks-{name}")
       for name, w in [("inf", [np.inf, 1.0]), ("nan", [1.0, np.nan]),
                       ("stack", [[1.0, 0.0], [0.0, -np.inf]])]],
-    # einsum overflows silently: y_1 = (9e307 + 9e307) / 2
-    pytest.param(lambda: to_dual(np.array([[0.5, 9e307], [9e307, 0.5]]),
-                                 gellmann_basis(2)), OverflowError,
+    # einsum overflows silently: y_8 = 4 * 1.7e308 / (2 sqrt(3)) = 1.96e308
+    pytest.param(lambda: to_dual(np.diag([1.7e308, 1.7e308, -1.7e308]),
+                                 gellmann_basis(3)), OverflowError,
                  r"^coordinates overflow: a Tr\(b_mu A\) / 2 is beyond the "
                  "float range$", id="to_dual-overflow"),
 ])

@@ -194,8 +194,6 @@ ROWS = (
         tuple),
     Row("gellmann_basis", g.gellmann_basis, ("dim",)),
     Row("structure_constants", g.structure_constants, ("basis",), ns=(2, 3)),
-    Row("calibrate_pairing_scale",
-        lambda d: g.calibrate_pairing_scale(dim=d), ("dim",), ns=(2, 2)),
     Row("distributions_at", g.distributions_at, ("dual", "basis"),
         each(0, None), lambda r: (np.array(r.dims), r.basis_lambda,
                                   r.basis_r, r.basis_0, r.basis_1)),
@@ -425,6 +423,29 @@ def test_star_product_at_opposite_scales():
     # <A psi, B psi> = 1e20, though A psi = 1e310 alone is not representable
     psi = RealifiedState([1e10, 0.0], [0.0, 0.0])
     assert g.star_product(1e300 * np.eye(2), 1e-300 * np.eye(2), psi) == 1e20
+
+
+def test_flow_reads_psi0_at_its_exact_scale():
+    # z(t) = e^{it} psi0: psi0 lies on the eigenvalue-1 eigenvector of A,
+    # though V^dagger psi0 at this scale is 1.84e308 alone
+    psi = RealifiedState([1.3e308, 1.3e308], [0.0, 0.0])
+    times, z = g.flow_hamiltonian(np.array([[0, 1], [1, 0]]), psi, 0.01, 0.01)
+    want = np.exp(1j * times)[:, None] * psi.to_complex()
+    assert np.isfinite(z).all()
+    assert np.allclose(z, want, rtol=4e-16, atol=0.0)
+
+
+def test_gl_act_cone_refuses_its_own_overflow_at_the_top_of_xi():
+    # (T xi T^dagger)_00 = 0.81 * 1.5e308 * 3 is beyond the float range
+    t = np.array([[0.9, 0.9], [0.0, 0.6]])
+    xi = 1.5e308 * np.array([[1.0, 0.5], [0.5, 1.0]])
+    _refuses(OverflowError, "^action overflow: ", g.gl_act_cone, t, xi)
+
+
+def test_to_dual_reads_a_raw_operand_at_its_exact_scale():
+    # Tr(b_0 A) = 2e308 alone is not representable; y_0 = 1e308 is
+    y = g.to_dual(np.diag([1e308, 1e308]), gellmann_basis(2))
+    assert np.array_equal(y, [1e308, 0.0, 0.0, 0.0])
 
 
 def test_lambda_and_distributions_where_the_operator_overflows():

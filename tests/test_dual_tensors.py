@@ -4,8 +4,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geomstates import (
-    PAIRING_SCALE,
-    calibrate_pairing_scale,
     distributions_at,
     from_dual,
     gellmann_basis,
@@ -406,11 +404,6 @@ def test_pushforward_commuting_real(rng):
     psi = random_state(rng, 3)
     lhs, rhs = pushforward_check(psi, d1, d2)
     assert abs(lhs.imag) < 1e-12 and abs(rhs.imag) < 1e-12
-
-
-def test_pairing_scale_is_frozen_at_one():
-    assert PAIRING_SCALE == 1.0
-    assert abs(calibrate_pairing_scale() - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
